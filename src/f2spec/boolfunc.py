@@ -1,15 +1,25 @@
 """Truth tables of Boolean functions f: F_2^n -> {0,1}, bit-packed.
 
 The table is one Python int: bit enc(x) is f(x), with the first input
-coordinate at the least-significant bit of enc(x) (see gf2).
+coordinate at the least-significant bit of enc(x) (see gf2).  Every
+operation here reads or builds the whole table in a constant number of
+linear passes (binary strings, masked shifts), never one bit at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
-from .gf2 import GF2Matrix, check_dimension, check_vector
+from .gf2 import (
+    GF2Matrix,
+    bits_to_int,
+    check_dimension,
+    check_vector,
+    int_to_bits,
+    xor_translate,
+)
 
 
 @dataclass(frozen=True)
@@ -25,18 +35,18 @@ class BooleanFunction:
     @staticmethod
     def from_support(n: int, support: Iterable[int]) -> "BooleanFunction":
         check_dimension(n)
-        table = 0
+        flags = bytearray(1 << n)
         for x in support:
             check_vector(x, n)
-            table |= 1 << x
-        return BooleanFunction(n, table)
+            flags[x] = 1
+        return BooleanFunction(n, bits_to_int(flags))
 
     def value(self, x: int) -> int:
         return (self.table >> x) & 1
 
     def support(self) -> frozenset[int]:
-        t = self.table
-        return frozenset(x for x in range(1 << self.n) if (t >> x) & 1)
+        size = 1 << self.n
+        return frozenset(compress(range(size), int_to_bits(self.table, size)))
 
     @property
     def weight(self) -> int:
@@ -58,60 +68,49 @@ def restrict_first_bit(f: BooleanFunction) -> tuple[BooleanFunction, BooleanFunc
     """Sub-functions fixing the first input bit: (f(0,y), f(1,y)).
 
     With x_1 at the least-significant bit this is the even/odd interleave of
-    the table.  For n = 1 the two halves are 0-dimensional constants.
+    the table: in the most-significant-first binary string the odd positions
+    hold the even table bits, so each half is one slice of that string.  For
+    n = 1 the two halves are 0-dimensional constants.
     """
     if f.n < 1:
         raise ValueError("cannot restrict a 0-dimensional function")
-    half = 1 << (f.n - 1)
-    t = f.table
-    t0 = 0
-    t1 = 0
-    for y in range(half):
-        pair = (t >> (2 * y)) & 3
-        t0 |= (pair & 1) << y
-        t1 |= (pair >> 1) << y
-    return BooleanFunction(f.n - 1, t0), BooleanFunction(f.n - 1, t1)
+    bits = format(f.table, f"0{1 << f.n}b")
+    return (
+        BooleanFunction(f.n - 1, int(bits[1::2], 2)),
+        BooleanFunction(f.n - 1, int(bits[0::2], 2)),
+    )
 
 
 def tensor(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
-    """Product function h(x, y) = f(x) * g(y); x occupies the low coordinates."""
-    block = f.table
+    """Product function h(x, y) = f(x) * g(y); x occupies the low coordinates.
+
+    The table is the binary string of g with each 1 replaced by f's table
+    and each 0 by a zero block of the same width.
+    """
     width = 1 << f.n
-    table = 0
-    for y in range(1 << g.n):
-        if g.value(y):
-            table |= block << (y * width)
-    return BooleanFunction(f.n + g.n, table)
+    blocks = {"0": "0" * width, "1": format(f.table, f"0{width}b")}
+    bits = "".join(map(blocks.__getitem__, format(g.table, f"0{1 << g.n}b")))
+    return BooleanFunction(f.n + g.n, int(bits, 2))
 
 
 def apply_transform(f: BooleanFunction, m: GF2Matrix) -> BooleanFunction:
-    """g(x) = f(Mx).  The spectrum is the permutation beta -> (M^T)^-1 beta."""
+    """g(x) = f(Mx).  The spectrum is the permutation beta -> (M^T)^-1 beta.
+
+    A gather of the table's bits through the list of images M x.
+    """
     if f.n != m.n:
         raise ValueError("function and matrix dimensions differ")
-    n = f.n
-    size = 1 << n
-    images = [0] * size
-    for i in range(n):
-        col = m.apply(1 << i)
-        step = 1 << i
-        for x in range(step):
-            images[x | step] = images[x] ^ col
-    t = f.table
-    out = 0
-    for x in range(size):
-        if (t >> images[x]) & 1:
-            out |= 1 << x
-    return BooleanFunction(n, out)
+    bits = format(f.table, f"0{1 << f.n}b")[::-1]
+    gathered = "".join(map(bits.__getitem__, m.images()))
+    return BooleanFunction(f.n, int(gathered[::-1], 2))
 
 
 def shift(f: BooleanFunction, a: int) -> BooleanFunction:
-    """h(x) = f(x + a): translate the support by XOR with a."""
+    """h(x) = f(x + a): translate the support by XOR with a.
+
+    One masked delta-swap of the table per set bit of a (gf2.xor_translate).
+    """
     check_vector(a, f.n)
     if a == 0:
         return f
-    t = f.table
-    out = 0
-    for x in range(1 << f.n):
-        if (t >> (x ^ a)) & 1:
-            out |= 1 << x
-    return BooleanFunction(f.n, out)
+    return BooleanFunction(f.n, xor_translate(f.table, a, f.n))

@@ -22,7 +22,12 @@ from .addcomb import (
 from .errors import InputFormatError, SpectrumScopeError, TheoremViolationError
 from .families import FAMILIES, generate
 from .fourier import granularity, sparsity, wht
-from .harness import enumerate_verify, random_verify
+from .harness import (
+    check_exhaustive_args,
+    check_random_args,
+    enumerate_verify,
+    random_verify,
+)
 from .structure import classify, decompose, kill_number
 
 EXIT_OK = 0
@@ -175,15 +180,21 @@ def _run_addcomb(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    # only the arguments are input: errors raised by the run itself keep
+    # their own exit code
     try:
         if args.random is None:
-            report = enumerate_verify(args.n)
+            check_exhaustive_args(args.n)
         else:
-            report = random_verify(
-                args.n, args.random, args.seed, family=args.family, k=args.k
-            )
+            check_random_args(args.n, args.random, args.family, args.k)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
+    if args.random is None:
+        report = enumerate_verify(args.n)
+    else:
+        report = random_verify(
+            args.n, args.random, args.seed, family=args.family, k=args.k
+        )
     _emit(jsonio.report_to_obj(report))
     return EXIT_OK if report.ok() else EXIT_VIOLATION
 

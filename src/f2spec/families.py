@@ -24,6 +24,16 @@ FAMILIES = (
 )
 
 
+def _tile(block: int, width: int, n: int) -> int:
+    """Table of 2^n bits repeating a block of `width` bits (a power of two
+    at most 2^n), by doubling: log2(2^n / width) shifts."""
+    size = 1 << n
+    while width < size:
+        block |= block << width
+        width <<= 1
+    return block
+
+
 def delta(n: int) -> BooleanFunction:
     """Indicator of the single point 0; every scaled coefficient is 1."""
     check_dimension(n)
@@ -45,12 +55,8 @@ def affine_indicator(n: int, k: int) -> BooleanFunction:
         raise ValueError("need 0 <= k <= n")
     if k == 0:
         return all_ones(n)
-    low_mask = (1 << k) - 1
-    table = 0
-    for x in range(1 << n):
-        if x & low_mask == 1:
-            table |= 1 << x
-    return BooleanFunction(n, table)
+    # within each block of 2^k points only x = e_1 has x_1..x_k = 1, 0..0
+    return BooleanFunction(n, _tile(0b10, 1 << k, n))
 
 
 def two_affine(n: int, k: int) -> BooleanFunction:
@@ -66,14 +72,13 @@ def two_affine(n: int, k: int) -> BooleanFunction:
         raise ValueError("k must be at least 1")
     if n < 2 * k - 1:
         raise ValueError("need n >= 2k-1")
-    mask1 = (1 << k) - 1
-    mask2 = ((1 << k) - 1) << (k - 1)
     ek = 1 << (k - 1)
-    table = 0
-    for x in range(1 << n):
-        if x & mask1 == ek or x & mask2 == 0:
-            table |= 1 << x
-    return BooleanFunction(n, table)
+    # first piece: x_1..x_k = e_k, the point ek in each block of 2^k;
+    # second piece: x_k..x_{2k-1} = 0, the first ek points of each block of
+    # 2^(2k-1)
+    first = _tile(1 << ek, 1 << k, n)
+    second = _tile((1 << ek) - 1, 1 << (2 * k - 1), n)
+    return BooleanFunction(n, first | second)
 
 
 def counterexample_core() -> BooleanFunction:
@@ -103,11 +108,7 @@ def intro_fk(n: int) -> BooleanFunction:
     check_dimension(n)
     if n < 2:
         raise ValueError("need n >= 2")
-    table = 0
-    for x in range(1 << n):
-        if x & 3:
-            table |= 1 << x
-    return BooleanFunction(n, table)
+    return BooleanFunction(n, _tile(0b1110, 4, n))
 
 
 def intro_gk(n: int) -> BooleanFunction:
@@ -115,11 +116,7 @@ def intro_gk(n: int) -> BooleanFunction:
     check_dimension(n)
     if n < 3:
         raise ValueError("need n >= 3")
-    table = 0
-    for x in range(1 << n):
-        if x & 7 not in (0, 7):
-            table |= 1 << x
-    return BooleanFunction(n, table)
+    return BooleanFunction(n, _tile(0b01111110, 8, n))
 
 
 def generate(family: str, n: int | None = None, k: int | None = None) -> BooleanFunction:

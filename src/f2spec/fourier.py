@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, neg, sub
 
 from .boolfunc import BooleanFunction
+from .gf2 import GF2Matrix, int_to_bits
 
 
 @dataclass(frozen=True)
@@ -26,26 +28,46 @@ class Spectrum:
 
 
 def butterfly(values: list[int]) -> None:
-    """In-place Walsh-Hadamard butterfly; applying it twice scales by 2^n."""
-    size = len(values)
-    h = 1
-    while h < size:
-        for i in range(0, size, h << 1):
-            for j in range(i, i + h):
-                x = values[j]
-                y = values[j + h]
-                values[j] = x + y
-                values[j + h] = x - y
-        h <<= 1
+    """In-place Walsh-Hadamard butterfly; applying it twice scales by 2^n.
+
+    Constant-geometry form: each of the n stages pairs the even and odd
+    entries, writing the sums to the first half and the differences to the
+    second.  A stage transforms the lowest index bit and rotates it to the
+    top, so after n stages the output is in natural order.
+    """
+    half = len(values) >> 1
+    for _ in range(half.bit_length()):
+        even = values[0::2]
+        odd = values[1::2]
+        values[:half] = map(add, even, odd)
+        values[half:] = map(sub, even, odd)
 
 
 def wht(f: BooleanFunction) -> Spectrum:
-    """Exact transform of a 0/1 truth table via the in-place butterfly."""
-    size = 1 << f.n
-    t = f.table
-    vals = [(t >> i) & 1 for i in range(size)]
+    """Exact transform of a 0/1 truth table via the in-place butterfly.
+
+    The table is unpacked in one linear pass (gf2.int_to_bits).
+    """
+    vals = list(int_to_bits(f.table, 1 << f.n))
     butterfly(vals)
     return Spectrum(f.n, tuple(vals))
+
+
+def shift_spectrum(s: Spectrum, a: int) -> Spectrum:
+    """Spectrum of x -> f(x + a) from the spectrum of f: F(beta) (-1)^<beta,a>."""
+    if a == 0:
+        return s
+    signs = [1]
+    for i in range(s.n):
+        signs += list(map(neg, signs)) if (a >> i) & 1 else signs
+    return Spectrum(s.n, tuple(map(mul, s.coeffs, signs)))
+
+
+def transform_spectrum(s: Spectrum, m: GF2Matrix) -> Spectrum:
+    """Spectrum of x -> f(Mx) from the spectrum of f: G(gamma) = F(P gamma)
+    with P = (M^-1)^T, a gather through the images of P."""
+    images = m.inverse().transpose().images()
+    return Spectrum(s.n, tuple(map(s.coeffs.__getitem__, images)))
 
 
 def naive_wht(f: BooleanFunction) -> Spectrum:
@@ -89,19 +111,6 @@ def boolean_cast(s: Spectrum) -> BooleanFunction:
     return BooleanFunction(s.n, table)
 
 
-def dyadic_granularity(value: Fraction) -> int:
-    """Least k with value = m / 2^k for an odd integer m; 0 for value 0.
-
-    Raises if the reduced denominator is not a power of two.
-    """
-    if value == 0:
-        return 0
-    den = value.denominator
-    if den & (den - 1):
-        raise ValueError(f"{value} is not a dyadic rational")
-    return den.bit_length() - 1
-
-
 def coefficient_granularity(coeff: int, n: int) -> int:
     """Granularity of the coefficient coeff / 2^n without building a Fraction."""
     if coeff == 0:
@@ -112,17 +121,12 @@ def coefficient_granularity(coeff: int, n: int) -> int:
 
 def granularity(s: Spectrum) -> int:
     """Maximum granularity over the nonzero coefficients; 0 for the zero map."""
-    best = 0
-    for c in s.coeffs:
-        g = coefficient_granularity(c, s.n)
-        if g > best:
-            best = g
-    return best
+    return max(coefficient_granularity(c, s.n) for c in set(s.coeffs))
 
 
 def sparsity(s: Spectrum) -> int:
     """Number of nonzero Fourier coefficients."""
-    return sum(1 for c in s.coeffs if c)
+    return len(s.coeffs) - s.coeffs.count(0)
 
 
 def is_boolean_spectrum(s: Spectrum) -> bool:
@@ -149,8 +153,3 @@ def boolean_convolution_check(s: Spectrum) -> bool:
         if acc != c[a] << s.n:
             return False
     return True
-
-
-def parseval_holds(f: BooleanFunction, s: Spectrum) -> bool:
-    """Exact Parseval identity for 0/1 tables: sum F(a)^2 = 2^n |supp f|."""
-    return sum(c * c for c in s.coeffs) == f.weight << f.n

@@ -33,6 +33,53 @@ def check_vector(x: int, n: int) -> None:
         raise ValueError(f"vector {x} does not fit in dimension {n}")
 
 
+_BIT_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_ASCII_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+# delta-swap masks for strides below one byte: bits whose index has the
+# stride bit clear, i.e. 0b01010101, 0b00110011 and 0b00001111
+_SUB_BYTE_MASKS = {1: b"\x55", 2: b"\x33", 4: b"\x0f"}
+
+
+def int_to_bits(value: int, size: int) -> bytes:
+    """The low `size` bits of value as 0/1 bytes, least-significant first.
+
+    One linear pass through the binary string, so unpacking a 2^n-bit
+    table costs O(2^n) instead of one O(2^n) shift per bit.
+    """
+    return format(value, f"0{size}b")[::-1].encode().translate(_ASCII_TO_BIT)
+
+
+def bits_to_int(flags: bytes | bytearray) -> int:
+    """Inverse of int_to_bits: bit i of the result is flags[i] (0 or 1)."""
+    return int(flags[::-1].translate(_BIT_TO_ASCII), 2)
+
+
+def _low_half_mask(size: int, stride: int) -> int:
+    """Bits x < size with x & stride == 0, for a power-of-two stride < size."""
+    if stride >= 8:
+        unit = b"\xff" * (stride >> 3) + bytes(stride >> 3)
+    else:
+        unit = _SUB_BYTE_MASKS[stride]
+    mask = int.from_bytes(unit * max(1, size // (len(unit) << 3)), "little")
+    return mask & ((1 << size) - 1) if size < 8 else mask
+
+
+def xor_translate(bits: int, a: int, n: int) -> int:
+    """The point set {x + a : x in bits} of F_2^n, as a 2^n-bit mask.
+
+    Translation by a permutes bit positions x -> x XOR a.  Each set bit of a
+    is one masked delta-swap of the whole mask (Hacker's Delight, ch. 7), so
+    the cost is O(n 2^n) bit operations at most.
+    """
+    size = 1 << n
+    while a:
+        stride = a & -a
+        a ^= stride
+        m = _low_half_mask(size, stride)
+        bits = ((bits & m) << stride) | ((bits >> stride) & m)
+    return bits
+
+
 def _echelon(vectors: Iterable[int]) -> dict[int, int]:
     """Row-echelon basis keyed by pivot (= highest set bit of the row)."""
     by_pivot: dict[int, int] = {}
@@ -95,9 +142,6 @@ class Subspace:
 
     def contains(self, v: int) -> bool:
         return self.reduce_mod(v) == 0
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis)
 
     def points(self) -> list[int]:
         pts = [0]
@@ -231,6 +275,13 @@ class GF2Matrix:
     def apply(self, x: int) -> int:
         return sum(((self.rows[i] & x).bit_count() & 1) << i for i in range(self.n))
 
+    def images(self) -> list[int]:
+        """[M x for x in range(2^n)], built by doubling over the columns."""
+        out = [0]
+        for i in range(self.n):
+            out += list(map(self.apply(1 << i).__xor__, out))
+        return out
+
     def apply_inverse(self, x: int) -> int:
         return sum(
             ((self.inverse_rows[i] & x).bit_count() & 1) << i for i in range(self.n)
@@ -335,20 +386,30 @@ def iter_affine_masks(n: int, dim: int) -> Iterator[int]:
 
 
 def max_flat_through(n: int, point: int, points: Iterable[int]) -> AffineSubspace:
-    """Greedy inclusion-maximal affine subspace through `point` inside the set."""
-    available = frozenset(points)
-    if point not in available:
+    """Greedy inclusion-maximal affine subspace through `point` inside the set.
+
+    The greedy takes candidate directions c in increasing order and keeps c
+    when c + span stays inside the translated set.  It runs on 2^n-bit masks:
+    `ok` holds every c with c + span inside the set, so the next basis vector
+    is the lowest bit of ok outside span, and adding it updates
+    span |= span + c and ok &= ok + c.  A rejected candidate can never be
+    accepted later, so this yields the basis of the sorted scan in dim + 1
+    steps.
+    """
+    check_vector(point, n)
+    flags = bytearray(1 << n)
+    for p in points:
+        flags[p] = 1
+    if not flags[point]:
         raise ValueError("point must belong to the set")
-    deltas = frozenset(p ^ point for p in available)
-    span = {0}
+    ok = xor_translate(bits_to_int(flags), point, n)
+    span = 1
     basis: list[int] = []
-    for cand in sorted(deltas):
-        if cand == 0 or cand in span:
-            continue
-        new = {cand ^ s for s in span}
-        if new <= deltas:
-            span |= new
-            basis.append(cand)
+    while free := ok & ~span:
+        cand = (free & -free).bit_length() - 1
+        basis.append(cand)
+        span |= xor_translate(span, cand, n)
+        ok &= xor_translate(ok, cand, n)
     return AffineSubspace(point, Subspace.spanned_by(n, basis))
 
 

@@ -33,7 +33,6 @@ from .structure import (
     TAG_RVL,
     TAG_TRIVIAL,
     TAG_TWO_SUBSPACE,
-    Classification,
     classify,
     decompose,
     verify_decomposition,
@@ -153,15 +152,6 @@ def _constant_within(table: int, masks_by_codim: list[list[int]], bound: int) ->
     return False
 
 
-def _expected_profile(n: int, cls: Classification, pieces) -> bool:
-    dims = sorted(p.dim for p in pieces)
-    if cls.m == 1:
-        return dims == [n - cls.k]
-    two = dims == [n - cls.k] * 2
-    four = dims == [n - cls.k - 1] * 4 and cls.k == 4
-    return two or four
-
-
 def enumerate_verify_range(
     n: int, start: int, stop: int, masks_by_codim: list[list[int]] | None = None
 ) -> VerificationReport:
@@ -205,13 +195,9 @@ def enumerate_verify_range(
         timing["kill"] += t3 - t2
         if cls.tag in IN_SCOPE_TAGS and table:
             try:
-                dec = decompose(BooleanFunction(n, table))
                 f = BooleanFunction(n, table)
-                if not (
-                    dec.verified
-                    and verify_decomposition(f, dec)
-                    and _expected_profile(n, cls, dec.pieces)
-                ):
+                dec = decompose(f)
+                if not (dec.verified and verify_decomposition(f, dec)):
                     report.violations.append((table, "decomposition_profile"))
             except TheoremViolationError:
                 report.violations.append((table, "decomposition_failed"))
@@ -221,14 +207,19 @@ def enumerate_verify_range(
     return report
 
 
+def check_exhaustive_args(n: int) -> None:
+    """Raise ValueError unless enumerate_verify(n) accepts n."""
+    if not 1 <= n <= 4:
+        raise ValueError("exhaustive verification is limited to 1 <= n <= 4")
+
+
 def enumerate_verify(n: int, partitions: int = 4) -> VerificationReport:
     """Check every one of the 2^(2^n) truth tables on n <= 4 inputs.
 
     A correct build reports zero violations.  The space is cut into
     contiguous ranges and the partial reports are folded together.
     """
-    if not 1 <= n <= 4:
-        raise ValueError("exhaustive verification is limited to 1 <= n <= 4")
+    check_exhaustive_args(n)
     total = 1 << (1 << n)
     masks = _kill_bound_masks(n, n)
     partitions = max(1, min(partitions, total))
@@ -239,6 +230,27 @@ def enumerate_verify(n: int, partitions: int = 4) -> VerificationReport:
         report = part if report is None else merge_reports(report, part)
     assert report is not None
     return report
+
+
+def check_random_args(
+    n: int, count: int, family: str | None = None, k: int | None = None
+) -> None:
+    """Raise ValueError unless random_verify can draw every instance it is
+    asked for; called before any work, so a later error is never a bad
+    argument."""
+    if not 5 <= n <= 12:
+        raise ValueError("randomized verification expects 5 <= n <= 12")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if k is not None:
+        # a pinned k applies to the affine and two-affine draws
+        checked = [family] if family is not None else [FAMILY_AFFINE, FAMILY_TWO_AFFINE]
+    elif family in (None, FAMILY_AFFINE, FAMILY_TWO_AFFINE):
+        checked = []  # k is drawn in range
+    else:
+        checked = [family]
+    for fam in checked:
+        generate(fam, n=n, k=k)
 
 
 def random_verify(
@@ -254,10 +266,7 @@ def random_verify(
     random invertible transform and a random shift, both drawn from the
     documented generator, so a seed pins the whole run.
     """
-    if not 5 <= n <= 12:
-        raise ValueError("randomized verification expects 5 <= n <= 12")
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    check_random_args(n, count, family, k)
     rng = SplitMix64(seed)
     report = VerificationReport(n, "random", seed=seed)
     t_all = time.perf_counter()
@@ -277,18 +286,14 @@ def random_verify(
         offset = random_vector(n, rng)
         g = shift(apply_transform(base, transform), offset)
         report.examined += 1
-        label = base.table  # family instances are reproducible from the seed
+        label = g.table  # the failing input itself: BooleanFunction(n, label)
         try:
             dec = decompose(g)
         except TheoremViolationError:
             report.violations.append((label, f"{fam}:decomposition_failed"))
             continue
         report.counts[dec.classification.tag] += 1
-        if not (
-            dec.verified
-            and verify_decomposition(g, dec)
-            and _expected_profile(n, dec.classification, dec.pieces)
-        ):
+        if not (dec.verified and verify_decomposition(g, dec)):
             report.violations.append((label, f"{fam}:decomposition_profile"))
     report.timing_ms = {"total": (time.perf_counter() - t_all) * 1000.0}
     return report

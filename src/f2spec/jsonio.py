@@ -15,7 +15,7 @@ from .addcomb import PointSet
 from .boolfunc import BooleanFunction
 from .errors import InputFormatError
 from .fourier import Spectrum
-from .gf2 import MAX_DIMENSION
+from .gf2 import MAX_DIMENSION, bits_to_int
 from .harness import VerificationReport
 from .structure import Classification, Decomposition
 
@@ -40,14 +40,14 @@ def function_from_obj(obj: Any) -> BooleanFunction:
         support = obj["support"]
         if not isinstance(support, list):
             raise InputFormatError('"support" must be a list of integers')
-        table = 0
+        flags = bytearray(size)
         for x in support:
             if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < size:
                 raise InputFormatError(f"support point {x!r} outside 0..{size - 1}")
-            if (table >> x) & 1:
+            if flags[x]:
                 raise InputFormatError(f"duplicate support point {x}")
-            table |= 1 << x
-        return BooleanFunction(n, table)
+            flags[x] = 1
+        return BooleanFunction(n, bits_to_int(flags))
     hex_str = obj["truth_table_hex"]
     if not isinstance(hex_str, str):
         raise InputFormatError('"truth_table_hex" must be a string')

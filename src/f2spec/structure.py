@@ -11,11 +11,18 @@ recovers the subspaces, and verifies every decomposition it emits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .addcomb import PointSet
 from .boolfunc import BooleanFunction, apply_transform, restrict_first_bit, shift
 from .errors import SpectrumScopeError, TheoremViolationError
-from .fourier import Spectrum, granularity, wht
+from .fourier import (
+    Spectrum,
+    granularity,
+    shift_spectrum,
+    transform_spectrum,
+    wht,
+)
 from .gf2 import (
     AffineSubspace,
     GF2Matrix,
@@ -56,7 +63,8 @@ class Classification:
 def classify(s: Spectrum) -> Classification:
     n = s.n
     coeffs = s.coeffs
-    if all(c == 0 for c in coeffs):
+    values = set(coeffs)
+    if values == {0}:
         return Classification(TAG_TRIVIAL, 0, 0)
     k = granularity(s)
     unit = 1 << (n - k)
@@ -64,16 +72,20 @@ def classify(s: Spectrum) -> Classification:
     if f0 % unit:
         return Classification(TAG_OUT_OF_SCOPE, k, 0)
     m = f0 // unit
-    if m == 1:
-        if all(c == 0 or abs(c) == unit for c in coeffs):
-            return Classification(TAG_RVL, k, 1)
-        return Classification(TAG_OUT_OF_SCOPE, k, m)
+    allowed = {0, unit, -unit}
     if m == 2:
-        if all(c == 0 or abs(c) == unit or abs(c) == 2 * unit for c in coeffs):
-            tag = TAG_EXCEPTIONAL_K4 if k == 4 else TAG_TWO_SUBSPACE
-            return Classification(tag, k, 2, (1 << (k - 1)) - 1)
-        return Classification(TAG_OUT_OF_SCOPE, k, m)
+        allowed |= {2 * unit, -2 * unit}
+    if m in (1, 2) and values <= allowed:
+        return _in_scope(k, m)
     return Classification(TAG_OUT_OF_SCOPE, k, m)
+
+
+def _in_scope(k: int, m: int) -> Classification:
+    """The classification of an in-scope spectrum with F(0) = m/2^k, m = 1 or 2."""
+    if m == 1:
+        return Classification(TAG_RVL, k, 1)
+    tag = TAG_EXCEPTIONAL_K4 if k == 4 else TAG_TWO_SUBSPACE
+    return Classification(tag, k, 2, (1 << (k - 1)) - 1)
 
 
 @dataclass(frozen=True)
@@ -98,22 +110,35 @@ class SpectralSets:
 
 def _signed_masks(s: Spectrum, k: int) -> tuple[frozenset[int], frozenset[int]]:
     unit = 1 << (s.n - k)
-    plus = frozenset(a for a, c in enumerate(s.coeffs) if c == unit)
-    minus = frozenset(a for a, c in enumerate(s.coeffs) if c == -unit)
+    masks = range(len(s.coeffs))
+    plus = frozenset(compress(masks, map(unit.__eq__, s.coeffs)))
+    minus = frozenset(compress(masks, map((-unit).__eq__, s.coeffs)))
     return plus, minus
 
 
-def spectral_sets(s: Spectrum) -> SpectralSets:
+def _reducible_mask(coeffs: tuple[int, ...]) -> int | None:
+    """Smallest nonzero mask whose coefficient has the magnitude of F(0)."""
+    hits = []
+    for target in {coeffs[0], -coeffs[0]}:
+        try:
+            hits.append(coeffs.index(target, 1))
+        except ValueError:
+            pass
+    return min(hits, default=None)
+
+
+def spectral_sets(s: Spectrum, cls: Classification | None = None) -> SpectralSets:
     """Extract the coefficient sets of a core spectrum and check their sizes.
 
     Requires an m = 2 classification with no remaining reducible direction
-    (no nonzero mask whose coefficient has the magnitude of F(0)).
+    (no nonzero mask whose coefficient has the magnitude of F(0)).  A caller
+    that has already classified s passes the result as cls.
     """
-    cls = classify(s)
+    if cls is None:
+        cls = classify(s)
     if cls.tag not in (TAG_TWO_SUBSPACE, TAG_EXCEPTIONAL_K4):
         raise ValueError("spectral sets exist only for m = 2 spectra")
-    f0 = s.coeffs[0]
-    if any(abs(c) == f0 for a, c in enumerate(s.coeffs) if a):
+    if _reducible_mask(s.coeffs) is not None:
         raise ValueError("spectrum still has a reducible direction; reduce first")
     if sum(s.coeffs) != 1 << s.n:
         # the class sizes below are forced only once the origin is in the
@@ -175,9 +200,13 @@ class ReductionStep:
 
 @dataclass(frozen=True)
 class ReductionTrace:
+    """How a core was reached, plus the core's spectrum, which the reduction
+    carries along instead of transforming the core again."""
+
     original_n: int
     core_n: int
     steps: tuple[ReductionStep, ...]
+    core_spectrum: Spectrum
 
     def lift_point(self, x: int) -> int:
         """Map a core point back to the original coordinates."""
@@ -204,7 +233,11 @@ class ReductionTrace:
         return AffineSubspace(shift_pt, Subspace.spanned_by(n, basis))
 
 
-def reduce_to_core(f: BooleanFunction) -> tuple[BooleanFunction, ReductionTrace]:
+def reduce_to_core(
+    f: BooleanFunction,
+    spectrum: Spectrum | None = None,
+    cls: Classification | None = None,
+) -> tuple[BooleanFunction, ReductionTrace]:
     """Strip reducible directions until the support spans the whole space.
 
     While some nonzero mask carries a coefficient of magnitude F(0), the
@@ -213,28 +246,34 @@ def reduce_to_core(f: BooleanFunction) -> tuple[BooleanFunction, ReductionTrace]
     whole support sits in the first-bit-0 half, which becomes the new
     function.  The smallest qualifying mask is always chosen, so the core
     and trace are reproducible.
+
+    The spectrum of f (and its classification) is computed here unless the
+    caller passes it; every step then updates it by its exact rule instead
+    of transforming again: a shift by a multiplies F(beta) by (-1)^<beta,a>,
+    the transform gathers through beta -> P beta, and keeping the x_1 = 0
+    half leaves G0(b) = G(2b).  The trace carries the core's spectrum.
     """
-    cls = classify(wht(f))
+    if spectrum is None:
+        spectrum = wht(f)
+    if cls is None:
+        cls = classify(spectrum)
     if cls.tag == TAG_OUT_OF_SCOPE:
         raise SpectrumScopeError("reduction is only defined for in-scope spectra")
     g = f
+    s = spectrum
     steps: list[ReductionStep] = []
-    while True:
-        coeffs = wht(g).coeffs
-        f0 = coeffs[0]
-        if f0 == 0:
-            break
-        alpha = next(
-            (a for a in range(1, len(coeffs)) if abs(coeffs[a]) == f0), None
-        )
+    while s.coeffs[0]:
+        alpha = _reducible_mask(s.coeffs)
         if alpha is None:
             break
         a_shift: int | None = None
-        if coeffs[alpha] < 0:
+        if s.coeffs[alpha] < 0:
             a_shift = alpha & -alpha  # lowest set bit, so <a_shift, alpha> = 1
             g = shift(g, a_shift)
+            s = shift_spectrum(s, a_shift)
         transform = transform_sending_to_e1(g.n, alpha)
         g = apply_transform(g, transform)
+        s = transform_spectrum(s, transform)
         g0, g1 = restrict_first_bit(g)
         if g1.table != 0:
             raise TheoremViolationError(
@@ -242,7 +281,8 @@ def reduce_to_core(f: BooleanFunction) -> tuple[BooleanFunction, ReductionTrace]
             )
         steps.append(ReductionStep(a_shift, transform, 0))
         g = g0
-    return g, ReductionTrace(f.n, g.n, tuple(steps))
+        s = Spectrum(g.n, s.coeffs[0::2])
+    return g, ReductionTrace(f.n, g.n, tuple(steps), s)
 
 
 @dataclass(frozen=True)
@@ -356,15 +396,16 @@ def _greedy_four_pieces(
     return tuple(pieces)
 
 
-def _decompose_core(core: BooleanFunction) -> tuple[AffineSubspace, ...] | None:
-    """Pieces of an irreducible core, in core coordinates; None on failure."""
+def _decompose_core(
+    core: BooleanFunction, s: Spectrum, cls: Classification
+) -> tuple[AffineSubspace, ...] | None:
+    """Pieces of an irreducible core with spectrum s and classification cls,
+    in core coordinates; None on failure."""
     if core.is_one:
         return (AffineSubspace(0, orthogonal_complement(Subspace.zero(core.n))),)
-    s = wht(core)
-    cls = classify(s)
     if cls.m != 2:
         return None
-    sets = spectral_sets(s)
+    sets = spectral_sets(s, cls)
     k = cls.k
     if k == 2:
         return _recover_two_pieces_k2(core, s, sets)
@@ -393,12 +434,28 @@ def _pieces_cover_exactly(
 def _pieces_match_mandate(
     pieces: tuple[AffineSubspace, ...], n: int, cls: Classification
 ) -> bool:
+    """Whether the piece dimensions are the profile the theorem mandates.
+
+    m = 1: one (n-k)-flat.  m = 2: two (n-k)-flats, or four (n-k-1)-flats
+    when the irreducible core has k = 4.  The core lives on the affine span
+    of the pieces, so its k is k - (n - dim span).
+    """
     dims = sorted(p.dim for p in pieces)
     if cls.m == 1:
         return dims == [n - cls.k]
-    if cls.m == 2:
-        return dims in ([n - cls.k] * 2, [n - cls.k - 1] * 4)
-    return False
+    if cls.m != 2:
+        return False
+    if dims == [n - cls.k] * 2:
+        return True
+    if dims != [n - cls.k - 1] * 4:
+        return False
+    origin = pieces[0].shift
+    span = linear_span(
+        n,
+        [p.shift ^ origin for p in pieces]
+        + [v for p in pieces for v in p.direction.basis],
+    )
+    return cls.k - (n - span.dim) == 4
 
 
 def verify_decomposition(f: BooleanFunction, dec: Decomposition) -> bool:
@@ -416,6 +473,11 @@ def decompose(f: BooleanFunction) -> Decomposition:
     are reduced to an irreducible core, recovered there, and lifted back.
     If the structural recovery fails its own verification, an exhaustive
     partition search runs before the failure is declared a violation.
+
+    f is transformed and classified once.  The reduction carries the
+    spectrum to the core, whose classification follows from the number of
+    steps: each one keeps every coefficient value and drops n by one, so k
+    drops by one and m stays.
     """
     if f.is_zero:
         raise SpectrumScopeError("the zero function has no affine decomposition")
@@ -427,19 +489,21 @@ def decompose(f: BooleanFunction) -> Decomposition:
             f"(granularity {cls.k}, F(0) = {cls.m}/2^{cls.k})"
         )
     n = f.n
-    supp = f.support()
     if cls.m == 1:
-        dec = Decomposition((affine_span(n, supp),), cls, True)
+        dec = Decomposition((affine_span(n, f.support()),), cls, True)
         if verify_decomposition(f, dec):
             return dec
     else:
-        core, trace = reduce_to_core(f)
+        core, trace = reduce_to_core(f, s, cls)
+        core_cls = _in_scope(cls.k - len(trace.steps), cls.m)
         # the set extraction needs the origin inside the support; normalize
-        # with a shift and move the pieces back afterwards
-        origin = 0 if core.value(0) else min(core.support())
+        # with a shift by the smallest support point and move the pieces
+        # back afterwards
+        origin = (core.table & -core.table).bit_length() - 1
         normalized = shift(core, origin)
-        primary = _decompose_core(normalized)
-        for core_pieces in _candidate_partitions(normalized, primary):
+        core_s = shift_spectrum(trace.core_spectrum, origin)
+        primary = _decompose_core(normalized, core_s, core_cls)
+        for core_pieces in _candidate_partitions(normalized, core_cls, primary):
             pieces = tuple(
                 trace.lift_flat(AffineSubspace(p.shift ^ origin, p.direction))
                 for p in core_pieces
@@ -454,25 +518,25 @@ def decompose(f: BooleanFunction) -> Decomposition:
 
 
 def _candidate_partitions(
-    core: BooleanFunction, primary: tuple[AffineSubspace, ...] | None
+    core: BooleanFunction,
+    cls: Classification,
+    primary: tuple[AffineSubspace, ...] | None,
 ):
     if primary is not None:
         yield primary
-    fallback = _fallback_partition(core)
+    fallback = _fallback_partition(core, cls)
     if fallback is not None and fallback != primary:
         yield fallback
 
 
 def _fallback_partition(
-    core: BooleanFunction,
+    core: BooleanFunction, cls: Classification
 ) -> tuple[AffineSubspace, ...] | None:
     """Exhaustive search for a valid partition of the core support."""
-    s = wht(core)
-    cls = classify(s)
-    supp = core.support()
     if cls.m != 2:
         return None
     k = cls.k
+    supp = core.support()
     found = find_flat_partition(core.n, supp, core.n - k, 2)
     if found is None and k == 4:
         found = find_flat_partition(core.n, supp, core.n - k - 1, 4)

@@ -53,3 +53,85 @@ def brute_force_spectrum(n: int, table: int) -> list[int]:
                 acc += -1 if (a & x).bit_count() & 1 else 1
         out.append(acc)
     return out
+
+
+# ---- bit-at-a-time reference versions of the table plumbing -----------
+# These are the straightforward loops the library used before its linear
+# passes; the fast paths must reproduce them exactly.
+
+
+def oracle_unpack(table: int, size: int) -> list[int]:
+    """Truth-table bits, one shift per entry."""
+    return [(table >> i) & 1 for i in range(size)]
+
+
+def oracle_butterfly(values: list[int]) -> None:
+    """In-place radix-2 butterfly with the classic nested loops."""
+    size = len(values)
+    h = 1
+    while h < size:
+        for i in range(0, size, h << 1):
+            for j in range(i, i + h):
+                x = values[j]
+                y = values[j + h]
+                values[j] = x + y
+                values[j + h] = x - y
+        h <<= 1
+
+
+def oracle_support(n: int, table: int) -> frozenset[int]:
+    return frozenset(x for x in range(1 << n) if (table >> x) & 1)
+
+
+def oracle_shift(n: int, table: int, a: int) -> int:
+    """Table of x -> f(x + a)."""
+    out = 0
+    for x in range(1 << n):
+        if (table >> (x ^ a)) & 1:
+            out |= 1 << x
+    return out
+
+
+def oracle_apply_transform(n: int, table: int, m) -> int:
+    """Table of x -> f(Mx), with the images of M built by doubling."""
+    size = 1 << n
+    images = [0] * size
+    for i in range(n):
+        col = m.apply(1 << i)
+        step = 1 << i
+        for x in range(step):
+            images[x | step] = images[x] ^ col
+    out = 0
+    for x in range(size):
+        if (table >> images[x]) & 1:
+            out |= 1 << x
+    return out
+
+
+def oracle_restrict_first_bit(n: int, table: int) -> tuple[int, int]:
+    """Tables of (f(0, y), f(1, y))."""
+    t0 = 0
+    t1 = 0
+    for y in range(1 << (n - 1)):
+        pair = (table >> (2 * y)) & 3
+        t0 |= (pair & 1) << y
+        t1 |= (pair >> 1) << y
+    return t0, t1
+
+
+def oracle_max_flat_basis(point: int, points) -> list[int]:
+    """Greedy basis of a maximal flat through point inside the set: scan the
+    differences in increasing order, keep each whose translate of the span
+    built so far stays inside the set."""
+    available = frozenset(points)
+    deltas = frozenset(p ^ point for p in available)
+    span = {0}
+    basis: list[int] = []
+    for cand in sorted(deltas):
+        if cand == 0 or cand in span:
+            continue
+        new = {cand ^ s for s in span}
+        if new <= deltas:
+            span |= new
+            basis.append(cand)
+    return basis

@@ -1,7 +1,7 @@
 import json
 
-from f2spec import cli
-from f2spec.errors import TheoremViolationError
+from f2spec import cli, harness
+from f2spec.errors import SpectrumScopeError, TheoremViolationError
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +159,20 @@ def test_verify_random_cli(capsys):
 def test_verify_bad_n(capsys):
     code, _, _ = run_cli(capsys, "verify", "--n", "30")
     assert code == 2
+    for family_args in (["two-affine", "--k", "9"], ["counterexample-core"]):
+        argv = ["verify", "--n", "8", "--random", "5", "--family", *family_args]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 2
+
+
+def test_verify_library_error_is_not_bad_input(capsys, monkeypatch):
+    def out_of_scope(_f):
+        raise SpectrumScopeError("forced for the test")
+
+    monkeypatch.setattr(harness, "decompose", out_of_scope)
+    code, _, err = run_cli(capsys, "verify", "--n", "6", "--random", "3")
+    assert code != 2
+    assert code == 3 and "out of scope" in err
 
 
 def test_kill_number_rejects_oversized_input(tmp_path, capsys):

@@ -1,0 +1,226 @@
+"""The linear-pass table plumbing, the constant-geometry butterfly, the
+bitset greedy and the spectral reduction rules against their bit-at-a-time
+references in conftest, exhaustively at small n and by hypothesis up to
+n = 12."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from f2spec import structure
+from f2spec.boolfunc import (
+    BooleanFunction,
+    apply_transform,
+    restrict_first_bit,
+    shift,
+    tensor,
+)
+from f2spec.families import affine_indicator, counterexample_padded, delta, two_affine
+from f2spec.fourier import (
+    butterfly,
+    shift_spectrum,
+    transform_spectrum,
+    wht,
+)
+from f2spec.gf2 import (
+    AffineSubspace,
+    Subspace,
+    bits_to_int,
+    int_to_bits,
+    max_flat_through,
+    transform_sending_to_e1,
+)
+from f2spec.harness import SplitMix64, random_invertible, random_vector
+
+from conftest import (
+    oracle_apply_transform,
+    oracle_butterfly,
+    oracle_max_flat_basis,
+    oracle_restrict_first_bit,
+    oracle_shift,
+    oracle_support,
+    oracle_unpack,
+)
+
+
+def oracle_wht(n: int, table: int) -> tuple[int, ...]:
+    vals = oracle_unpack(table, 1 << n)
+    oracle_butterfly(vals)
+    return tuple(vals)
+
+
+def check_plumbing(n: int, table: int, shifts, transforms) -> None:
+    f = BooleanFunction(n, table)
+    assert f.support() == oracle_support(n, table)
+    assert list(int_to_bits(table, 1 << n)) == oracle_unpack(table, 1 << n)
+    assert wht(f).coeffs == oracle_wht(n, table)
+    g0, g1 = restrict_first_bit(f)
+    assert (g0.table, g1.table) == oracle_restrict_first_bit(n, table)
+    for a in shifts:
+        assert shift(f, a).table == oracle_shift(n, table, a)
+    for m in transforms:
+        assert apply_transform(f, m).table == oracle_apply_transform(n, table, m)
+
+
+def test_plumbing_matches_oracles_on_every_table_up_to_n3():
+    for n in (1, 2, 3):
+        size = 1 << n
+        transforms = [transform_sending_to_e1(n, a) for a in range(1, size)]
+        for table in range(1 << size):
+            check_plumbing(n, table, range(size), transforms)
+
+
+def test_plumbing_matches_oracles_on_every_n4_table():
+    # every table, each with one shift and one transform_sending_to_e1 in
+    # rotation: each of the 16 shifts meets 4096 tables, each transform
+    # about 4369; the full cross product is a million calls per operation
+    transforms = [transform_sending_to_e1(4, a) for a in range(1, 16)]
+    for table in range(1 << 16):
+        check_plumbing(4, table, [table % 16], [transforms[table % 15]])
+
+
+def test_bits_round_trip():
+    for size in (1, 2, 4, 8, 16, 64, 1 << 10):
+        value = random.Random(size).getrandbits(size)
+        assert bits_to_int(int_to_bits(value, size)) == value
+        assert bits_to_int(bytearray(int_to_bits(value, size))) == value
+
+
+def test_butterfly_matches_loop_oracle_on_integer_vectors():
+    rng = random.Random(11)
+    for n in range(0, 11):
+        values = [rng.randint(-50, 50) for _ in range(1 << n)]
+        expected = list(values)
+        oracle_butterfly(expected)
+        butterfly(values)
+        assert values == expected
+
+
+def test_max_flat_through_matches_set_greedy_exhaustively():
+    for n in (1, 2, 3):
+        for table in range(1, 1 << (1 << n)):
+            supp = oracle_support(n, table)
+            for point in supp:
+                flat = max_flat_through(n, point, supp)
+                expected = max_flat_through_reference(n, point, supp)
+                assert flat == expected
+    for table in range(1, 1 << 16):
+        supp = oracle_support(4, table)
+        point = min(supp)
+        assert max_flat_through(4, point, supp) == max_flat_through_reference(4, point, supp)
+
+
+def max_flat_through_reference(n, point, supp):
+    return AffineSubspace(point, Subspace.spanned_by(n, oracle_max_flat_basis(point, supp)))
+
+
+def test_spectral_rules_match_transforms_exhaustively_up_to_n3():
+    for n in (1, 2, 3):
+        size = 1 << n
+        transforms = [transform_sending_to_e1(n, a) for a in range(1, size)]
+        for table in range(1 << size):
+            f = BooleanFunction(n, table)
+            s = wht(f)
+            for a in range(size):
+                assert shift_spectrum(s, a) == wht(shift(f, a))
+            for m in transforms:
+                assert transform_spectrum(s, m) == wht(apply_transform(f, m))
+
+
+@st.composite
+def tables_with_actions(draw, max_n=12):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    table = draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+    a = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    seed = draw(st.integers(min_value=0, max_value=1 << 32))
+    return n, table, a, random_invertible(n, SplitMix64(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_with_actions())
+def test_plumbing_matches_oracles_hypothesis(case):
+    n, table, a, m = case
+    check_plumbing(n, table, [a], [m, transform_sending_to_e1(n, a or 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables_with_actions(max_n=10))
+def test_spectral_rules_hypothesis(case):
+    n, table, a, m = case
+    f = BooleanFunction(n, table)
+    s = wht(f)
+    assert shift_spectrum(s, a) == wht(shift(f, a))
+    assert transform_spectrum(s, m) == wht(apply_transform(f, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_with_actions())
+def test_max_flat_through_matches_set_greedy_hypothesis(case):
+    n, table, a, _ = case
+    supp = oracle_support(n, table | 1 << a)
+    point = a
+    assert max_flat_through(n, point, supp) == max_flat_through_reference(n, point, supp)
+
+
+def test_max_flat_through_matches_set_greedy_on_decomposable_supports():
+    # random tables rarely hold flats above dimension 2; the supports the
+    # decomposition feeds in are unions of a few large flats
+    rng = SplitMix64(23)
+    for n in range(6, 11):
+        for base in (counterexample_padded(n), two_affine(n, 3)):
+            f = shift(apply_transform(base, random_invertible(n, rng)), random_vector(n, rng))
+            supp = f.support()
+            for point in (min(supp), max(supp)):
+                expected = max_flat_through_reference(n, point, supp)
+                assert max_flat_through(n, point, supp) == expected
+
+
+def test_decompose_transforms_and_classifies_once(monkeypatch):
+    calls = {"wht": 0, "classify": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(structure, "wht", counted("wht", structure.wht))
+    monkeypatch.setattr(structure, "classify", counted("classify", structure.classify))
+    rng = SplitMix64(3)
+    padded = tensor(two_affine(5, 2), delta(2))
+    cases = [
+        affine_indicator(6, 2),
+        two_affine(7, 3),
+        counterexample_padded(8),
+        padded,  # two reduction steps
+        shift(tensor(two_affine(5, 2), delta(1)), 1 << 5),  # a shifted step
+        tensor(counterexample_padded(7), delta(2)),
+        shift(apply_transform(padded, random_invertible(7, rng)), random_vector(7, rng)),
+    ]
+    for f in cases:
+        calls.update(wht=0, classify=0)
+        structure.decompose(f)
+        assert calls == {"wht": 1, "classify": 1}, f
+
+
+def test_reduction_carries_the_core_spectrum_and_classification():
+    rng = SplitMix64(17)
+    bases = [
+        tensor(two_affine(5, 2), delta(2)),
+        tensor(two_affine(7, 3), delta(1)),
+        tensor(counterexample_padded(6), delta(3)),
+        two_affine(6, 3),
+    ]
+    for base in bases:
+        for _ in range(3):
+            n = base.n
+            f = shift(apply_transform(base, random_invertible(n, rng)), random_vector(n, rng))
+            s = wht(f)
+            cls = structure.classify(s)
+            core, trace = structure.reduce_to_core(f, s, cls)
+            assert trace.core_spectrum == wht(core)
+            derived = structure._in_scope(cls.k - len(trace.steps), cls.m)
+            assert derived == structure.classify(wht(core))
+

@@ -2,7 +2,10 @@ from collections import Counter
 
 import pytest
 
-from f2spec.boolfunc import BooleanFunction, apply_transform
+from f2spec import harness
+from f2spec.boolfunc import BooleanFunction, apply_transform, tensor
+from f2spec.errors import TheoremViolationError
+from f2spec.families import counterexample_padded, delta
 from f2spec.fourier import wht
 from f2spec.harness import (
     SplitMix64,
@@ -177,3 +180,30 @@ def test_random_verify_parameter_validation():
         random_verify(4, 10, seed=1)
     with pytest.raises(ValueError):
         random_verify(6, 0, seed=1)
+
+
+def test_random_verify_accepts_four_pieces_of_an_embedded_exceptional_core(monkeypatch):
+    # k = 6 overall with a k = 4 core: four 3-flats are the mandated profile
+    embedded = tensor(counterexample_padded(8), delta(2))
+    monkeypatch.setattr(harness, "generate", lambda family, n=None, k=None: embedded)
+    r = random_verify(10, 3, seed=4, family="counterexample-padded")
+    assert r.violations == []
+    assert r.counts["TwoSubspace"] == 3
+
+
+def test_random_verify_violation_replays_the_failing_input(monkeypatch):
+    seen = []
+    real = harness.decompose
+
+    def fail_second(g):
+        seen.append(g)
+        if len(seen) == 2:
+            raise TheoremViolationError("forced for the test")
+        return real(g)
+
+    monkeypatch.setattr(harness, "decompose", fail_second)
+    r = random_verify(7, 4, seed=5, family="two-affine", k=3)
+    assert len(r.violations) == 1
+    label, check = r.violations[0]
+    assert check == "two-affine:decomposition_failed"
+    assert BooleanFunction(7, label) == seen[1]

@@ -12,7 +12,7 @@ from f2spec.families import (
     two_affine,
 )
 from f2spec.fourier import wht
-from f2spec.gf2 import is_full_affine_subspace, linear_span
+from f2spec.gf2 import AffineSubspace, Subspace, is_full_affine_subspace, linear_span
 from f2spec.harness import SplitMix64, random_invertible, random_vector
 from f2spec.structure import (
     TAG_EXCEPTIONAL_K4,
@@ -20,6 +20,7 @@ from f2spec.structure import (
     TAG_RVL,
     TAG_TRIVIAL,
     TAG_TWO_SUBSPACE,
+    Decomposition,
     classify,
     decompose,
     is_irreducible,
@@ -326,6 +327,30 @@ def test_decompose_rejects_out_of_scope_and_zero():
         decompose(OR2)
     with pytest.raises(SpectrumScopeError):
         decompose(BooleanFunction(3, 0))
+
+
+def test_four_pieces_of_an_embedded_exceptional_core_are_mandated():
+    # k = 6 overall, but the support spans only 8 dimensions, so the core
+    # has k = 4 and four 3-flats are the mandated profile
+    f = tensor(counterexample_padded(8), delta(2))
+    dec = decompose(f)
+    assert (dec.classification.k, dec.classification.m) == (6, 2)
+    assert sorted(p.dim for p in dec.pieces) == [3, 3, 3, 3]
+    assert verify_decomposition(f, dec)
+
+
+def test_four_pieces_are_rejected_unless_the_core_has_k4():
+    # halving both 3-flats of a k = 3 core covers the support exactly with
+    # four 2-flats, a profile the theorem does not allow there
+    f = two_affine(6, 3)
+    dec = decompose(f)
+    halves = []
+    for piece in dec.pieces:
+        first, *rest = piece.direction.basis
+        sub = Subspace.spanned_by(6, rest)
+        halves += [AffineSubspace(piece.shift, sub), AffineSubspace(piece.shift ^ first, sub)]
+    assert sorted(p.dim for p in halves) == [2, 2, 2, 2]
+    assert not verify_decomposition(f, Decomposition(tuple(halves), dec.classification, True))
 
 
 def test_decompose_all_ones_single_whole_space_piece():
