@@ -3,12 +3,15 @@
 The exhaustive verifier walks every truth table of a small dimension and
 checks, per function: exact transform round-trip, Parseval, the 0/1
 spectrum test, the kill-number bound, the granularity/sparsity relation,
-and -- for in-scope spectra -- that the decomposition comes back verified
-with the mandated piece profile.
+and -- for in-scope spectra -- that decompose finds a decomposition.  Each
+table is transformed and classified once; decompose takes that spectrum
+and classification, and returns only decompositions that passed
+structure.verify_decomposition (mandated piece profile, exact cover), so
+that check runs once per table, inside decompose.  The kill-number bound
+uses structure.first_constant_codim, the scan behind kill_number.
 
-The enumeration is split into contiguous truth-table ranges whose partial
-reports merge associatively, so ranges can be farmed out to independent
-workers; the functions here run them sequentially.
+enumerate_verify_range covers one contiguous range of truth tables;
+merge_reports folds partial reports of one space associatively.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .families import (
     FAMILY_TWO_AFFINE,
     generate,
 )
-from .fourier import Spectrum, butterfly
-from .gf2 import GF2Matrix, iter_affine_masks
+from .fourier import Spectrum, butterfly, sparsity, wht
+from .gf2 import GF2Matrix, int_to_bits, iter_affine_masks
 from .structure import (
     IN_SCOPE_TAGS,
     TAG_EXCEPTIONAL_K4,
@@ -35,7 +38,7 @@ from .structure import (
     TAG_TWO_SUBSPACE,
     classify,
     decompose,
-    verify_decomposition,
+    first_constant_codim,
 )
 
 ALL_TAGS = (
@@ -138,44 +141,29 @@ def granularity_sparsity_holds(gran: int, s: int) -> bool:
     return 1 << k0 <= s * s
 
 
-def _kill_bound_masks(n: int, max_codim: int) -> list[list[int]]:
-    """Affine-subspace point masks per codimension, for bound checks."""
-    return [list(iter_affine_masks(n, n - c)) for c in range(max_codim + 1)]
-
-
-def _constant_within(table: int, masks_by_codim: list[list[int]], bound: int) -> bool:
-    for c in range(min(bound, len(masks_by_codim) - 1) + 1):
-        for mask in masks_by_codim[c]:
-            hit = table & mask
-            if hit == 0 or hit == mask:
-                return True
-    return False
-
-
 def enumerate_verify_range(
     n: int, start: int, stop: int, masks_by_codim: list[list[int]] | None = None
 ) -> VerificationReport:
-    """Verify one contiguous range of truth tables; see enumerate_verify."""
+    """Verify one contiguous range of truth tables; see enumerate_verify.
+    masks_by_codim[c] lists the point masks of the codimension-c flats."""
     size = 1 << n
     report = VerificationReport(n, "exhaustive")
     if masks_by_codim is None:
-        masks_by_codim = _kill_bound_masks(n, n)
+        masks_by_codim = [list(iter_affine_masks(n, n - c)) for c in range(n + 1)]
     timing = {"transform": 0.0, "classify": 0.0, "decompose": 0.0, "kill": 0.0}
     t_all = time.perf_counter()
     for table in range(start, stop):
         report.examined += 1
         t0 = time.perf_counter()
-        vals = [(table >> i) & 1 for i in range(size)]
+        bits = int_to_bits(table, size)
+        vals = list(bits)
         butterfly(vals)
         coeffs = tuple(vals)
         # round trip + 0/1 range in one pass: the second butterfly must
         # reproduce 2^n * f(x) exactly
-        back = list(coeffs)
-        butterfly(back)
-        for x in range(size):
-            if back[x] != ((table >> x) & 1) << n:
-                report.violations.append((table, "round_trip"))
-                break
+        butterfly(vals)
+        if vals != [b << n for b in bits]:
+            report.violations.append((table, "round_trip"))
         if sum(c * c for c in coeffs) != coeffs[0] << n:
             report.violations.append((table, "parseval"))
         t1 = time.perf_counter()
@@ -183,22 +171,18 @@ def enumerate_verify_range(
         spectrum = Spectrum(n, coeffs)
         cls = classify(spectrum)
         report.counts[cls.tag] += 1
-        if table and not granularity_sparsity_holds(cls.k, sum(1 for c in coeffs if c)):
+        if table and not granularity_sparsity_holds(cls.k, sparsity(spectrum)):
             report.violations.append((table, "granularity_sparsity"))
         t2 = time.perf_counter()
         timing["classify"] += t2 - t1
-        if table:
-            bound = cls.k + cls.m - 1
-            if not _constant_within(table, masks_by_codim, bound):
-                report.violations.append((table, "kill_bound"))
+        # f is constant on some flat of codimension at most k + m - 1
+        if table and first_constant_codim(table, masks_by_codim[: cls.k + cls.m]) is None:
+            report.violations.append((table, "kill_bound"))
         t3 = time.perf_counter()
         timing["kill"] += t3 - t2
         if cls.tag in IN_SCOPE_TAGS and table:
             try:
-                f = BooleanFunction(n, table)
-                dec = decompose(f)
-                if not (dec.verified and verify_decomposition(f, dec)):
-                    report.violations.append((table, "decomposition_profile"))
+                decompose(BooleanFunction(n, table), spectrum, cls)
             except TheoremViolationError:
                 report.violations.append((table, "decomposition_failed"))
         timing["decompose"] += time.perf_counter() - t3
@@ -213,31 +197,26 @@ def check_exhaustive_args(n: int) -> None:
         raise ValueError("exhaustive verification is limited to 1 <= n <= 4")
 
 
-def enumerate_verify(n: int, partitions: int = 4) -> VerificationReport:
+def enumerate_verify(n: int) -> VerificationReport:
     """Check every one of the 2^(2^n) truth tables on n <= 4 inputs.
 
-    A correct build reports zero violations.  The space is cut into
-    contiguous ranges and the partial reports are folded together.
+    A correct build reports zero violations.
     """
     check_exhaustive_args(n)
-    total = 1 << (1 << n)
-    masks = _kill_bound_masks(n, n)
-    partitions = max(1, min(partitions, total))
-    bounds = [total * i // partitions for i in range(partitions + 1)]
-    report = None
-    for lo, hi in zip(bounds, bounds[1:]):
-        part = enumerate_verify_range(n, lo, hi, masks)
-        report = part if report is None else merge_reports(report, part)
-    assert report is not None
-    return report
+    return enumerate_verify_range(n, 0, 1 << (1 << n))
 
 
 def check_random_args(
     n: int, count: int, family: str | None = None, k: int | None = None
 ) -> None:
     """Raise ValueError unless random_verify can draw every instance it is
-    asked for; called before any work, so a later error is never a bad
-    argument."""
+    asked for and every instance is in scope; called before any work, so a
+    later error is never a bad argument.
+
+    An invertible transform and a shift move coefficients and flip their
+    signs but keep F(0) and every magnitude, so the base instance of a
+    family decides the classification of all its images.
+    """
     if not 5 <= n <= 12:
         raise ValueError("randomized verification expects 5 <= n <= 12")
     if count < 1:
@@ -250,7 +229,8 @@ def check_random_args(
     else:
         checked = [family]
     for fam in checked:
-        generate(fam, n=n, k=k)
+        if classify(wht(generate(fam, n=n, k=k))).tag == TAG_OUT_OF_SCOPE:
+            raise ValueError(f"every instance of {fam!r} is out of scope")
 
 
 def random_verify(
@@ -293,7 +273,5 @@ def random_verify(
             report.violations.append((label, f"{fam}:decomposition_failed"))
             continue
         report.counts[dec.classification.tag] += 1
-        if not (dec.verified and verify_decomposition(g, dec)):
-            report.violations.append((label, f"{fam}:decomposition_profile"))
     report.timing_ms = {"total": (time.perf_counter() - t_all) * 1000.0}
     return report

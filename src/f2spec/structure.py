@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from typing import Iterable
 
 from .addcomb import PointSet
 from .boolfunc import BooleanFunction, apply_transform, restrict_first_bit, shift
@@ -287,9 +288,10 @@ def reduce_to_core(
 
 @dataclass(frozen=True)
 class Decomposition:
+    """Disjoint affine pieces of a support; decompose returns only verified ones."""
+
     pieces: tuple[AffineSubspace, ...]
     classification: Classification
-    verified: bool
 
 
 def _split_by_cosets(
@@ -466,23 +468,30 @@ def verify_decomposition(f: BooleanFunction, dec: Decomposition) -> bool:
     ) and _pieces_cover_exactly(dec.pieces, f.support())
 
 
-def decompose(f: BooleanFunction) -> Decomposition:
+def decompose(
+    f: BooleanFunction,
+    spectrum: Spectrum | None = None,
+    cls: Classification | None = None,
+) -> Decomposition:
     """Write the support as the disjoint union of affine subspaces.
 
     The single-subspace case is read off the support directly; m = 2 cases
     are reduced to an irreducible core, recovered there, and lifted back.
     If the structural recovery fails its own verification, an exhaustive
-    partition search runs before the failure is declared a violation.
+    partition search runs before the failure is declared a violation.  The
+    result has passed verify_decomposition.
 
-    f is transformed and classified once.  The reduction carries the
-    spectrum to the core, whose classification follows from the number of
-    steps: each one keeps every coefficient value and drops n by one, so k
-    drops by one and m stays.
+    f is transformed and classified here unless the caller passes its
+    spectrum (and classification), as reduce_to_core does.  The reduction
+    carries the spectrum to the core, whose classification follows from the
+    number of steps: each one keeps every coefficient value and drops n by
+    one, so k drops by one and m stays.
     """
     if f.is_zero:
         raise SpectrumScopeError("the zero function has no affine decomposition")
-    s = wht(f)
-    cls = classify(s)
+    s = wht(f) if spectrum is None else spectrum
+    if cls is None:
+        cls = classify(s)
     if cls.tag == TAG_OUT_OF_SCOPE:
         raise SpectrumScopeError(
             f"spectrum values are outside the decomposable families "
@@ -490,7 +499,7 @@ def decompose(f: BooleanFunction) -> Decomposition:
         )
     n = f.n
     if cls.m == 1:
-        dec = Decomposition((affine_span(n, f.support()),), cls, True)
+        dec = Decomposition((affine_span(n, f.support()),), cls)
         if verify_decomposition(f, dec):
             return dec
     else:
@@ -508,7 +517,7 @@ def decompose(f: BooleanFunction) -> Decomposition:
                 trace.lift_flat(AffineSubspace(p.shift ^ origin, p.direction))
                 for p in core_pieces
             )
-            dec = Decomposition(pieces, cls, True)
+            dec = Decomposition(pieces, cls)
             if verify_decomposition(f, dec):
                 return dec
     raise TheoremViolationError(
@@ -543,6 +552,17 @@ def _fallback_partition(
     return tuple(found) if found is not None else None
 
 
+def first_constant_codim(table: int, masks_by_codim: Iterable[Iterable[int]]) -> int | None:
+    """Smallest c such that the table is constant on one of the point masks
+    in group c (the codimension-c flats, possibly lazy), or None."""
+    for codim, masks in enumerate(masks_by_codim):
+        for mask in masks:
+            hit = table & mask
+            if hit == 0 or hit == mask:
+                return codim
+    return None
+
+
 def kill_number(f: BooleanFunction) -> int:
     """Smallest codimension of an affine subspace on which f is constant.
 
@@ -551,10 +571,7 @@ def kill_number(f: BooleanFunction) -> int:
     """
     if f.n > 8:
         raise ValueError("kill number search is exhaustive; n <= 8 required")
-    t = f.table
-    for codim in range(f.n + 1):
-        for mask in iter_affine_masks(f.n, f.n - codim):
-            hit = t & mask
-            if hit == 0 or hit == mask:
-                return codim
-    raise AssertionError("unreachable: points are constant subspaces")
+    groups = (iter_affine_masks(f.n, f.n - codim) for codim in range(f.n + 1))
+    codim = first_constant_codim(f.table, groups)
+    assert codim is not None, "unreachable: points are constant subspaces"
+    return codim

@@ -7,6 +7,11 @@ paths, so the two can check each other.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from f2spec.boolfunc import BooleanFunction
+from f2spec.fourier import Spectrum
+
 
 def indicator_spectrum(n: int, shift: int, perp_points: list[int], codim: int) -> list[int]:
     """Scaled spectrum of one affine-subspace indicator.
@@ -42,17 +47,42 @@ def expected_two_affine_spectrum(n: int, k: int) -> list[int]:
     return [x + y for x, y in zip(a, b)]
 
 
-def brute_force_spectrum(n: int, table: int) -> list[int]:
-    """Textbook double loop: F(a) = sum_x f(x) (-1)^<a,x>."""
-    size = 1 << n
-    out = []
+def naive_wht(f: BooleanFunction) -> Spectrum:
+    """Direct-summation oracle: F(a) = sum over the support of (-1)^<a,x>.
+
+    Quadratic in 2^n; kept deliberately independent of the butterfly so the
+    two implementations can check each other.
+    """
+    size = 1 << f.n
+    supp = [x for x in range(size) if (f.table >> x) & 1]
+    coeffs = []
     for a in range(size):
         acc = 0
-        for x in range(size):
-            if (table >> x) & 1:
-                acc += -1 if (a & x).bit_count() & 1 else 1
-        out.append(acc)
-    return out
+        for x in supp:
+            acc += -1 if (a & x).bit_count() & 1 else 1
+        coeffs.append(acc)
+    return Spectrum(f.n, tuple(coeffs))
+
+
+def boolean_convolution_check(s: Spectrum) -> bool:
+    """Quadratic 0/1 test: 2^n F(a) = sum_b F(b) F(a+b) for every a."""
+    size = 1 << s.n
+    c = s.coeffs
+    for a in range(size):
+        acc = 0
+        for b in range(size):
+            acc += c[b] * c[a ^ b]
+        if acc != c[a] << s.n:
+            return False
+    return True
+
+
+def oracle_granularity(s: Spectrum) -> int:
+    """Largest k such that some coefficient F(a) / 2^n has denominator 2^k."""
+    return max(
+        (Fraction(c, 1 << s.n).denominator.bit_length() - 1 for c in s.coeffs if c),
+        default=0,
+    )
 
 
 # ---- bit-at-a-time reference versions of the table plumbing -----------

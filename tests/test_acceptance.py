@@ -14,18 +14,12 @@ from fractions import Fraction
 from f2spec.addcomb import PointSet, doubling_constant, even_zohar_bound, even_zohar_s
 from f2spec.boolfunc import BooleanFunction
 from f2spec.families import counterexample_core, two_affine
-from f2spec.fourier import (
-    Spectrum,
-    boolean_convolution_check,
-    is_boolean_spectrum,
-    naive_wht,
-    wht,
-)
+from f2spec.fourier import Spectrum, is_boolean_spectrum, wht
 from f2spec.gf2 import find_flat_partition
 from f2spec.harness import enumerate_verify, random_verify
-from f2spec.structure import decompose
+from f2spec.structure import decompose, verify_decomposition
 
-from conftest import expected_two_affine_spectrum
+from conftest import boolean_convolution_check, expected_two_affine_spectrum, naive_wht
 
 
 def test_criterion_1_exhaustive_verification_n4():
@@ -59,7 +53,7 @@ def test_criterion_2_counterexample_reproduction():
     assert doubling_constant(minus) == Fraction(22, 7)
 
     dec = decompose(f)
-    assert dec.verified
+    assert verify_decomposition(f, dec)
     assert [p.dim for p in dec.pieces] == [1, 1, 1, 1]
 
     # exhaustive search: the support admits no split into two 2-flats

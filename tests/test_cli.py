@@ -159,7 +159,12 @@ def test_verify_random_cli(capsys):
 def test_verify_bad_n(capsys):
     code, _, _ = run_cli(capsys, "verify", "--n", "30")
     assert code == 2
-    for family_args in (["two-affine", "--k", "9"], ["counterexample-core"]):
+    for family_args in (
+        ["two-affine", "--k", "9"],
+        ["counterexample-core"],
+        ["intro-fk"],  # every instance is out of scope
+        ["intro-gk"],
+    ):
         argv = ["verify", "--n", "8", "--random", "5", "--family", *family_args]
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2

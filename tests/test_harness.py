@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from f2spec import harness
+from f2spec import fourier, harness, structure
 from f2spec.boolfunc import BooleanFunction, apply_transform, tensor
 from f2spec.errors import TheoremViolationError
 from f2spec.families import counterexample_padded, delta
@@ -88,6 +88,40 @@ def test_enumerate_verify_n3_counts():
 def test_enumerate_verify_rejects_large_n():
     with pytest.raises(ValueError):
         enumerate_verify(5)
+
+
+def test_enumerate_verify_transforms_classifies_and_verifies_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    counted_wht = counted("wht", fourier.wht)
+    counted_classify = counted("classify", structure.classify)
+    for module in (fourier, structure, harness):
+        monkeypatch.setattr(module, "wht", counted_wht)
+    for module in (structure, harness):
+        monkeypatch.setattr(module, "classify", counted_classify)
+    monkeypatch.setattr(
+        structure,
+        "verify_decomposition",
+        counted("verify_decomposition", structure.verify_decomposition),
+    )
+    r = enumerate_verify(3)
+    assert r.violations == []
+    in_scope = r.counts["RvL"] + r.counts["TwoSubspace"] + r.counts["ExceptionalK4Candidate"]
+    assert in_scope == 107
+    assert (calls["wht"], calls["classify"], calls["verify_decomposition"]) == (0, 256, in_scope)
+
+
+def test_enumerate_verify_kill_bound_check_is_live():
+    # with no flats to scan, no table can meet the kill-number bound
+    r = enumerate_verify_range(2, 0, 16, [[], [], []])
+    assert r.violations == [(table, "kill_bound") for table in range(1, 16)]
 
 
 def test_partial_reports_merge_to_full_run():

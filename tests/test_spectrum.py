@@ -16,17 +16,15 @@ from f2spec.families import all_ones, counterexample_core, delta, two_affine
 from f2spec.fourier import (
     Spectrum,
     boolean_cast,
-    boolean_convolution_check,
     granularity,
     inverse_wht,
     is_boolean_spectrum,
-    naive_wht,
     sparsity,
     wht,
 )
 from f2spec.gf2 import GF2Matrix, transform_sending_to_e1
 
-from conftest import brute_force_spectrum
+from conftest import boolean_convolution_check, naive_wht, oracle_granularity
 
 OR2 = BooleanFunction(2, 0b1110)
 
@@ -48,7 +46,7 @@ def test_wht_agrees_with_brute_force_exhaustively_small():
     for n in (1, 2):
         for table in range(1 << (1 << n)):
             f = BooleanFunction(n, table)
-            assert list(wht(f).coeffs) == brute_force_spectrum(n, table)
+            assert wht(f) == naive_wht(f)
 
 
 def test_wht_agrees_with_naive_oracle_random():
@@ -85,6 +83,22 @@ def test_granularity_examples():
     assert granularity(wht(two_affine(5, 2))) == 2
     assert granularity(wht(all_ones(4))) == 0
     assert granularity(wht(delta(5))) == 5
+
+
+def test_granularity_matches_fraction_denominators_exhaustive_n_le_3():
+    for n in (1, 2, 3):
+        for table in range(1 << (1 << n)):
+            s = wht(BooleanFunction(n, table))
+            assert granularity(s) == oracle_granularity(s), (n, table)
+
+
+@given(st.integers(1, 6), st.data())
+def test_granularity_matches_fraction_denominators_arbitrary_spectra(n, data):
+    coeffs = data.draw(
+        st.lists(st.integers(-(1 << 12), 1 << 12), min_size=1 << n, max_size=1 << n)
+    )
+    s = Spectrum(n, tuple(coeffs))
+    assert granularity(s) == oracle_granularity(s)
 
 
 def test_sparsity_examples():

@@ -12,7 +12,13 @@ from f2spec.families import (
     two_affine,
 )
 from f2spec.fourier import wht
-from f2spec.gf2 import AffineSubspace, Subspace, is_full_affine_subspace, linear_span
+from f2spec.gf2 import (
+    AffineSubspace,
+    Subspace,
+    is_full_affine_subspace,
+    iter_affine_masks,
+    linear_span,
+)
 from f2spec.harness import SplitMix64, random_invertible, random_vector
 from f2spec.structure import (
     TAG_EXCEPTIONAL_K4,
@@ -23,6 +29,7 @@ from f2spec.structure import (
     Decomposition,
     classify,
     decompose,
+    first_constant_codim,
     is_irreducible,
     kill_number,
     reduce_to_core,
@@ -250,24 +257,26 @@ def test_decompose_affine_indicator_random_positions():
             random_vector(5, rng),
         )
         dec = decompose(f)
-        assert dec.verified
+        assert verify_decomposition(f, dec)
         assert len(dec.pieces) == 1
         assert dec.pieces[0].dim == 3
         assert set(dec.pieces[0].points()) == f.support()
 
 
 def test_decompose_two_affine():
-    dec = decompose(two_affine(5, 2))
+    f = two_affine(5, 2)
+    dec = decompose(f)
     assert dec.classification.tag == TAG_TWO_SUBSPACE
     assert sorted(p.dim for p in dec.pieces) == [3, 3]
-    assert dec.verified
+    assert verify_decomposition(f, dec)
 
 
 def test_decompose_counterexample_core():
-    dec = decompose(counterexample_core())
+    f = counterexample_core()
+    dec = decompose(f)
     assert dec.classification.tag == TAG_EXCEPTIONAL_K4
     assert [p.dim for p in dec.pieces] == [1, 1, 1, 1]
-    assert dec.verified
+    assert verify_decomposition(f, dec)
 
 
 def test_decompose_counterexample_padded_three_dim_pieces():
@@ -293,7 +302,7 @@ def test_decompose_reconstructs_support_bit_exactly():
         n = base.n
         f = shift(apply_transform(base, random_invertible(n, rng)), random_vector(n, rng))
         dec = decompose(f)
-        assert dec.verified
+        assert verify_decomposition(f, dec)
         rebuilt = set()
         for piece in dec.pieces:
             pts = set(piece.points())
@@ -319,7 +328,20 @@ def test_decompose_main_lemma_range_k5():
     f = two_affine(9, 5)
     dec = decompose(f)
     assert sorted(p.dim for p in dec.pieces) == [4, 4]
-    assert dec.verified
+    assert verify_decomposition(f, dec)
+
+
+def test_decompose_with_the_callers_spectrum_matches_n4():
+    checked = 0
+    for table in range(1, 1 << 16):
+        f = BooleanFunction(4, table)
+        s = wht(f)
+        cls = classify(s)
+        if cls.tag == TAG_OUT_OF_SCOPE:
+            continue
+        assert decompose(f, s, cls) == decompose(f)
+        checked += 1
+    assert checked == 2827
 
 
 def test_decompose_rejects_out_of_scope_and_zero():
@@ -350,7 +372,7 @@ def test_four_pieces_are_rejected_unless_the_core_has_k4():
         sub = Subspace.spanned_by(6, rest)
         halves += [AffineSubspace(piece.shift, sub), AffineSubspace(piece.shift ^ first, sub)]
     assert sorted(p.dim for p in halves) == [2, 2, 2, 2]
-    assert not verify_decomposition(f, Decomposition(tuple(halves), dec.classification, True))
+    assert not verify_decomposition(f, Decomposition(tuple(halves), dec.classification))
 
 
 def test_decompose_all_ones_single_whole_space_piece():
@@ -441,6 +463,15 @@ def test_kill_number_bound_exhaustive_n3():
         f = BooleanFunction(3, table)
         cls = classify(wht(f))
         assert kill_number(f) <= cls.k + cls.m - 1
+
+
+def test_first_constant_codim_agrees_with_kill_number_n_le_3():
+    for n in (1, 2, 3):
+        masks = [list(iter_affine_masks(n, n - c)) for c in range(n + 1)]
+        for table in range(1 << (1 << n)):
+            kill = kill_number(BooleanFunction(n, table))
+            assert first_constant_codim(table, masks) == kill
+            assert first_constant_codim(table, masks[:kill]) is None
 
 
 def test_kill_number_rejects_large_n():
