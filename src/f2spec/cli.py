@@ -28,7 +28,7 @@ from .harness import (
     enumerate_verify,
     random_verify,
 )
-from .structure import classify, decompose, kill_number
+from .structure import check_kill_args, classify, decompose, kill_number
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -108,7 +108,7 @@ def _run(args: argparse.Namespace) -> int:
     cmd = args.command
     if cmd == "spectrum":
         f = jsonio.load_function(args.path)
-        _emit(jsonio.spectrum_to_obj(wht(f), nonzero_only=args.nonzero_only))
+        jsonio.write_spectrum(wht(f), sys.stdout, nonzero_only=args.nonzero_only)
     elif cmd == "classify":
         f = jsonio.load_function(args.path)
         _emit(jsonio.classification_to_obj(classify(wht(f))))
@@ -123,10 +123,13 @@ def _run(args: argparse.Namespace) -> int:
         _emit({"sparsity": sparsity(wht(f))})
     elif cmd == "kill-number":
         f = jsonio.load_function(args.path)
+        # only the size is input: errors raised by the search itself keep
+        # their own exit code
         try:
-            _emit({"kill_number": kill_number(f)})
+            check_kill_args(f.n)
         except ValueError as exc:
             raise InputFormatError(str(exc)) from exc
+        _emit({"kill_number": kill_number(f)})
     elif cmd == "generate":
         try:
             f = generate(args.family, n=args.n, k=args.k)

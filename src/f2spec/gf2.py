@@ -12,7 +12,7 @@ between parallel workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
 MAX_DIMENSION = 24
@@ -338,7 +338,9 @@ def iter_subspaces(n: int, dim: int) -> Iterator[Subspace]:
     """All subspaces of F_2^n of the given dimension, each exactly once.
 
     Enumerates reduced row-echelon bases directly: choose pivot columns,
-    then every assignment of the free positions below each pivot.
+    then every assignment of the free positions below each pivot.  The
+    values of one row are its pivot bit plus each subset of its free
+    positions, built by doubling; row 0's free bits count fastest.
     """
     check_dimension(n)
     if dim < 0 or dim > n:
@@ -348,41 +350,52 @@ def iter_subspaces(n: int, dim: int) -> Iterator[Subspace]:
         return
     for pivots in combinations(range(n - 1, -1, -1), dim):
         pivot_set = set(pivots)
-        free = [[q for q in range(p) if q not in pivot_set] for p in pivots]
-        counts = [len(f) for f in free]
-        total = sum(counts)
-        for m in range(1 << total):
-            rows = []
-            off = 0
-            for i, p in enumerate(pivots):
-                row = 1 << p
-                bits = (m >> off) & ((1 << counts[i]) - 1)
-                for b_idx, q in enumerate(free[i]):
-                    if (bits >> b_idx) & 1:
-                        row |= 1 << q
-                rows.append(row)
-                off += counts[i]
-            yield Subspace(n, tuple(rows))
+        choices = []
+        for p in pivots:
+            values = [1 << p]
+            for q in range(p):
+                if q not in pivot_set:
+                    values += [v | (1 << q) for v in values]
+            choices.append(values)
+        # product varies its last factor fastest, so feed the rows reversed
+        for rows in product(*reversed(choices)):
+            yield Subspace(n, rows[::-1])
 
 
 def iter_affine_masks(n: int, dim: int) -> Iterator[int]:
     """Point bitmasks of every affine subspace of the given dimension.
 
-    Bit x of a mask marks membership of the point x.  Generated lazily;
-    the masks of one direction subspace partition all 2^n points.
+    Bit x of a mask marks membership of the point x.  Generated lazily,
+    one direction subspace at a time; the masks of one direction partition
+    all 2^n points and come in increasing order of their smallest point.
+
+    Everything is whole-mask work: translating a mask by e_q is one masked
+    delta-swap with stride 2^q.  The direction mask grows from {0} by
+    OR-ing in its translate by each basis row.  The smallest point of a
+    coset of an RREF subspace is its member with every pivot bit clear, so
+    doubling the coset list over the non-pivot coordinates in increasing
+    order lists the cosets by increasing smallest point.
     """
     size = 1 << n
+    swap_masks = [_low_half_mask(size, 1 << q) for q in range(n)]
     for sub in iter_subspaces(n, dim):
-        pts = sub.points()
-        covered = 0
-        for rep in range(size):
-            if (covered >> rep) & 1:
-                continue
-            mask = 0
-            for p in pts:
-                mask |= 1 << (rep ^ p)
-            covered |= mask
-            yield mask
+        direction = 1
+        pivots = 0
+        for row in sub.basis:
+            moved = direction
+            while row:
+                stride = row & -row
+                row ^= stride
+                m = swap_masks[stride.bit_length() - 1]
+                moved = ((moved & m) << stride) | ((moved >> stride) & m)
+            direction |= moved
+            pivots |= stride  # the last bit cleared is the pivot
+        masks = [direction]
+        for q, m in enumerate(swap_masks):
+            if not (pivots >> q) & 1:
+                stride = 1 << q
+                masks += [((x & m) << stride) | ((x >> stride) & m) for x in masks]
+        yield from masks
 
 
 def max_flat_through(n: int, point: int, points: Iterable[int]) -> AffineSubspace:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from itertools import islice
+from typing import Any, TextIO
 
 from .addcomb import PointSet
 from .boolfunc import BooleanFunction
@@ -93,13 +94,24 @@ def point_set_to_obj(s: PointSet) -> dict:
     return {"n": s.n, "support": sorted(s.members)}
 
 
-def spectrum_to_obj(s: Spectrum, nonzero_only: bool = False) -> dict:
-    coeffs = [
-        {"alpha": a, "num": c}
-        for a, c in enumerate(s.coeffs)
-        if c or not nonzero_only
-    ]
-    return {"n": s.n, "den_log2": s.n, "coeffs": coeffs}
+_COEFF_ENTRY = '    {{\n      "alpha": {},\n      "num": {}\n    }}'
+_CHUNK = 4096
+
+
+def write_spectrum(s: Spectrum, fp: TextIO, nonzero_only: bool = False) -> None:
+    """Write {"n", "den_log2", "coeffs": [{"alpha", "num"}, ...]} to fp.
+
+    The text is byte for byte what dumps() of that object plus a newline
+    would be, but it is formatted and written about 4,096 coefficients at
+    a time, so memory does not grow with one object per coefficient.
+    """
+    fp.write(f'{{\n  "n": {s.n},\n  "den_log2": {s.n},\n  "coeffs": [')
+    entries = ((a, c) for a, c in enumerate(s.coeffs) if c or not nonzero_only)
+    sep = "\n"
+    while chunk := list(islice(entries, _CHUNK)):
+        fp.write(sep + ",\n".join(_COEFF_ENTRY.format(a, c) for a, c in chunk))
+        sep = ",\n"
+    fp.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 def classification_to_obj(cls: Classification) -> dict:

@@ -563,14 +563,19 @@ def first_constant_codim(table: int, masks_by_codim: Iterable[Iterable[int]]) ->
     return None
 
 
+def check_kill_args(n: int) -> None:
+    """Raise ValueError unless kill_number accepts a function on n inputs."""
+    if n > 8:
+        raise ValueError("kill number search is exhaustive; n <= 8 required")
+
+
 def kill_number(f: BooleanFunction) -> int:
     """Smallest codimension of an affine subspace on which f is constant.
 
     Exhaustive over affine subspaces in decreasing dimension order; limited
     to n <= 8 where the search space is still a desk-scale object.
     """
-    if f.n > 8:
-        raise ValueError("kill number search is exhaustive; n <= 8 required")
+    check_kill_args(f.n)
     groups = (iter_affine_masks(f.n, f.n - codim) for codim in range(f.n + 1))
     codim = first_constant_codim(f.table, groups)
     assert codim is not None, "unreachable: points are constant subspaces"

@@ -8,9 +8,11 @@ paths, so the two can check each other.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from f2spec.boolfunc import BooleanFunction
 from f2spec.fourier import Spectrum
+from f2spec.gf2 import Subspace, xor_translate
 
 
 def indicator_spectrum(n: int, shift: int, perp_points: list[int], codim: int) -> list[int]:
@@ -165,3 +167,74 @@ def oracle_max_flat_basis(point: int, points) -> list[int]:
             span |= new
             basis.append(cand)
     return basis
+
+
+# ---- point-at-a-time references for the flat enumeration -------------
+# Per-bit and per-point versions of gf2.iter_subspaces and
+# gf2.iter_affine_masks; the whole-mask generators must match them in
+# content and order.
+
+
+def oracle_subspaces(n: int, dim: int):
+    """RREF bases in the library's order: pivot sets by combinations of the
+    positions from the top, then a counter over the free positions below
+    the pivots in which row 0's bits are the lowest."""
+    if dim < 0 or dim > n:
+        return
+    if dim == 0:
+        yield Subspace(n, ())
+        return
+    for pivots in combinations(range(n - 1, -1, -1), dim):
+        pivot_set = set(pivots)
+        free = [[q for q in range(p) if q not in pivot_set] for p in pivots]
+        counts = [len(f) for f in free]
+        for m in range(1 << sum(counts)):
+            rows = []
+            off = 0
+            for i, p in enumerate(pivots):
+                row = 1 << p
+                bits = (m >> off) & ((1 << counts[i]) - 1)
+                for b_idx, q in enumerate(free[i]):
+                    if (bits >> b_idx) & 1:
+                        row |= 1 << q
+                rows.append(row)
+                off += counts[i]
+            yield Subspace(n, tuple(rows))
+
+
+def oracle_affine_masks(n: int, dim: int):
+    """Coset masks of each oracle subspace, one point at a time, cosets in
+    increasing order of their smallest point."""
+    for sub in oracle_subspaces(n, dim):
+        pts = span_points(list(sub.basis))
+        covered = 0
+        for rep in range(1 << n):
+            if (covered >> rep) & 1:
+                continue
+            mask = 0
+            for p in pts:
+                mask |= 1 << (rep ^ p)
+            covered |= mask
+            yield mask
+
+
+def oracle_kill_number(f: BooleanFunction) -> int:
+    """Least codimension of a flat on which f is constant, without masks.
+
+    For a subspace with basis b_1..b_d, AND-folding a point set S with its
+    translates (S &= S + b_i) leaves exactly the points x with x + V inside
+    S; f is constant on a coset of V iff the fold of its support or of its
+    zero set is nonempty.
+    """
+    n = f.n
+    ones = f.table
+    zeros = ((1 << (1 << n)) - 1) ^ ones
+    for codim in range(n + 1):
+        for sub in oracle_subspaces(n, n - codim):
+            a, b = ones, zeros
+            for v in sub.basis:
+                a &= xor_translate(a, v, n)
+                b &= xor_translate(b, v, n)
+            if a or b:
+                return codim
+    raise AssertionError("unreachable: every point is a constant flat")

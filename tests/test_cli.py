@@ -1,7 +1,13 @@
 import json
+import random
 
-from f2spec import cli, harness
+import pytest
+
+from f2spec import cli, harness, jsonio
+from f2spec.boolfunc import BooleanFunction
 from f2spec.errors import SpectrumScopeError, TheoremViolationError
+from f2spec.families import two_affine
+from f2spec.fourier import wht
 
 
 def run_cli(capsys, *argv):
@@ -184,3 +190,39 @@ def test_kill_number_rejects_oversized_input(tmp_path, capsys):
     path = write_json(tmp_path, "big.json", {"n": 9, "support": [0]})
     code, _, _ = run_cli(capsys, "kill-number", "--in", path)
     assert code == 2
+
+
+def test_kill_number_library_error_is_not_bad_input(tmp_path, capsys, monkeypatch):
+    def broken(_f):
+        raise ValueError("forced for the test")
+
+    monkeypatch.setattr(cli, "kill_number", broken)
+    path = write_json(tmp_path, "f.json", {"n": 3, "support": [0, 5]})
+    with pytest.raises(ValueError, match="forced for the test"):
+        cli.main(["kill-number", "--in", path])
+
+
+def spectrum_reference_text(f, nonzero_only):
+    coeffs = [
+        {"alpha": a, "num": c}
+        for a, c in enumerate(wht(f).coeffs)
+        if c or not nonzero_only
+    ]
+    return json.dumps({"n": f.n, "den_log2": f.n, "coeffs": coeffs}, indent=2) + "\n"
+
+
+def test_spectrum_output_matches_json_dumps(tmp_path, capsys):
+    # n = 13 writes two full chunks of 4096 entries, --nonzero-only a ragged
+    # last one; the zero function leaves "coeffs": [] under --nonzero-only
+    rng = random.Random(13)
+    for f in (
+        BooleanFunction(3, 0),
+        BooleanFunction(2, 0b1110),
+        BooleanFunction(13, rng.getrandbits(1 << 13)),
+        two_affine(13, 3),
+    ):
+        path = write_json(tmp_path, "f.json", jsonio.function_to_obj(f))
+        for flags in ((), ("--nonzero-only",)):
+            code, out, _ = run_cli(capsys, "spectrum", "--in", path, *flags)
+            assert code == 0
+            assert out == spectrum_reference_text(f, bool(flags))

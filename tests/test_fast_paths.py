@@ -1,7 +1,7 @@
 """The linear-pass table plumbing, the constant-geometry butterfly, the
-bitset greedy and the spectral reduction rules against their bit-at-a-time
-references in conftest, exhaustively at small n and by hypothesis up to
-n = 12."""
+bitset greedy, the spectral reduction rules and the whole-mask flat
+enumeration against their bit-at-a-time references in conftest,
+exhaustively at small n and by hypothesis up to n = 12."""
 
 import random
 
@@ -16,7 +16,13 @@ from f2spec.boolfunc import (
     shift,
     tensor,
 )
-from f2spec.families import affine_indicator, counterexample_padded, delta, two_affine
+from f2spec.families import (
+    affine_indicator,
+    counterexample_padded,
+    delta,
+    generate,
+    two_affine,
+)
 from f2spec.fourier import (
     butterfly,
     shift_spectrum,
@@ -28,17 +34,22 @@ from f2spec.gf2 import (
     Subspace,
     bits_to_int,
     int_to_bits,
+    iter_affine_masks,
+    iter_subspaces,
     max_flat_through,
     transform_sending_to_e1,
 )
 from f2spec.harness import SplitMix64, random_invertible, random_vector
 
 from conftest import (
+    oracle_affine_masks,
     oracle_apply_transform,
     oracle_butterfly,
+    oracle_kill_number,
     oracle_max_flat_basis,
     oracle_restrict_first_bit,
     oracle_shift,
+    oracle_subspaces,
     oracle_support,
     oracle_unpack,
 )
@@ -174,6 +185,57 @@ def test_max_flat_through_matches_set_greedy_on_decomposable_supports():
             for point in (min(supp), max(supp)):
                 expected = max_flat_through_reference(n, point, supp)
                 assert max_flat_through(n, point, supp) == expected
+
+
+def test_affine_masks_match_point_oracle_up_to_n6():
+    for n in range(0, 7):
+        for dim in range(-1, n + 2):
+            assert list(iter_affine_masks(n, dim)) == list(oracle_affine_masks(n, dim))
+
+
+def test_subspaces_match_per_bit_oracle_up_to_n7():
+    for n in range(0, 8):
+        for dim in range(-1, n + 2):
+            assert list(iter_subspaces(n, dim)) == list(oracle_subspaces(n, dim))
+
+
+def test_kill_number_matches_fold_oracle_on_every_table_up_to_n3():
+    for n in (1, 2, 3):
+        for table in range(1 << (1 << n)):
+            f = BooleanFunction(n, table)
+            assert structure.kill_number(f) == oracle_kill_number(f)
+
+
+@st.composite
+def sparse_or_dense_tables(draw, min_n, max_n):
+    # drawn integers are mostly sparse tables with kill number 1 or 2;
+    # seeded uniform tables have larger ones
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    size = 1 << n
+    dense = st.integers(0, 1 << 32).map(lambda seed: random.Random(seed).getrandbits(size))
+    return n, draw(st.one_of(st.integers(0, (1 << size) - 1), dense))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_or_dense_tables(4, 7))
+def test_kill_number_matches_fold_oracle_hypothesis(case):
+    f = BooleanFunction(*case)
+    assert structure.kill_number(f) == oracle_kill_number(f)
+
+
+def test_kill_number_matches_fold_oracle_on_family_images():
+    # the structured instances of the kill-search benchmark: their constant
+    # flats are large, unlike a random table's
+    rng = SplitMix64(31)
+    for family, n, k in (
+        ("affine", 8, 3),
+        ("two-affine", 8, 3),
+        ("counterexample-padded", 8, None),
+        ("two-affine", 7, 2),
+    ):
+        base = generate(family, n=n, k=k)
+        f = shift(apply_transform(base, random_invertible(n, rng)), random_vector(n, rng))
+        assert structure.kill_number(f) == oracle_kill_number(f)
 
 
 def test_decompose_transforms_and_classifies_once(monkeypatch):
