@@ -12,7 +12,6 @@ from .addcomb import (
     even_zohar_bound,
     even_zohar_s,
     is_sum_free,
-    iterated_sumset,
     laba_check,
     sumset,
 )
@@ -27,9 +26,7 @@ from .errors import InputFormatError, SpectrumScopeError, TheoremViolationError
 from .families import generate
 from .fourier import (
     Spectrum,
-    boolean_cast,
     granularity,
-    inverse_wht,
     is_boolean_spectrum,
     sparsity,
     wht,
@@ -39,8 +36,6 @@ from .gf2 import (
     GF2Matrix,
     Subspace,
     affine_span,
-    dot,
-    is_full_affine_subspace,
     linear_span,
     orthogonal_complement,
     transform_sending_to_e1,
@@ -59,7 +54,6 @@ from .structure import (
     SpectralSets,
     classify,
     decompose,
-    is_irreducible,
     kill_number,
     reduce_to_core,
     spectral_sets,
@@ -88,22 +82,16 @@ __all__ = [
     "VerificationReport",
     "affine_span",
     "apply_transform",
-    "boolean_cast",
     "classify",
     "decompose",
-    "dot",
     "doubling_constant",
     "enumerate_verify",
     "even_zohar_bound",
     "even_zohar_s",
     "generate",
     "granularity",
-    "inverse_wht",
     "is_boolean_spectrum",
-    "is_full_affine_subspace",
-    "is_irreducible",
     "is_sum_free",
-    "iterated_sumset",
     "kill_number",
     "laba_check",
     "linear_span",

@@ -57,16 +57,6 @@ def sumset(a: PointSet, b: PointSet) -> PointSet:
     return PointSet(a.n, frozenset(out))
 
 
-def iterated_sumset(a: PointSet, k: int) -> PointSet:
-    """k-fold sumset a + ... + a for k >= 1."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    acc = a
-    for _ in range(k - 1):
-        acc = sumset(acc, a)
-    return acc
-
-
 def doubling_constant(a: PointSet) -> Fraction:
     """|a + a| / |a| as a reduced fraction; a must be nonempty."""
     if not a.members:

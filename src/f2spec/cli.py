@@ -22,6 +22,7 @@ from .addcomb import (
 from .errors import InputFormatError, SpectrumScopeError, TheoremViolationError
 from .families import FAMILIES, generate
 from .fourier import granularity, sparsity, wht
+from .gf2 import MAX_DIMENSION
 from .harness import (
     check_exhaustive_args,
     check_random_args,
@@ -171,6 +172,15 @@ def _run_addcomb(args: argparse.Namespace) -> int:
         k = Fraction(args.num, args.den)
         if k < 1:
             raise InputFormatError("the doubling constant must be at least 1")
+        # |A + A| <= min(|A|^2, 2^n), so K <= 2^(n/2) for every subset of
+        # F_2^n; even_zohar_s counts up to about 2K, and its bound has
+        # thousands of digits already at K = 4096
+        k_max = 1 << (MAX_DIMENSION // 2)
+        if k > k_max:
+            raise InputFormatError(
+                f"no subset of F_2^{MAX_DIMENSION} has a doubling constant "
+                f"above {k_max}"
+            )
         bound = even_zohar_bound(k)
         _emit(
             {

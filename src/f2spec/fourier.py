@@ -1,14 +1,13 @@
 """Exact Walsh-Hadamard spectra.
 
 A spectrum stores the integers F(a) = sum_x f(x) (-1)^<a,x>, i.e. the
-Fourier coefficients scaled by 2^n.  Everything stays in exact integer (or
-dyadic-rational) arithmetic; no floating point appears anywhere.
+Fourier coefficients scaled by 2^n.  Everything stays in exact integer
+arithmetic; no floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import add, mul, neg, or_, sub
 
@@ -69,30 +68,6 @@ def transform_spectrum(s: Spectrum, m: GF2Matrix) -> Spectrum:
     with P = (M^-1)^T, a gather through the images of P."""
     images = m.inverse().transpose().images()
     return Spectrum(s.n, tuple(map(s.coeffs.__getitem__, images)))
-
-
-def inverse_wht(s: Spectrum) -> tuple[Fraction, ...]:
-    """Exact function values recovered from a spectrum, as dyadic rationals."""
-    vals = list(s.coeffs)
-    butterfly(vals)
-    size = 1 << s.n
-    return tuple(Fraction(v, size) for v in vals)
-
-
-def boolean_cast(s: Spectrum) -> BooleanFunction:
-    """Invert the spectrum and cast to a truth table; 0/1 values required."""
-    vals = list(s.coeffs)
-    butterfly(vals)
-    size = 1 << s.n
-    table = 0
-    for x, v in enumerate(vals):
-        if v == size:
-            table |= 1 << x
-        elif v != 0:
-            raise ValueError(
-                f"value at point {x} is {Fraction(v, size)}, not 0 or 1"
-            )
-    return BooleanFunction(s.n, table)
 
 
 def granularity(s: Spectrum) -> int:

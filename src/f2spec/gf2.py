@@ -18,11 +18,6 @@ from typing import Iterable, Iterator
 MAX_DIMENSION = 24
 
 
-def dot(x: int, y: int) -> int:
-    """Standard inner product: parity of the coordinates shared by x and y."""
-    return (x & y).bit_count() & 1
-
-
 def check_dimension(n: int) -> None:
     if not 0 <= n <= MAX_DIMENSION:
         raise ValueError(f"dimension must be between 0 and {MAX_DIMENSION}, got {n}")
@@ -211,14 +206,6 @@ def affine_span(n: int, points: Iterable[int]) -> AffineSubspace:
     return AffineSubspace(p0, direction)
 
 
-def is_full_affine_subspace(n: int, points: Iterable[int]) -> bool:
-    """True iff the points are exactly a full coset of some subspace."""
-    pts = set(points)
-    if not pts:
-        raise ValueError("empty point set")
-    return len(pts) == 1 << affine_span(n, pts).dim
-
-
 def _invert_rows(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     """Gauss-Jordan inverse of an n x n bit matrix; raises if singular."""
     aug = [rows[i] | (1 << (n + i)) for i in range(n)]
@@ -308,26 +295,14 @@ def transform_sending_to_e1(n: int, alpha: int) -> GF2Matrix:
     check_vector(alpha, n)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    cols = [alpha]
-    echelon = _echelon(cols)
-    for i in range(n):
-        if len(cols) == n:
-            break
-        e = 1 << i
-        v = e
-        while v:
-            p = v.bit_length() - 1
-            row = echelon.get(p)
-            if row is None:
-                echelon[p] = v
-                cols.append(e)
-                break
-            v ^= row
+    # every e_i is independent of alpha and the e_j chosen before it, except
+    # e_top at alpha's highest set bit: by then all lower e_j are chosen, and
+    # alpha + e_top lies in their span
+    top = alpha.bit_length() - 1
+    cols = (alpha, *(1 << i for i in range(n) if i != top))
     # P has the completed basis as columns, so P e1 = alpha; the function-side
     # matrix is L = (P^-1)^T, whose spectrum action is beta -> P beta.
-    p_rows = tuple(
-        sum(((cols[i] >> j) & 1) << i for i in range(n)) for j in range(n)
-    )
+    p_rows = _transpose_rows(n, cols)
     p_inv = _invert_rows(n, p_rows)
     l_rows = _transpose_rows(n, p_inv)
     l_inverse_rows = _transpose_rows(n, p_rows)

@@ -182,21 +182,14 @@ def triangle_neighbors(rho: int, minus: PointSet) -> PointSet:
     return PointSet(minus.n, frozenset(b for b in members if rho ^ b in members))
 
 
-def is_irreducible(f: BooleanFunction) -> bool:
-    """True iff no proper affine subspace contains the support."""
-    if f.is_zero:
-        raise ValueError("the zero function has no support")
-    return affine_span(f.n, f.support()).dim == f.n
-
-
 @dataclass(frozen=True)
 class ReductionStep:
-    """One recorded restriction: optional pre-shift, the transform that moved
-    the chosen mask to e1, and which value of the first bit kept the support."""
+    """One recorded restriction: optional pre-shift and the transform that
+    moved the chosen mask to e1.  The kept half is always x_1 = 0: the shift
+    makes the chosen coefficient positive, which puts the support there."""
 
     shift: int | None
     transform: GF2Matrix
-    kept_bit: int
 
 
 @dataclass(frozen=True)
@@ -212,26 +205,22 @@ class ReductionTrace:
     def lift_point(self, x: int) -> int:
         """Map a core point back to the original coordinates."""
         for step in reversed(self.steps):
-            x = (x << 1) | step.kept_bit
-            x = step.transform.apply(x)
+            x = step.transform.apply(x << 1)
             if step.shift is not None:
                 x ^= step.shift
         return x
 
     def lift_flat(self, flat: AffineSubspace) -> AffineSubspace:
-        """Map an affine subspace of the core space back; dimension is kept."""
-        shift_pt = flat.shift
-        basis = list(flat.direction.basis)
-        n = self.core_n
-        for step in reversed(self.steps):
-            n += 1
-            shift_pt = (shift_pt << 1) | step.kept_bit
-            basis = [v << 1 for v in basis]
-            shift_pt = step.transform.apply(shift_pt)
-            basis = [step.transform.apply(v) for v in basis]
-            if step.shift is not None:
-                shift_pt ^= step.shift
-        return AffineSubspace(shift_pt, Subspace.spanned_by(n, basis))
+        """Map an affine subspace of the core space back; dimension is kept.
+
+        lift_point is affine (x -> Lx + c), so the shift lifts as a point and
+        each direction vector v as lift_point(v) + lift_point(0)."""
+        c = self.lift_point(0)
+        basis = [self.lift_point(v) ^ c for v in flat.direction.basis]
+        return AffineSubspace(
+            self.lift_point(flat.shift),
+            Subspace.spanned_by(self.original_n, basis),
+        )
 
 
 def reduce_to_core(
@@ -280,7 +269,7 @@ def reduce_to_core(
             raise TheoremViolationError(
                 "support was not confined to the restricted half"
             )
-        steps.append(ReductionStep(a_shift, transform, 0))
+        steps.append(ReductionStep(a_shift, transform))
         g = g0
         s = Spectrum(g.n, s.coeffs[0::2])
     return g, ReductionTrace(f.n, g.n, tuple(steps), s)
@@ -401,12 +390,8 @@ def _greedy_four_pieces(
 def _decompose_core(
     core: BooleanFunction, s: Spectrum, cls: Classification
 ) -> tuple[AffineSubspace, ...] | None:
-    """Pieces of an irreducible core with spectrum s and classification cls,
-    in core coordinates; None on failure."""
-    if core.is_one:
-        return (AffineSubspace(0, orthogonal_complement(Subspace.zero(core.n))),)
-    if cls.m != 2:
-        return None
+    """Pieces of an irreducible m = 2 core with spectrum s and classification
+    cls, in core coordinates; None on failure."""
     sets = spectral_sets(s, cls)
     k = cls.k
     if k == 2:
@@ -541,9 +526,7 @@ def _candidate_partitions(
 def _fallback_partition(
     core: BooleanFunction, cls: Classification
 ) -> tuple[AffineSubspace, ...] | None:
-    """Exhaustive search for a valid partition of the core support."""
-    if cls.m != 2:
-        return None
+    """Exhaustive search for a valid partition of an m = 2 core support."""
     k = cls.k
     supp = core.support()
     found = find_flat_partition(core.n, supp, core.n - k, 2)

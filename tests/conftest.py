@@ -12,7 +12,27 @@ from itertools import combinations
 
 from f2spec.boolfunc import BooleanFunction
 from f2spec.fourier import Spectrum
-from f2spec.gf2 import Subspace, xor_translate
+from f2spec.gf2 import GF2Matrix, Subspace, affine_span, xor_translate
+
+
+def dot(x: int, y: int) -> int:
+    """Standard inner product: parity of the coordinates shared by x and y."""
+    return (x & y).bit_count() & 1
+
+
+def is_full_affine_subspace(n: int, points) -> bool:
+    """True iff the points are exactly a full coset of some subspace."""
+    pts = set(points)
+    if not pts:
+        raise ValueError("empty point set")
+    return len(pts) == 1 << affine_span(n, pts).dim
+
+
+def oracle_is_irreducible(f: BooleanFunction) -> bool:
+    """True iff no proper affine subspace contains the support."""
+    if f.is_zero:
+        raise ValueError("the zero function has no support")
+    return affine_span(f.n, f.support()).dim == f.n
 
 
 def indicator_spectrum(n: int, shift: int, perp_points: list[int], codim: int) -> list[int]:
@@ -149,6 +169,28 @@ def oracle_restrict_first_bit(n: int, table: int) -> tuple[int, int]:
         t0 |= (pair & 1) << y
         t1 |= (pair >> 1) << y
     return t0, t1
+
+
+def oracle_transform_sending_to_e1(n: int, alpha: int) -> GF2Matrix:
+    """Complete alpha to a basis by echelon insertion of e_1, e_2, ... in
+    turn, keeping each one that stays independent.  With those vectors as
+    the columns of P, the matrix is L = (P^-1)^T, so L^-1 = P^T has them
+    as its rows."""
+    cols = [alpha]
+    echelon = {alpha.bit_length() - 1: alpha}
+    for i in range(n):
+        if len(cols) == n:
+            break
+        v = 1 << i
+        while v:
+            p = v.bit_length() - 1
+            row = echelon.get(p)
+            if row is None:
+                echelon[p] = v
+                cols.append(1 << i)
+                break
+            v ^= row
+    return GF2Matrix.from_rows(n, cols).inverse()
 
 
 def oracle_max_flat_basis(point: int, points) -> list[int]:

@@ -13,7 +13,6 @@ from f2spec.addcomb import (
     even_zohar_bound,
     even_zohar_s,
     is_sum_free,
-    iterated_sumset,
     laba_check,
     sumset,
 )
@@ -52,13 +51,10 @@ def test_sumset_empty_operand():
 
 
 def test_iterated_sumset():
-    a = PointSet.of(3, [1, 2])
-    assert iterated_sumset(a, 1) == a
-    assert len(iterated_sumset(CE_MINUS_CLASS, 2)) == 22
-    triple = iterated_sumset(CE_MINUS_CLASS, 3)
+    double = sumset(CE_MINUS_CLASS, CE_MINUS_CLASS)
+    assert len(double) == 22
+    triple = sumset(double, CE_MINUS_CLASS)
     assert len(triple.members - CE_MINUS_CLASS.members) == 35
-    with pytest.raises(ValueError):
-        iterated_sumset(a, 0)
 
 
 def test_doubling_constant_of_subspace_is_one():

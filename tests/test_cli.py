@@ -137,6 +137,14 @@ def test_addcomb_subcommands(tmp_path, capsys):
     assert code == 2
 
 
+def test_addcomb_fk_rejects_a_doubling_constant_no_set_has(capsys):
+    # |A + A| <= min(|A|^2, 2^24) caps K at 2^12 = 4096
+    code, _, err = run_cli(capsys, "addcomb", "fk", "--num", "8000", "--den", "1")
+    assert code == 2 and "4096" in err
+    code, out, _ = run_cli(capsys, "addcomb", "fk", "--num", "4096", "--den", "1")
+    assert code == 0 and json.loads(out)["s"] == 8191
+
+
 def test_addcomb_dimension_mismatch_is_input_error(tmp_path, capsys):
     a = write_json(tmp_path, "a.json", {"n": 3, "support": [1]})
     b = write_json(tmp_path, "b.json", {"n": 4, "support": [1]})

@@ -9,9 +9,7 @@ from f2spec.gf2 import (
     GF2Matrix,
     Subspace,
     affine_span,
-    dot,
     find_flat_partition,
-    is_full_affine_subspace,
     iter_affine_masks,
     iter_subspaces,
     linear_span,
@@ -19,6 +17,8 @@ from f2spec.gf2 import (
     orthogonal_complement,
     transform_sending_to_e1,
 )
+
+from conftest import dot, is_full_affine_subspace, oracle_transform_sending_to_e1
 
 CE_MINUS_CLASS = [1, 2, 4, 8, 16, 32, 63]
 
@@ -151,6 +151,13 @@ def test_transform_moves_or_coefficient():
     m = transform_sending_to_e1(2, 3)
     g = apply_transform(f, m)
     assert wht(g).coeffs[1] == wht(f).coeffs[3] == -1
+
+
+def test_transform_matches_echelon_completion_oracle_up_to_n10():
+    for n in range(1, 11):
+        for alpha in range(1, 1 << n):
+            expected = oracle_transform_sending_to_e1(n, alpha)
+            assert transform_sending_to_e1(n, alpha) == expected
 
 
 def test_transform_composed_with_inverse_is_identity_pointwise():

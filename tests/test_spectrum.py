@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,9 +14,7 @@ from f2spec.boolfunc import (
 from f2spec.families import all_ones, counterexample_core, delta, two_affine
 from f2spec.fourier import (
     Spectrum,
-    boolean_cast,
     granularity,
-    inverse_wht,
     is_boolean_spectrum,
     sparsity,
     wht,
@@ -55,26 +52,6 @@ def test_wht_agrees_with_naive_oracle_random():
         n = rng.randint(1, 6)
         f = BooleanFunction(n, rng.randrange(1 << (1 << n)))
         assert wht(f) == naive_wht(f)
-
-
-def test_inverse_round_trip_exhaustive_n_le_3():
-    for n in (1, 2, 3):
-        size = 1 << n
-        for table in range(1 << size):
-            f = BooleanFunction(n, table)
-            vals = inverse_wht(wht(f))
-            assert vals == tuple(Fraction((table >> x) & 1) for x in range(size))
-
-
-def test_boolean_cast_recovers_or():
-    assert boolean_cast(wht(OR2)) == OR2
-
-
-def test_boolean_cast_rejects_halved_spectrum():
-    # {0, 1} has spectrum (2, 0, 2, 0); halving makes the values {0, 1/2}
-    s = Spectrum(2, (1, 0, 1, 0))
-    with pytest.raises(ValueError):
-        boolean_cast(s)
 
 
 def test_granularity_examples():

@@ -15,7 +15,6 @@ from f2spec.fourier import wht
 from f2spec.gf2 import (
     AffineSubspace,
     Subspace,
-    is_full_affine_subspace,
     iter_affine_masks,
     linear_span,
 )
@@ -30,13 +29,14 @@ from f2spec.structure import (
     classify,
     decompose,
     first_constant_codim,
-    is_irreducible,
     kill_number,
     reduce_to_core,
     spectral_sets,
     triangle_neighbors,
     verify_decomposition,
 )
+
+from conftest import is_full_affine_subspace, oracle_is_irreducible
 
 OR2 = BooleanFunction(2, 0b1110)
 
@@ -187,17 +187,17 @@ def test_triangle_neighbor_count_is_even_on_random_conforming_cores():
 # ----------------------------------------------------------- irreducibility
 
 def test_is_irreducible_examples():
-    assert is_irreducible(counterexample_core())
-    assert not is_irreducible(tensor(OR2, delta(1)))
+    assert oracle_is_irreducible(counterexample_core())
+    assert not oracle_is_irreducible(tensor(OR2, delta(1)))
     for k in (2, 3):
-        assert is_irreducible(two_affine(2 * k - 1, k))
+        assert oracle_is_irreducible(two_affine(2 * k - 1, k))
     with pytest.raises(ValueError):
-        is_irreducible(BooleanFunction(3, 0))
+        oracle_is_irreducible(BooleanFunction(3, 0))
 
 
 def test_all_ones_is_irreducible_and_two_point_reducible():
-    assert is_irreducible(all_ones(3))
-    assert not is_irreducible(BooleanFunction(3, 0b11))  # {0,1} fits a line
+    assert oracle_is_irreducible(all_ones(3))
+    assert not oracle_is_irreducible(BooleanFunction(3, 0b11))  # {0,1} fits a line
 
 
 # --------------------------------------------------------------- reduction
@@ -240,6 +240,39 @@ def test_reduce_trace_lifts_core_support_onto_original():
     all_lifted = {trace.lift_point(x) for x in range(1 << core.n)}
     assert len(all_lifted) == 1 << core.n
     assert is_full_affine_subspace(f.n, all_lifted)
+
+
+def _seeded_reducible_images():
+    """Random images of two instances that reduce in two steps: two-affine
+    k = 3 embedded in a codimension-2 subspace, and the counterexample
+    tensored with the point indicator on two more inputs."""
+    rng = SplitMix64(17)
+    images = []
+    for base in (tensor(two_affine(7, 3), delta(2)), tensor(counterexample_core(), delta(2))):
+        for _ in range(4):
+            m = random_invertible(base.n, rng)
+            images.append(shift(apply_transform(base, m), random_vector(base.n, rng)))
+    return images
+
+
+def test_reduce_to_core_ends_irreducible_one_dimension_per_step():
+    for f in _seeded_reducible_images():
+        core, trace = reduce_to_core(f)
+        assert oracle_is_irreducible(core)
+        assert core.n == f.n - len(trace.steps) == trace.core_n
+        assert len(trace.steps) == 2
+
+
+def test_lift_flat_lifts_every_point():
+    rng = SplitMix64(23)
+    for f in _seeded_reducible_images():
+        core, trace = reduce_to_core(f)
+        for _ in range(6):
+            gens = [random_vector(core.n, rng) for _ in range(rng.below(core.n + 1))]
+            flat = AffineSubspace(random_vector(core.n, rng), linear_span(core.n, gens))
+            lifted = trace.lift_flat(flat)
+            assert lifted.n == f.n and lifted.dim == flat.dim
+            assert set(lifted.points()) == {trace.lift_point(x) for x in flat.points()}
 
 
 def test_reduce_rejects_out_of_scope():
