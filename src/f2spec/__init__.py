@@ -38,7 +38,7 @@ from .gf2 import (
     affine_span,
     linear_span,
     orthogonal_complement,
-    transform_sending_to_e1,
+    transform_sending_to_first,
 )
 from .harness import (
     SplitMix64,
@@ -105,7 +105,7 @@ __all__ = [
     "spectral_sets",
     "sumset",
     "tensor",
-    "transform_sending_to_e1",
+    "transform_sending_to_first",
     "triangle_neighbors",
     "verify_decomposition",
     "wht",

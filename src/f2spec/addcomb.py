@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import Iterable
 
 from .gf2 import affine_span, check_dimension, check_vector, linear_span
@@ -69,19 +69,21 @@ def is_sum_free(a: PointSet) -> bool:
     return not (sumset(a, a).members & a.members)
 
 
-def _bracket_low(s: int) -> Fraction:
-    return Fraction(comb(s, 2) + s + 1, s + 1)
-
-
 def even_zohar_s(k: Fraction) -> int:
-    """The unique s >= 1 whose doubling bracket contains k (k >= 1)."""
+    """The unique s >= 1 whose doubling bracket contains k (k >= 1).
+
+    The bracket of s starts at (C(s,2) + s + 1) / (s + 1) = (s^2 + s + 2) /
+    (2(s + 1)), which grows with s, so for k = p/q the answer is the largest
+    s with q s^2 + (q - 2p) s + 2(q - p) <= 0.  s = 1 satisfies it, so that
+    is the larger root rounded down; rounding the square root down first
+    changes nothing, since floor((a + floor(x)) / b) = floor((a + x) / b)
+    for integers a and b > 0.
+    """
     k = Fraction(k)
     if k < 1:
         raise ValueError("doubling constant must be at least 1")
-    s = 1
-    while not (_bracket_low(s) <= k < _bracket_low(s + 1)):
-        s += 1
-    return s
+    p, q = k.numerator, k.denominator
+    return (2 * p - q + isqrt(4 * p * p + 4 * p * q - 7 * q * q)) // (2 * q)
 
 
 def even_zohar_bound(k: Fraction) -> Fraction:
@@ -91,7 +93,11 @@ def even_zohar_bound(k: Fraction) -> Fraction:
     2^s / (C(s,2)+s+1) below (s^2+s+1)/(2s) and 2^(s+1) / (s^2+s+1) above.
     """
     k = Fraction(k)
-    s = even_zohar_s(k)
+    return _bound_in_bracket(k, even_zohar_s(k))
+
+
+def _bound_in_bracket(k: Fraction, s: int) -> Fraction:
+    """even_zohar_bound(k) for the s of k's bracket."""
     if k < Fraction(s * s + s + 1, 2 * s):
         return Fraction(1 << s, comb(s, 2) + s + 1) * k
     return Fraction(1 << (s + 1), s * s + s + 1) * k

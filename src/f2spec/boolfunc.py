@@ -56,10 +56,6 @@ class BooleanFunction:
     def is_zero(self) -> bool:
         return self.table == 0
 
-    @property
-    def is_one(self) -> bool:
-        return self.table == (1 << (1 << self.n)) - 1
-
     def __repr__(self) -> str:
         return f"BooleanFunction(n={self.n}, table=0x{self.table:x})"
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from . import jsonio
 from .addcomb import (
+    _bound_in_bracket,
     doubling_constant,
-    even_zohar_bound,
     even_zohar_s,
     is_sum_free,
     laba_check,
@@ -173,18 +173,18 @@ def _run_addcomb(args: argparse.Namespace) -> int:
         if k < 1:
             raise InputFormatError("the doubling constant must be at least 1")
         # |A + A| <= min(|A|^2, 2^n), so K <= 2^(n/2) for every subset of
-        # F_2^n; even_zohar_s counts up to about 2K, and its bound has
-        # thousands of digits already at K = 4096
+        # F_2^n: no set the library accepts has a larger K
         k_max = 1 << (MAX_DIMENSION // 2)
         if k > k_max:
             raise InputFormatError(
                 f"no subset of F_2^{MAX_DIMENSION} has a doubling constant "
                 f"above {k_max}"
             )
-        bound = even_zohar_bound(k)
+        s = even_zohar_s(k)
+        bound = _bound_in_bracket(k, s)
         _emit(
             {
-                "s": even_zohar_s(k),
+                "s": s,
                 "bound_num": bound.numerator,
                 "bound_den": bound.denominator,
             }

@@ -119,11 +119,6 @@ class Subspace:
             check_vector(v, n)
         return Subspace(n, rref(vs))
 
-    @staticmethod
-    def zero(n: int) -> "Subspace":
-        check_dimension(n)
-        return Subspace(n, ())
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -285,23 +280,25 @@ class GF2Matrix:
         )
 
 
-def transform_sending_to_e1(n: int, alpha: int) -> GF2Matrix:
-    """Invertible L whose spectrum action moves the coefficient at alpha to e1.
+def transform_sending_to_first(n: int, basis: Iterable[int]) -> GF2Matrix:
+    """Invertible L whose spectrum action moves basis[i] to e_(i+1).
 
-    Concretely: for g(x) = f(Lx) the spectra satisfy g^(e1) = f^(alpha).
-    alpha is completed to a basis with the smallest standard vectors that
-    keep it independent, so the result is reproducible.
+    Concretely: for g(x) = f(Lx) the spectra satisfy g^(e_(i+1)) =
+    f^(basis[i]).  The basis must be in echelon form (nonzero rows with
+    distinct highest set bits, as rref returns).  It is completed with the
+    standard vectors at the other positions, which are then independent of
+    it by their distinct highest bits, so the result is reproducible.
     """
-    check_vector(alpha, n)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    # every e_i is independent of alpha and the e_j chosen before it, except
-    # e_top at alpha's highest set bit: by then all lower e_j are chosen, and
-    # alpha + e_top lies in their span
-    top = alpha.bit_length() - 1
-    cols = (alpha, *(1 << i for i in range(n) if i != top))
-    # P has the completed basis as columns, so P e1 = alpha; the function-side
-    # matrix is L = (P^-1)^T, whose spectrum action is beta -> P beta.
+    basis = tuple(basis)
+    for v in basis:
+        check_vector(v, n)
+    pivots = {v.bit_length() - 1 for v in basis}
+    if -1 in pivots or len(pivots) != len(basis):
+        raise ValueError("basis must be nonzero rows with distinct highest bits")
+    cols = (*basis, *(1 << i for i in range(n) if i not in pivots))
+    # P has the completed basis as columns, so P e_(i+1) = basis[i]; the
+    # function-side matrix is L = (P^-1)^T, whose spectrum action is
+    # beta -> P beta.
     p_rows = _transpose_rows(n, cols)
     p_inv = _invert_rows(n, p_rows)
     l_rows = _transpose_rows(n, p_inv)

@@ -4,8 +4,9 @@ A 0/1 function whose scaled coefficients all lie in {0, +-u, +-2u} for
 u = 2^(n-k) is supported on one affine subspace of dimension n-k (when
 f^(0) = 1/2^k), or on two of dimension n-k, or -- only when the irreducible
 core has k = 4 -- on four of dimension n-k-1.  This module classifies a
-spectrum, strips the reducible directions while recording how to undo them,
-recovers the subspaces, and verifies every decomposition it emits.
+spectrum, restricts the function to the affine span of its support in one
+change of coordinates, recovers the subspaces, and verifies every
+decomposition it emits.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .gf2 import (
     linear_span,
     max_flat_through,
     orthogonal_complement,
-    transform_sending_to_e1,
+    rref,
+    transform_sending_to_first,
 )
 
 TAG_TRIVIAL = "Trivial"
@@ -117,17 +119,6 @@ def _signed_masks(s: Spectrum, k: int) -> tuple[frozenset[int], frozenset[int]]:
     return plus, minus
 
 
-def _reducible_mask(coeffs: tuple[int, ...]) -> int | None:
-    """Smallest nonzero mask whose coefficient has the magnitude of F(0)."""
-    hits = []
-    for target in {coeffs[0], -coeffs[0]}:
-        try:
-            hits.append(coeffs.index(target, 1))
-        except ValueError:
-            pass
-    return min(hits, default=None)
-
-
 def spectral_sets(s: Spectrum, cls: Classification | None = None) -> SpectralSets:
     """Extract the coefficient sets of a core spectrum and check their sizes.
 
@@ -139,7 +130,8 @@ def spectral_sets(s: Spectrum, cls: Classification | None = None) -> SpectralSet
         cls = classify(s)
     if cls.tag not in (TAG_TWO_SUBSPACE, TAG_EXCEPTIONAL_K4):
         raise ValueError("spectral sets exist only for m = 2 spectra")
-    if _reducible_mask(s.coeffs) is not None:
+    f0 = s.coeffs[0]
+    if s.coeffs.count(f0) + s.coeffs.count(-f0) > 1:
         raise ValueError("spectrum still has a reducible direction; reduce first")
     if sum(s.coeffs) != 1 << s.n:
         # the class sizes below are forced only once the origin is in the
@@ -183,32 +175,25 @@ def triangle_neighbors(rho: int, minus: PointSet) -> PointSet:
 
 
 @dataclass(frozen=True)
-class ReductionStep:
-    """One recorded restriction: optional pre-shift and the transform that
-    moved the chosen mask to e1.  The kept half is always x_1 = 0: the shift
-    makes the chosen coefficient positive, which puts the support there."""
-
-    shift: int | None
-    transform: GF2Matrix
-
-
-@dataclass(frozen=True)
 class ReductionTrace:
     """How a core was reached, plus the core's spectrum, which the reduction
-    carries along instead of transforming the core again."""
+    carries along instead of transforming the core again.
+
+    The core is f(L(y << w) + shift) for y in F_2^core_n, with w =
+    original_n - core_n; transform is L, or None when w = 0.
+    """
 
     original_n: int
     core_n: int
-    steps: tuple[ReductionStep, ...]
+    shift: int
+    transform: GF2Matrix | None
     core_spectrum: Spectrum
 
-    def lift_point(self, x: int) -> int:
+    def lift_point(self, y: int) -> int:
         """Map a core point back to the original coordinates."""
-        for step in reversed(self.steps):
-            x = step.transform.apply(x << 1)
-            if step.shift is not None:
-                x ^= step.shift
-        return x
+        if self.transform is None:
+            return y ^ self.shift
+        return self.transform.apply(y << (self.original_n - self.core_n)) ^ self.shift
 
     def lift_flat(self, flat: AffineSubspace) -> AffineSubspace:
         """Map an affine subspace of the core space back; dimension is kept.
@@ -228,51 +213,53 @@ def reduce_to_core(
     spectrum: Spectrum | None = None,
     cls: Classification | None = None,
 ) -> tuple[BooleanFunction, ReductionTrace]:
-    """Strip reducible directions until the support spans the whole space.
+    """Restrict f to the affine span of its support, with 0 in the support.
 
-    While some nonzero mask carries a coefficient of magnitude F(0), the
-    support lies inside an affine hyperplane: after an optional shift (when
-    the coefficient is negative) and a transform sending the mask to e1, the
-    whole support sits in the first-bit-0 half, which becomes the new
-    function.  The smallest qualifying mask is always chosen, so the core
-    and trace are reproducible.
+    After a shift by the smallest support point, the masks whose
+    coefficient equals F(0) are exactly the annihilator W of the span of
+    the support (no coefficient can equal -F(0), since 0 is a support
+    point).  One transform sends an echelon basis of W to e_1..e_w, which
+    confines the support to x_1 = ... = x_w = 0, and w restrictions to
+    that half leave the core: irreducible, of dimension n - w, with the
+    origin in its support.  When w = 0 the core is the shifted f.
 
     The spectrum of f (and its classification) is computed here unless the
-    caller passes it; every step then updates it by its exact rule instead
-    of transforming again: a shift by a multiplies F(beta) by (-1)^<beta,a>,
-    the transform gathers through beta -> P beta, and keeping the x_1 = 0
-    half leaves G0(b) = G(2b).  The trace carries the core's spectrum.
+    caller passes it; the reduction then carries it by exact rules instead
+    of transforming again: a shift by a multiplies F(beta) by
+    (-1)^<beta,a>, the transform gathers through beta -> P beta, and
+    keeping the x_1 = ... = x_w = 0 part leaves G0(b) = G(b << w).  The
+    trace carries the core's spectrum.
     """
     if spectrum is None:
         spectrum = wht(f)
     if cls is None:
         cls = classify(spectrum)
-    if cls.tag == TAG_OUT_OF_SCOPE:
+    if cls.tag not in IN_SCOPE_TAGS:
         raise SpectrumScopeError("reduction is only defined for in-scope spectra")
-    g = f
-    s = spectrum
-    steps: list[ReductionStep] = []
-    while s.coeffs[0]:
-        alpha = _reducible_mask(s.coeffs)
-        if alpha is None:
-            break
-        a_shift: int | None = None
-        if s.coeffs[alpha] < 0:
-            a_shift = alpha & -alpha  # lowest set bit, so <a_shift, alpha> = 1
-            g = shift(g, a_shift)
-            s = shift_spectrum(s, a_shift)
-        transform = transform_sending_to_e1(g.n, alpha)
-        g = apply_transform(g, transform)
-        s = transform_spectrum(s, transform)
-        g0, g1 = restrict_first_bit(g)
+    origin = (f.table & -f.table).bit_length() - 1
+    g = shift(f, origin)
+    s = shift_spectrum(spectrum, origin)
+    coeffs = s.coeffs
+    f0 = coeffs[0]
+    w = coeffs.count(f0).bit_length() - 1
+    if w == 0:
+        return g, ReductionTrace(f.n, f.n, origin, None, s)
+    # W's members in increasing order come in blocks of growing highest
+    # bit, so the first member at or above 2^(bit length of the last one
+    # found) is a new basis vector: w scans find a basis
+    found = [coeffs.index(f0, 1)]
+    for _ in range(1, w):
+        found.append(coeffs.index(f0, 1 << found[-1].bit_length()))
+    transform = transform_sending_to_first(f.n, rref(found))
+    g = apply_transform(g, transform)
+    for _ in range(w):
+        g, g1 = restrict_first_bit(g)
         if g1.table != 0:
             raise TheoremViolationError(
-                "support was not confined to the restricted half"
+                "support was not confined to the affine span of its points"
             )
-        steps.append(ReductionStep(a_shift, transform))
-        g = g0
-        s = Spectrum(g.n, s.coeffs[0::2])
-    return g, ReductionTrace(f.n, g.n, tuple(steps), s)
+    core_s = Spectrum(g.n, transform_spectrum(s, transform).coeffs[:: 1 << w])
+    return g, ReductionTrace(f.n, g.n, origin, transform, core_s)
 
 
 @dataclass(frozen=True)
@@ -396,13 +383,8 @@ def _decompose_core(
     k = cls.k
     if k == 2:
         return _recover_two_pieces_k2(core, s, sets)
-    if k == 4:
-        minus = sets.minus.members
-        double_sum_count = len(
-            frozenset(b1 ^ b2 for b1 in minus for b2 in minus)
-        )
-        if double_sum_count == 22:
-            return _greedy_four_pieces(core, core.n - k - 1)
+    if k == 4 and len(sets.double_sums) == 21:  # |B + B| = 22 with 0
+        return _greedy_four_pieces(core, core.n - k - 1)
     return _recover_two_pieces(core, sets)
 
 
@@ -468,9 +450,9 @@ def decompose(
 
     f is transformed and classified here unless the caller passes its
     spectrum (and classification), as reduce_to_core does.  The reduction
-    carries the spectrum to the core, whose classification follows from the
-    number of steps: each one keeps every coefficient value and drops n by
-    one, so k drops by one and m stays.
+    carries the spectrum to the core, whose classification follows from its
+    dimension: the core keeps every coefficient value and drops n by w, so
+    k drops by w and m stays.
     """
     if f.is_zero:
         raise SpectrumScopeError("the zero function has no affine decomposition")
@@ -489,20 +471,10 @@ def decompose(
             return dec
     else:
         core, trace = reduce_to_core(f, s, cls)
-        core_cls = _in_scope(cls.k - len(trace.steps), cls.m)
-        # the set extraction needs the origin inside the support; normalize
-        # with a shift by the smallest support point and move the pieces
-        # back afterwards
-        origin = (core.table & -core.table).bit_length() - 1
-        normalized = shift(core, origin)
-        core_s = shift_spectrum(trace.core_spectrum, origin)
-        primary = _decompose_core(normalized, core_s, core_cls)
-        for core_pieces in _candidate_partitions(normalized, core_cls, primary):
-            pieces = tuple(
-                trace.lift_flat(AffineSubspace(p.shift ^ origin, p.direction))
-                for p in core_pieces
-            )
-            dec = Decomposition(pieces, cls)
+        core_cls = _in_scope(cls.k - (n - trace.core_n), cls.m)
+        primary = _decompose_core(core, trace.core_spectrum, core_cls)
+        for core_pieces in _candidate_partitions(core, core_cls, primary):
+            dec = Decomposition(tuple(map(trace.lift_flat, core_pieces)), cls)
             if verify_decomposition(f, dec):
                 return dec
     raise TheoremViolationError(

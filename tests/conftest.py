@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from f2spec.boolfunc import BooleanFunction
 from f2spec.fourier import Spectrum
@@ -105,6 +106,21 @@ def oracle_granularity(s: Spectrum) -> int:
         (Fraction(c, 1 << s.n).denominator.bit_length() - 1 for c in s.coeffs if c),
         default=0,
     )
+
+
+def oracle_even_zohar_s(k: Fraction) -> int:
+    """Count s up from 1 until the bracket [low(s), low(s + 1)) contains k,
+    where low(s) = (C(s,2) + s + 1) / (s + 1); compared by cross-multiplying.
+    Linear in k: the closed form in addcomb must match it."""
+    p, q = k.numerator, k.denominator
+
+    def starts_at_or_below(s: int) -> bool:
+        return (comb(s, 2) + s + 1) * q <= p * (s + 1)
+
+    s = 1
+    while not (starts_at_or_below(s) and not starts_at_or_below(s + 1)):
+        s += 1
+    return s
 
 
 # ---- bit-at-a-time reference versions of the table plumbing -----------

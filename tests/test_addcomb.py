@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -16,6 +17,8 @@ from f2spec.addcomb import (
     laba_check,
     sumset,
 )
+
+from conftest import oracle_even_zohar_s
 
 CE_MINUS_CLASS = PointSet.of(6, [1, 2, 4, 8, 16, 32, 63])
 
@@ -103,10 +106,34 @@ def test_even_zohar_s_anchors():
 
 
 def test_even_zohar_s_brackets_by_direct_evaluation():
-    # s = 1 bracket is [1, 4/3); s = 2 is [4/3, 2); spot check the seams
+    # s = 1 bracket is [1, 4/3); s = 2 is [4/3, 7/4); spot check the seams
     assert even_zohar_s(Fraction(4, 3)) == 2
     assert even_zohar_s(Fraction(133, 100)) == 1
     assert even_zohar_s(Fraction(2)) == 3
+
+
+def test_even_zohar_s_matches_the_counting_oracle():
+    grid = {Fraction(p, q) for q in range(1, 40) for p in range(q, 40 * q)}
+    for k in grid:
+        assert even_zohar_s(k) == oracle_even_zohar_s(k), k
+    eps = Fraction(1, 10**9)
+    for s in range(1, 3000):
+        low = Fraction(comb(s, 2) + s + 1, s + 1)
+        assert even_zohar_s(low) == s
+        if s > 1:
+            assert even_zohar_s(low - eps) == s - 1
+        if s < 400:
+            assert oracle_even_zohar_s(low) == s
+            assert s == 1 or oracle_even_zohar_s(low - eps) == s - 1
+
+
+def test_even_zohar_s_at_large_k():
+    # out of reach of the counting loop, which needs about 2K steps
+    assert even_zohar_s(Fraction(10**6)) == 1999999
+    for k in (Fraction(10**6), Fraction(10**30 + 1, 3), Fraction(2**200 - 1, 7)):
+        s = even_zohar_s(k)
+        assert Fraction(comb(s, 2) + s + 1, s + 1) <= k
+        assert k < Fraction(comb(s + 1, 2) + s + 2, s + 2)
 
 
 def test_even_zohar_bound_anchors():

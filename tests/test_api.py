@@ -46,7 +46,7 @@ PUBLIC_API = [
     "spectral_sets",
     "sumset",
     "tensor",
-    "transform_sending_to_e1",
+    "transform_sending_to_first",
     "triangle_neighbors",
     "verify_decomposition",
     "wht",

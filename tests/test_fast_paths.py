@@ -37,7 +37,7 @@ from f2spec.gf2 import (
     iter_affine_masks,
     iter_subspaces,
     max_flat_through,
-    transform_sending_to_e1,
+    transform_sending_to_first,
 )
 from f2spec.harness import SplitMix64, random_invertible, random_vector
 
@@ -77,16 +77,16 @@ def check_plumbing(n: int, table: int, shifts, transforms) -> None:
 def test_plumbing_matches_oracles_on_every_table_up_to_n3():
     for n in (1, 2, 3):
         size = 1 << n
-        transforms = [transform_sending_to_e1(n, a) for a in range(1, size)]
+        transforms = [transform_sending_to_first(n, (a,)) for a in range(1, size)]
         for table in range(1 << size):
             check_plumbing(n, table, range(size), transforms)
 
 
 def test_plumbing_matches_oracles_on_every_n4_table():
-    # every table, each with one shift and one transform_sending_to_e1 in
+    # every table, each with one shift and one transform_sending_to_first in
     # rotation: each of the 16 shifts meets 4096 tables, each transform
     # about 4369; the full cross product is a million calls per operation
-    transforms = [transform_sending_to_e1(4, a) for a in range(1, 16)]
+    transforms = [transform_sending_to_first(4, (a,)) for a in range(1, 16)]
     for table in range(1 << 16):
         check_plumbing(4, table, [table % 16], [transforms[table % 15]])
 
@@ -129,7 +129,7 @@ def max_flat_through_reference(n, point, supp):
 def test_spectral_rules_match_transforms_exhaustively_up_to_n3():
     for n in (1, 2, 3):
         size = 1 << n
-        transforms = [transform_sending_to_e1(n, a) for a in range(1, size)]
+        transforms = [transform_sending_to_first(n, (a,)) for a in range(1, size)]
         for table in range(1 << size):
             f = BooleanFunction(n, table)
             s = wht(f)
@@ -137,6 +137,23 @@ def test_spectral_rules_match_transforms_exhaustively_up_to_n3():
                 assert shift_spectrum(s, a) == wht(shift(f, a))
             for m in transforms:
                 assert transform_spectrum(s, m) == wht(apply_transform(f, m))
+
+
+def test_transform_sending_to_first_moves_every_rref_basis():
+    rng = random.Random(5)
+    bases = 0
+    for n in range(1, 6):
+        for d in range(1, n + 1):
+            for sub in iter_subspaces(n, d):
+                m = transform_sending_to_first(n, sub.basis)
+                f = BooleanFunction(n, rng.getrandbits(1 << n))
+                s = wht(f)
+                g = wht(apply_transform(f, m))
+                for i, beta in enumerate(sub.basis):
+                    assert g.coeffs[1 << i] == s.coeffs[beta]
+                assert transform_spectrum(s, m) == g
+                bases += 1
+    assert bases == 459
 
 
 @st.composite
@@ -152,7 +169,7 @@ def tables_with_actions(draw, max_n=12):
 @given(tables_with_actions())
 def test_plumbing_matches_oracles_hypothesis(case):
     n, table, a, m = case
-    check_plumbing(n, table, [a], [m, transform_sending_to_e1(n, a or 1)])
+    check_plumbing(n, table, [a], [m, transform_sending_to_first(n, (a or 1,))])
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,8 +273,8 @@ def test_decompose_transforms_and_classifies_once(monkeypatch):
         affine_indicator(6, 2),
         two_affine(7, 3),
         counterexample_padded(8),
-        padded,  # two reduction steps
-        shift(tensor(two_affine(5, 2), delta(1)), 1 << 5),  # a shifted step
+        padded,  # a codimension-2 span
+        shift(tensor(two_affine(5, 2), delta(1)), 1 << 5),  # 0 off the support
         tensor(counterexample_padded(7), delta(2)),
         shift(apply_transform(padded, random_invertible(7, rng)), random_vector(7, rng)),
     ]
@@ -283,6 +300,6 @@ def test_reduction_carries_the_core_spectrum_and_classification():
             cls = structure.classify(s)
             core, trace = structure.reduce_to_core(f, s, cls)
             assert trace.core_spectrum == wht(core)
-            derived = structure._in_scope(cls.k - len(trace.steps), cls.m)
+            derived = structure._in_scope(cls.k - (n - trace.core_n), cls.m)
             assert derived == structure.classify(wht(core))
 

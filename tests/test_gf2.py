@@ -15,7 +15,7 @@ from f2spec.gf2 import (
     linear_span,
     max_flat_through,
     orthogonal_complement,
-    transform_sending_to_e1,
+    transform_sending_to_first,
 )
 
 from conftest import dot, is_full_affine_subspace, oracle_transform_sending_to_e1
@@ -105,7 +105,7 @@ def test_orthogonal_complement_of_standard_span():
 
 
 def test_orthogonal_complement_of_zero_subspace():
-    w = orthogonal_complement(Subspace.zero(3))
+    w = orthogonal_complement(Subspace(3, ()))
     assert w.dim == 3
 
 
@@ -133,12 +133,21 @@ def test_is_full_affine_subspace():
 
 
 def test_transform_sending_e1_to_e1_is_identity():
-    assert transform_sending_to_e1(4, 1) == GF2Matrix.identity(4)
+    assert transform_sending_to_first(4, (1,)) == GF2Matrix.identity(4)
 
 
 def test_transform_rejects_zero():
     with pytest.raises(ValueError):
-        transform_sending_to_e1(4, 0)
+        transform_sending_to_first(4, (0,))
+
+
+def test_transform_sending_to_first_needs_an_echelon_basis():
+    # rows sharing a highest bit, a zero row, a vector too wide
+    for basis in [(3, 2), (5, 4, 1), (2, 0), (16,)]:
+        with pytest.raises(ValueError):
+            transform_sending_to_first(4, basis)
+    assert transform_sending_to_first(4, ()) == GF2Matrix.identity(4)
+    assert transform_sending_to_first(3, (4, 2, 1)) == GF2Matrix.from_rows(3, [4, 2, 1])
 
 
 def test_transform_moves_or_coefficient():
@@ -148,7 +157,7 @@ def test_transform_moves_or_coefficient():
     from f2spec.fourier import wht
 
     f = BooleanFunction(2, 0b1110)
-    m = transform_sending_to_e1(2, 3)
+    m = transform_sending_to_first(2, (3,))
     g = apply_transform(f, m)
     assert wht(g).coeffs[1] == wht(f).coeffs[3] == -1
 
@@ -157,7 +166,7 @@ def test_transform_matches_echelon_completion_oracle_up_to_n10():
     for n in range(1, 11):
         for alpha in range(1, 1 << n):
             expected = oracle_transform_sending_to_e1(n, alpha)
-            assert transform_sending_to_e1(n, alpha) == expected
+            assert transform_sending_to_first(n, (alpha,)) == expected
 
 
 def test_transform_composed_with_inverse_is_identity_pointwise():
@@ -165,7 +174,7 @@ def test_transform_composed_with_inverse_is_identity_pointwise():
     for _ in range(40):
         n = rng.randint(1, 8)
         alpha = rng.randrange(1, 1 << n)
-        m = transform_sending_to_e1(n, alpha)
+        m = transform_sending_to_first(n, (alpha,))
         for _ in range(10):
             x = rng.randrange(1 << n)
             assert m.apply_inverse(m.apply(x)) == x

@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from f2spec import structure
 from f2spec.addcomb import sumset
 from f2spec.boolfunc import BooleanFunction, apply_transform, shift, tensor
 from f2spec.errors import SpectrumScopeError
@@ -15,6 +18,7 @@ from f2spec.fourier import wht
 from f2spec.gf2 import (
     AffineSubspace,
     Subspace,
+    affine_span,
     iter_affine_masks,
     linear_span,
 )
@@ -36,7 +40,7 @@ from f2spec.structure import (
     verify_decomposition,
 )
 
-from conftest import is_full_affine_subspace, oracle_is_irreducible
+from conftest import is_full_affine_subspace, oracle_is_irreducible, span_points
 
 OR2 = BooleanFunction(2, 0b1110)
 
@@ -207,15 +211,17 @@ def test_reduce_tensor_with_delta_recovers_core_exactly():
     padded = tensor(base, delta(2))
     core, trace = reduce_to_core(padded)
     assert core == base
-    assert len(trace.steps) == 2
     assert trace.original_n == 7 and trace.core_n == 5
+    # 0 is a support point and W = span(e6, e7): the lift is the inclusion
+    assert trace.shift == 0
+    assert [trace.lift_point(y) for y in range(32)] == list(range(32))
 
 
 def test_reduce_irreducible_is_identity():
     f = counterexample_core()
     core, trace = reduce_to_core(f)
     assert core == f
-    assert trace.steps == ()
+    assert (trace.core_n, trace.shift, trace.transform) == (6, 0, None)
 
 
 def test_reduce_handles_negative_coefficient_via_shift():
@@ -225,8 +231,8 @@ def test_reduce_handles_negative_coefficient_via_shift():
     assert wht(flipped).coeffs[32] == -wht(flipped).coeffs[0]
     core, trace = reduce_to_core(flipped)
     assert core == two_affine(5, 2)
-    assert len(trace.steps) == 1
-    assert trace.steps[0].shift == 1 << 5
+    assert trace.core_n == 5
+    assert trace.shift == 1 << 5
 
 
 def test_reduce_trace_lifts_core_support_onto_original():
@@ -243,9 +249,9 @@ def test_reduce_trace_lifts_core_support_onto_original():
 
 
 def _seeded_reducible_images():
-    """Random images of two instances that reduce in two steps: two-affine
-    k = 3 embedded in a codimension-2 subspace, and the counterexample
-    tensored with the point indicator on two more inputs."""
+    """Random images of two instances whose support spans a codimension-2
+    flat: two-affine k = 3 embedded in a codimension-2 subspace, and the
+    counterexample tensored with the point indicator on two more inputs."""
     rng = SplitMix64(17)
     images = []
     for base in (tensor(two_affine(7, 3), delta(2)), tensor(counterexample_core(), delta(2))):
@@ -255,12 +261,11 @@ def _seeded_reducible_images():
     return images
 
 
-def test_reduce_to_core_ends_irreducible_one_dimension_per_step():
+def test_reduce_to_core_ends_irreducible_on_the_affine_span():
     for f in _seeded_reducible_images():
         core, trace = reduce_to_core(f)
         assert oracle_is_irreducible(core)
-        assert core.n == f.n - len(trace.steps) == trace.core_n
-        assert len(trace.steps) == 2
+        assert core.n == f.n - 2 == trace.core_n
 
 
 def test_lift_flat_lifts_every_point():
@@ -275,9 +280,41 @@ def test_lift_flat_lifts_every_point():
             assert set(lifted.points()) == {trace.lift_point(x) for x in flat.points()}
 
 
+@functools.cache
+def _two_subspace_tables_up_to_n4():
+    """(f, spectrum, classification) for every in-scope m = 2 table, n <= 4."""
+    cases = []
+    for n in range(1, 5):
+        for table in range(1, 1 << (1 << n)):
+            f = BooleanFunction(n, table)
+            s = wht(f)
+            cls = classify(s)
+            if cls.tag in (TAG_TWO_SUBSPACE, TAG_EXCEPTIONAL_K4):
+                cases.append((f, s, cls))
+    return tuple(cases)
+
+
+def test_reduce_to_core_restricts_to_the_affine_span():
+    cases = list(_two_subspace_tables_up_to_n4())
+    assert len(cases) > 2520  # the 2,520 tables at n = 4 and the smaller ones
+    cases += [(f, wht(f), None) for f in _seeded_reducible_images()]
+    for f, s, cls in cases:
+        core, trace = reduce_to_core(f, s, cls)
+        assert core.value(0)
+        assert oracle_is_irreducible(core)
+        assert trace.core_n == core.n == affine_span(f.n, f.support()).dim
+        assert trace.core_spectrum == wht(core)
+        assert {trace.lift_point(y) for y in core.support()} == f.support()
+
+
 def test_reduce_rejects_out_of_scope():
     with pytest.raises(SpectrumScopeError):
         reduce_to_core(OR2)
+
+
+def test_reduce_rejects_the_zero_function():
+    with pytest.raises(SpectrumScopeError):
+        reduce_to_core(BooleanFunction(3, 0))
 
 
 # ------------------------------------------------------------- decompose
@@ -375,6 +412,75 @@ def test_decompose_with_the_callers_spectrum_matches_n4():
         assert decompose(f, s, cls) == decompose(f)
         checked += 1
     assert checked == 2827
+
+
+def _is_mandated_partition(f, dec) -> bool:
+    """Point-set check of a decomposition, independent of the library's
+    verification: each piece's points are built here from its shift and
+    basis; the dimensions are the mandated ones, the pieces are pairwise
+    disjoint, and their union is the support."""
+    k, m = dec.classification.k, dec.classification.m
+    core_k = k - (f.n - affine_span(f.n, f.support()).dim)
+    dims = sorted(p.dim for p in dec.pieces)
+    if m == 1:
+        mandated = dims == [f.n - k]
+    else:
+        mandated = dims == [f.n - k] * 2 or (core_k == 4 and dims == [f.n - k - 1] * 4)
+    union = set()
+    for piece in dec.pieces:
+        pts = {piece.shift ^ x for x in span_points(list(piece.direction.basis))}
+        if len(pts) != 1 << piece.dim or union & pts:
+            return False
+        union |= pts
+    return mandated and union == f.support()
+
+
+def test_decompose_partitions_the_support_into_mandated_flats():
+    rng = SplitMix64(29)
+    cases = [f for f, _, _ in _two_subspace_tables_up_to_n4()] + _seeded_reducible_images()
+    for base in (
+        tensor(two_affine(3, 2), delta(2)),
+        tensor(two_affine(5, 2), delta(3)),
+        tensor(counterexample_core(), delta(3)),
+        tensor(two_affine(7, 4), delta(2)),
+    ):
+        for _ in range(3):
+            m = random_invertible(base.n, rng)
+            cases.append(shift(apply_transform(base, m), random_vector(base.n, rng)))
+    for f in cases:
+        assert _is_mandated_partition(f, decompose(f)), f
+
+
+def test_structural_recovery_needs_no_partition_search(monkeypatch):
+    def search(*args):
+        raise AssertionError("the exhaustive partition search ran")
+
+    monkeypatch.setattr(structure, "find_flat_partition", search)
+    rng = SplitMix64(41)
+    for base in (
+        counterexample_core(),
+        counterexample_padded(8),
+        tensor(counterexample_core(), delta(2)),
+        two_affine(3, 2),
+        tensor(two_affine(5, 2), delta(2)),
+        two_affine(7, 3),
+        tensor(two_affine(7, 4), delta(1)),
+    ):
+        for _ in range(3):
+            m = random_invertible(base.n, rng)
+            f = shift(apply_transform(base, m), random_vector(base.n, rng))
+            assert _is_mandated_partition(f, decompose(f)), f
+
+
+def test_decompose_of_an_irreducible_image_builds_no_matrix(monkeypatch):
+    calls = []
+    for name in ("transform_sending_to_first", "restrict_first_bit", "apply_transform"):
+        monkeypatch.setattr(structure, name, lambda *args, _n=name: calls.append(_n))
+    rng = SplitMix64(31)
+    f = shift(apply_transform(two_affine(8, 3), random_invertible(8, rng)), random_vector(8, rng))
+    dec = decompose(f)
+    assert calls == []
+    assert _is_mandated_partition(f, dec)
 
 
 def test_decompose_rejects_out_of_scope_and_zero():
