@@ -7,12 +7,16 @@ arithmetic; no floating point appears anywhere.
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, mul, neg, or_, sub
+from operator import mul, neg, or_
+from typing import Sequence
 
 from .boolfunc import BooleanFunction
-from .gf2 import GF2Matrix, int_to_bits
+from .gf2 import int_to_bits
 
 
 @dataclass(frozen=True)
@@ -27,30 +31,102 @@ class Spectrum:
             raise ValueError("coefficient array must have 2^n entries")
 
 
-def butterfly(values: list[int]) -> None:
-    """In-place Walsh-Hadamard butterfly; applying it twice scales by 2^n.
+def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
+    """Walsh-Hadamard transform of each consecutive block of 2^n entries.
 
-    Constant-geometry form: each of the n stages pairs the even and odd
-    entries, writing the sums to the first half and the differences to the
-    second.  A stage transforms the lowest index bit and rotates it to the
-    top, so after n stages the output is in natural order.
+    Exact for any integers; applying it twice scales every entry by 2^n.
+    Every entry is one lane of a single Python int, stored with a bias of
+    half the lane's range so that a lane never goes negative.  A stage with
+    stride s pairs lane j with lane j + s for each j whose bit s is clear;
+    with M the mask of those lanes and B the bias restricted to them,
+
+        a = x & M,  b = (x >> s*width) & M,
+        x = (a + b - B) | ((a + B - b) << s*width)
+
+    leaves the biased sum in lane j and the biased difference in lane
+    j + s.  The lane is the narrowest of 16, 32 and 64 bits (or a whole
+    number of bytes beyond) that holds max|v| * 2^n with its sign, so no
+    lane carries into or borrows from its neighbour at any stage.  Strides
+    stay below 2^n, so the blocks of one call never mix.
     """
-    half = len(values) >> 1
-    for _ in range(half.bit_length()):
-        even = values[0::2]
-        odd = values[1::2]
-        values[:half] = map(add, even, odd)
-        values[half:] = map(sub, even, odd)
+    size = 1 << n
+    count = len(values)
+    if count % size:
+        raise ValueError(f"length {count} is not a multiple of 2^{n}")
+    if not count:
+        return ()
+    raw = isinstance(values, (bytes, bytearray))
+    if raw:  # a truth table's bytes are all 0/1: delete those at C speed
+        peak = max(values.translate(None, b"\x00\x01") or b"\x01")
+    else:
+        peak = max(max(values), -min(values))
+    need = (peak << n).bit_length() + 1
+    width = next((w for w in (16, 32, 64) if need <= w), -(-need // 8) * 8)
+    nb = width >> 3
+    lane_bias = bytes(nb - 1) + b"\x80"
+    bias = int.from_bytes(lane_bias * count, "little")
+    if raw:
+        buf = bytearray(lane_bias * count)
+        buf[0::nb] = values
+        x = int.from_bytes(buf, "little")
+        del buf
+    else:
+        x = int.from_bytes(_pack(values, width), "little") ^ bias
+    # every whole-int temporary is as large as x: drop each one as soon as
+    # it is used
+    for i in range(n):
+        shift = width << i
+        mask = int.from_bytes(
+            (b"\xff" * (nb << i) + bytes(nb << i)) * (count >> (i + 1)), "little"
+        )
+        a = x & mask
+        b = (x >> shift) & mask
+        del x
+        low_bias = bias & mask
+        del mask
+        x = a + b - low_bias
+        del b, low_bias
+        x |= ((a << 1) - x) << shift  # 2a - (a + b - B) = a + B - b
+        del a
+    data = (x ^ bias).to_bytes(count * nb, "little")
+    del x, bias
+    return _unpack(data, width)
+
+
+# array and struct codes of the signed lanes of each standard width
+_LANE_CODES = {16: "h", 32: "i", 64: "q"}
+
+
+def _pack(values: Sequence[int], width: int) -> bytes | array:
+    """Two's-complement little-endian lanes of the given width.  An array
+    packs without the argument tuple that struct.pack(*values) copies."""
+    code = _LANE_CODES.get(width)
+    if code is None:
+        nb = width >> 3
+        return b"".join(v.to_bytes(nb, "little", signed=True) for v in values)
+    lanes = array(code, values)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
+
+
+def _unpack(data: bytes, width: int) -> tuple[int, ...]:
+    """Inverse of _pack, straight into a tuple."""
+    nb = width >> 3
+    code = _LANE_CODES.get(width)
+    if code is None:
+        return tuple(
+            int.from_bytes(data[k : k + nb], "little", signed=True)
+            for k in range(0, len(data), nb)
+        )
+    return struct.unpack(f"<{len(data) // nb}{code}", data)
 
 
 def wht(f: BooleanFunction) -> Spectrum:
-    """Exact transform of a 0/1 truth table via the in-place butterfly.
-
-    The table is unpacked in one linear pass (gf2.int_to_bits).
-    """
-    vals = list(int_to_bits(f.table, 1 << f.n))
-    butterfly(vals)
-    return Spectrum(f.n, tuple(vals))
+    """Exact transform of a 0/1 truth table: the 0/1 bytes of the table
+    (gf2.int_to_bits, one linear pass) go straight into the lanes of the
+    butterfly."""
+    return Spectrum(f.n, butterfly(int_to_bits(f.table, 1 << f.n), f.n))
 
 
 def shift_spectrum(s: Spectrum, a: int) -> Spectrum:
@@ -61,13 +137,6 @@ def shift_spectrum(s: Spectrum, a: int) -> Spectrum:
     for i in range(s.n):
         signs += list(map(neg, signs)) if (a >> i) & 1 else signs
     return Spectrum(s.n, tuple(map(mul, s.coeffs, signs)))
-
-
-def transform_spectrum(s: Spectrum, m: GF2Matrix) -> Spectrum:
-    """Spectrum of x -> f(Mx) from the spectrum of f: G(gamma) = F(P gamma)
-    with P = (M^-1)^T, a gather through the images of P."""
-    images = m.inverse().transpose().images()
-    return Spectrum(s.n, tuple(map(s.coeffs.__getitem__, images)))
 
 
 def granularity(s: Spectrum) -> int:
@@ -93,7 +162,5 @@ def sparsity(s: Spectrum) -> int:
 def is_boolean_spectrum(s: Spectrum) -> bool:
     """Whether the spectrum belongs to a 0/1-valued function: inverts the
     transform and range-checks the values, in O(n 2^n)."""
-    vals = list(s.coeffs)
-    butterfly(vals)
     size = 1 << s.n
-    return all(v == 0 or v == size for v in vals)
+    return all(v == 0 or v == size for v in butterfly(s.coeffs, s.n))

@@ -22,7 +22,6 @@ from .fourier import (
     Spectrum,
     granularity,
     shift_spectrum,
-    transform_spectrum,
     wht,
 )
 from .gf2 import (
@@ -258,7 +257,12 @@ def reduce_to_core(
             raise TheoremViolationError(
                 "support was not confined to the affine span of its points"
             )
-    core_s = Spectrum(g.n, transform_spectrum(s, transform).coeffs[:: 1 << w])
+    # the core keeps G(b << w) = F(P (b << w)) with P = (L^-1)^T, whose
+    # columns w+1..n are the rows w+1..n of L^-1: gather only those images
+    images = [0]
+    for col in transform.inverse_rows[w:]:
+        images += list(map(col.__xor__, images))
+    core_s = Spectrum(g.n, tuple(map(coeffs.__getitem__, images)))
     return g, ReductionTrace(f.n, g.n, origin, transform, core_s)
 
 

@@ -147,6 +147,14 @@ def oracle_butterfly(values: list[int]) -> None:
         h <<= 1
 
 
+def transform_spectrum(s: Spectrum, m: GF2Matrix) -> Spectrum:
+    """Spectrum of x -> f(Mx) from the spectrum of f: G(gamma) = F(P gamma)
+    with P = (M^-1)^T, a gather through the images of P of all 2^n masks.
+    structure.reduce_to_core gathers only the images it keeps."""
+    images = m.inverse().transpose().images()
+    return Spectrum(s.n, tuple(map(s.coeffs.__getitem__, images)))
+
+
 def oracle_support(n: int, table: int) -> frozenset[int]:
     return frozenset(x for x in range(1 << n) if (table >> x) & 1)
 

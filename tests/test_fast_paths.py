@@ -1,10 +1,11 @@
-"""The linear-pass table plumbing, the constant-geometry butterfly, the
+"""The linear-pass table plumbing, the lane-packed butterfly, the
 bitset greedy, the spectral reduction rules and the whole-mask flat
 enumeration against their bit-at-a-time references in conftest,
 exhaustively at small n and by hypothesis up to n = 12."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +25,10 @@ from f2spec.families import (
     two_affine,
 )
 from f2spec.fourier import (
+    Spectrum,
     butterfly,
+    is_boolean_spectrum,
     shift_spectrum,
-    transform_spectrum,
     wht,
 )
 from f2spec.gf2 import (
@@ -52,6 +54,7 @@ from conftest import (
     oracle_subspaces,
     oracle_support,
     oracle_unpack,
+    transform_spectrum,
 )
 
 
@@ -98,14 +101,69 @@ def test_bits_round_trip():
         assert bits_to_int(bytearray(int_to_bits(value, size))) == value
 
 
+def oracle_blocks(values, n: int) -> tuple[int, ...]:
+    """The loop oracle applied to each consecutive block of 2^n entries."""
+    out = []
+    for lo in range(0, len(values), 1 << n):
+        block = list(values[lo : lo + (1 << n)])
+        oracle_butterfly(block)
+        out += block
+    return tuple(out)
+
+
 def test_butterfly_matches_loop_oracle_on_integer_vectors():
     rng = random.Random(11)
     for n in range(0, 11):
-        values = [rng.randint(-50, 50) for _ in range(1 << n)]
-        expected = list(values)
-        oracle_butterfly(expected)
-        butterfly(values)
-        assert values == expected
+        for blocks in (1, 2, 5):
+            values = [rng.randint(-50, 50) for _ in range(blocks << n)]
+            expected = oracle_blocks(values, n)
+            assert butterfly(values, n) == expected
+            assert butterfly(tuple(values), n) == expected
+            raw = bytes(rng.randrange(256) for _ in range(blocks << n))
+            assert butterfly(raw, n) == oracle_blocks(raw, n)
+            table = bytes(rng.randrange(2) for _ in range(blocks << n))
+            assert butterfly(table, n) == oracle_blocks(table, n)
+
+
+def test_butterfly_is_exact_on_both_sides_of_every_lane_width():
+    # the lane holds max|v| * 2^n with its sign; each product sits on one
+    # side of the 16-, 32- and 64-bit lanes, or far past them
+    for n in (0, 1, 3, 6):
+        for product in (
+            (1 << 15) - 1,
+            1 << 15,
+            (1 << 31) - 1,
+            1 << 31,
+            (1 << 63) - 1,
+            1 << 63,
+            1 << 70,
+        ):
+            peak = product >> n  # the largest peak with peak * 2^n <= product
+            for blocks in (1, 3):
+                for values in (
+                    [peak] * (blocks << n),
+                    [-peak] * (blocks << n),
+                    [(-peak, peak, 0, -1)[i % 4] for i in range(blocks << n)],
+                    [peak if i % 3 else -peak for i in range(blocks << n)],
+                ):
+                    assert butterfly(values, n) == oracle_blocks(values, n), (n, product)
+
+
+def test_butterfly_of_nothing_and_of_ragged_lengths():
+    for n in range(0, 5):
+        assert butterfly([], n) == ()
+        assert butterfly(b"", n) == ()
+    for values, n in (([1, 2, 3], 2), (b"\x00\x01\x00", 1), ((1,) * 17, 4), ([5], 1)):
+        with pytest.raises(ValueError):
+            butterfly(values, n)
+
+
+def test_is_boolean_spectrum_rejects_a_coefficient_past_every_lane():
+    coeffs = [0] * 8
+    coeffs[3] = -(1 << 70)
+    assert not is_boolean_spectrum(Spectrum(3, tuple(coeffs)))
+    coeffs[0] = 1 << 70
+    assert not is_boolean_spectrum(Spectrum(3, tuple(coeffs)))
 
 
 def test_max_flat_through_matches_set_greedy_exhaustively():

@@ -111,11 +111,78 @@ def test_enumerate_verify_transforms_classifies_and_verifies_once(monkeypatch):
         "verify_decomposition",
         counted("verify_decomposition", structure.verify_decomposition),
     )
+    monkeypatch.setattr(harness, "butterfly", counted("butterfly", harness.butterfly))
     r = enumerate_verify(3)
     assert r.violations == []
     in_scope = r.counts["RvL"] + r.counts["TwoSubspace"] + r.counts["ExceptionalK4Candidate"]
     assert in_scope == 107
     assert (calls["wht"], calls["classify"], calls["verify_decomposition"]) == (0, 256, in_scope)
+    # all 256 tables fit in one chunk: one transform and one round trip
+    assert calls["butterfly"] == 2
+
+
+def test_enumerate_verify_range_rejects_bad_arguments():
+    for n, start, stop in (
+        (4, -3, 2),  # negative tables
+        (5, 0, 4),  # past the exhaustive limit
+        (0, 0, 1),
+        (4, 5, 3),  # stop before start
+        (4, 0, (1 << 16) + 1),  # past the last table
+        (2, 16, 17),
+    ):
+        with pytest.raises(ValueError):
+            enumerate_verify_range(n, start, stop)
+    empty = enumerate_verify_range(4, 7, 7)
+    assert empty.examined == 0
+    assert empty.violations == []
+    assert set(empty.counts.values()) == {0}
+    assert enumerate_verify_range(2, 16, 16).examined == 0
+
+
+def test_chunked_range_matches_merged_ranges():
+    # 1000..3100 spans three chunks, none aligned to a multiple of 1,024
+    whole = enumerate_verify_range(4, 1000, 3100)
+    merged = merge_reports(
+        enumerate_verify_range(4, 1000, 2048), enumerate_verify_range(4, 2048, 3100)
+    )
+    assert whole.examined == merged.examined == 2100
+    assert whole.counts == merged.counts
+    assert whole.violations == merged.violations == []
+
+
+def test_round_trip_failure_names_only_the_corrupted_table(monkeypatch):
+    real = harness.butterfly
+    seen = []
+
+    def corrupt_round_trip(values, n):
+        out = real(values, n)
+        seen.append(len(values))
+        if len(seen) == 2:  # the round trip of the first chunk
+            lanes = list(out)
+            lanes[37 * 16 + 5] += 1
+            return tuple(lanes)
+        return out
+
+    monkeypatch.setattr(harness, "butterfly", corrupt_round_trip)
+    r = enumerate_verify_range(4, 1000, 3000)
+    assert r.examined == 2000
+    assert r.violations == [(1037, "round_trip")]
+
+
+def test_enumerate_verify_transforms_a_bounded_chunk_per_call(monkeypatch):
+    real = harness.butterfly
+    sizes = []
+
+    def recording(values, n):
+        sizes.append(len(values))
+        return real(values, n)
+
+    monkeypatch.setattr(harness, "butterfly", recording)
+    r = enumerate_verify(4)
+    assert r.violations == [] and r.examined == 1 << 16
+    assert max(sizes) <= 1024 * 16
+    # 64 chunks of 1,024 tables, each transformed and round-tripped once
+    assert len(sizes) == 2 * 64
 
 
 def test_enumerate_verify_kill_bound_check_is_live():

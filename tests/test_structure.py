@@ -14,7 +14,7 @@ from f2spec.families import (
     delta,
     two_affine,
 )
-from f2spec.fourier import wht
+from f2spec.fourier import shift_spectrum, wht
 from f2spec.gf2 import (
     AffineSubspace,
     Subspace,
@@ -40,7 +40,12 @@ from f2spec.structure import (
     verify_decomposition,
 )
 
-from conftest import is_full_affine_subspace, oracle_is_irreducible, span_points
+from conftest import (
+    is_full_affine_subspace,
+    oracle_is_irreducible,
+    span_points,
+    transform_spectrum,
+)
 
 OR2 = BooleanFunction(2, 0b1110)
 
@@ -305,6 +310,31 @@ def test_reduce_to_core_restricts_to_the_affine_span():
         assert trace.core_n == core.n == affine_span(f.n, f.support()).dim
         assert trace.core_spectrum == wht(core)
         assert {trace.lift_point(y) for y in core.support()} == f.support()
+
+
+def test_core_spectrum_gathers_only_the_kept_coefficients():
+    # reduce_to_core gathers the 2^(n-w) coefficients it keeps; the oracle
+    # gathers all 2^n through the transform and keeps every 2^w-th
+    cases = [(f, wht(f), None) for f in _seeded_reducible_images()]
+    for table in range(1, 1 << 16):
+        f = BooleanFunction(4, table)
+        s = wht(f)
+        cls = classify(s)
+        if cls.tag in structure.IN_SCOPE_TAGS:
+            cases.append((f, s, cls))
+    reducible = 0
+    for f, s, cls in cases:
+        core, trace = reduce_to_core(f, s, cls)
+        w = f.n - trace.core_n
+        if w == 0:
+            continue
+        reducible += 1
+        moved = transform_spectrum(shift_spectrum(s, trace.shift), trace.transform)
+        assert trace.core_spectrum.coeffs == moved.coeffs[:: 1 << w]
+        assert trace.core_spectrum == wht(core)
+    # the eight seeded images and the 1,986 in-scope n = 4 tables whose
+    # support spans a proper flat
+    assert reducible == 8 + 1986
 
 
 def test_reduce_rejects_out_of_scope():
