@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .addcomb import (
+    PointSet,
     _bound_in_bracket,
     doubling_constant,
     even_zohar_s,
@@ -35,6 +36,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SCOPE = 3
 EXIT_VIOLATION = 4
+
+# sumset, doubling, sumfree and laba each form all |A| |B| sums; at the cap
+# one run takes 1-2 s
+MAX_SET_PAIRS = 1 << 24
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,25 +149,38 @@ def _run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_pairs(a: PointSet, b: PointSet) -> None:
+    """Reject operands that would form more than MAX_SET_PAIRS sums."""
+    pairs = len(a) * len(b)
+    if pairs > MAX_SET_PAIRS:
+        raise InputFormatError(
+            f"the sets would form {pairs} sums; the limit is {MAX_SET_PAIRS}"
+        )
+
+
 def _run_addcomb(args: argparse.Namespace) -> int:
     sub = args.addcomb_command
     if sub == "sumset":
         a = jsonio.load_point_set(args.a)
         b = jsonio.load_point_set(args.b)
+        _check_pairs(a, b)
         try:
             _emit(jsonio.point_set_to_obj(sumset(a, b)))
         except ValueError as exc:
             raise InputFormatError(str(exc)) from exc
     elif sub == "doubling":
         s = jsonio.load_point_set(args.path)
+        _check_pairs(s, s)
         if not s.members:
             raise InputFormatError("the set must be nonempty")
         _emit(jsonio.fraction_to_obj(doubling_constant(s)))
     elif sub == "sumfree":
         s = jsonio.load_point_set(args.path)
+        _check_pairs(s, s)
         _emit({"sum_free": is_sum_free(s)})
     elif sub == "laba":
         s = jsonio.load_point_set(args.path)
+        _check_pairs(s, s)
         if not s.members:
             raise InputFormatError("the set must be nonempty")
         _emit({"verdict": laba_check(s)})

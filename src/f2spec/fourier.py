@@ -16,7 +16,7 @@ from operator import mul, neg, or_
 from typing import Sequence
 
 from .boolfunc import BooleanFunction
-from .gf2 import int_to_bits
+from .gf2 import _low_half_mask, int_to_bits
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,7 @@ def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
     # it is used
     for i in range(n):
         shift = width << i
-        mask = int.from_bytes(
-            (b"\xff" * (nb << i) + bytes(nb << i)) * (count >> (i + 1)), "little"
-        )
+        mask = _low_half_mask(count * width, shift)
         a = x & mask
         b = (x >> shift) & mask
         del x

@@ -5,8 +5,9 @@ u = 2^(n-k) is supported on one affine subspace of dimension n-k (when
 f^(0) = 1/2^k), or on two of dimension n-k, or -- only when the irreducible
 core has k = 4 -- on four of dimension n-k-1.  This module classifies a
 spectrum, restricts the function to the affine span of its support in one
-change of coordinates, recovers the subspaces, and verifies every
-decomposition it emits.
+change of coordinates, builds two pieces in closed form from the core
+spectrum (four pieces are peeled off the core's support), and verifies
+every decomposition it emits.
 """
 
 from __future__ import annotations
@@ -274,90 +275,38 @@ class Decomposition:
     classification: Classification
 
 
-def _split_by_cosets(
-    n: int,
-    k: int,
-    supp: frozenset[int],
-    v1_perp: Subspace,
-    v2_perp: Subspace,
-) -> tuple[AffineSubspace, AffineSubspace] | None:
-    """Partition the support by cosets of the first direction subspace.
+def _two_flat_pieces(sets: SpectralSets) -> tuple[AffineSubspace, ...] | None:
+    """Both pieces of a two-subspace core, read off its coefficient classes.
 
-    Exactly one coset class must be full: it becomes the first piece, and the
-    remaining points must form one full coset whose direction matches the
-    second constraint space.
+    The core is 1_U + 1_(b+V) with 0 in U, and 1_(c+U) has the coefficient
+    2^(n-k) (-1)^<alpha,c> on U^perp and 0 elsewhere.  With P and B the +u
+    and -u classes, U^perp and V^perp meet in {0, gamma}, so V^perp is
+    {0, gamma} + B + (gamma + B) and U^perp is {0, gamma} + (P - (gamma + B)),
+    which P - (gamma + B) alone spans.  gamma is min(B) + p for the first p
+    of P with gamma + B inside P: for k >= 3 only the triple gap passes
+    (another would put B + B inside U^perp and V^perp, i.e. inside
+    {0, gamma}, which |B| >= 3 forbids), and for k = 2 every p passes and
+    names a valid pairing.  On V^perp, <alpha, b> is 1 exactly on
+    B + {gamma}; the rref rows of V^perp share no pivot, so the pivot bits
+    of the rows in B + {gamma} add up to a point of b + V.  None when no p
+    passes.
     """
-    target = 1 << (n - k)
-    groups: dict[int, list[int]] = {}
-    basis = v1_perp.basis
-    for x in supp:
-        sig = 0
-        for i, u in enumerate(basis):
-            sig |= ((u & x).bit_count() & 1) << i
-        groups.setdefault(sig, []).append(x)
-    full = [g for g in groups.values() if len(g) == target]
-    if len(full) != 1:
+    plus, minus = sets.plus.members, sets.minus.members
+    low = min(minus)
+    for p in sorted(plus):
+        gamma = low ^ p
+        if all(gamma ^ x in plus for x in minus):
+            break
+    else:
         return None
-    piece1 = AffineSubspace(min(full[0]), orthogonal_complement(v1_perp))
-    rest = supp - set(full[0])
-    if len(rest) != target:
-        return None
-    piece2 = affine_span(n, rest)
-    if piece2.dim != n - k or 1 << piece2.dim != len(rest):
-        return None
-    if piece2.direction != orthogonal_complement(v2_perp):
-        return None
-    return piece1, piece2
-
-
-def _recover_two_pieces(
-    core: BooleanFunction, sets: SpectralSets
-) -> tuple[AffineSubspace, ...] | None:
-    """Standard two-subspace recovery for cores with k >= 3.
-
-    The negative class spans the first constraint space; the unique triple
-    gap, joined with the leftover positive masks, spans the second.
-    """
-    n, k = sets.n, sets.k
-    v1_perp = linear_span(n, sets.minus.members)
-    if v1_perp.dim != k:
-        return None
-    if len(sets.triple_gaps) != 1:
-        return None
-    (gamma,) = sets.triple_gaps.members
-    v2_perp = linear_span(n, sets.plus_rest.members | {gamma})
-    if v2_perp.dim != k:
-        return None
-    return _split_by_cosets(n, k, core.support(), v1_perp, v2_perp)
-
-
-def _recover_two_pieces_k2(
-    core: BooleanFunction, s: Spectrum, sets: SpectralSets
-) -> tuple[AffineSubspace, ...] | None:
-    """k = 2 recovery, where the negative class is a single mask.
-
-    Pairwise sums of a singleton are useless, so instead find the positive
-    mask whose sum with the negative one is spectrum-zero; the other two
-    positive masks sum to the same point and span the second constraint
-    space.
-    """
-    n = sets.n
-    (beta,) = sets.minus.members
-    for a_r in sorted(sets.plus.members):
-        gamma = beta ^ a_r
-        others = sorted(sets.plus.members - {a_r})
-        if len(others) != 2 or others[0] ^ others[1] != gamma:
-            continue
-        if s.coeffs[gamma] != 0:
-            continue
-        v1_perp = linear_span(n, (beta, a_r))
-        v2_perp = linear_span(n, others)
-        if v1_perp.dim != 2 or v2_perp.dim != 2:
-            continue
-        split = _split_by_cosets(n, 2, core.support(), v1_perp, v2_perp)
-        if split is not None:
-            return split
-    return None
+    odd = minus | {gamma}
+    v_perp = linear_span(sets.n, odd)
+    u_perp = linear_span(sets.n, plus - {gamma ^ x for x in minus})
+    b = sum(1 << (r.bit_length() - 1) for r in v_perp.basis if r in odd)
+    return (
+        AffineSubspace(b, orthogonal_complement(v_perp)),
+        AffineSubspace(0, orthogonal_complement(u_perp)),
+    )
 
 
 def _greedy_four_pieces(
@@ -384,12 +333,9 @@ def _decompose_core(
     """Pieces of an irreducible m = 2 core with spectrum s and classification
     cls, in core coordinates; None on failure."""
     sets = spectral_sets(s, cls)
-    k = cls.k
-    if k == 2:
-        return _recover_two_pieces_k2(core, s, sets)
-    if k == 4 and len(sets.double_sums) == 21:  # |B + B| = 22 with 0
-        return _greedy_four_pieces(core, core.n - k - 1)
-    return _recover_two_pieces(core, sets)
+    if cls.k == 4 and len(sets.double_sums) == 21:  # |B + B| = 22 with 0
+        return _greedy_four_pieces(core, core.n - cls.k - 1)
+    return _two_flat_pieces(sets)
 
 
 def _pieces_cover_exactly(
@@ -422,11 +368,8 @@ def _pieces_match_mandate(
         return True
     if dims != [n - cls.k - 1] * 4:
         return False
-    origin = pieces[0].shift
-    span = linear_span(
-        n,
-        [p.shift ^ origin for p in pieces]
-        + [v for p in pieces for v in p.direction.basis],
+    span = affine_span(
+        n, (p.shift ^ v for p in pieces for v in (0, *p.direction.basis))
     )
     return cls.k - (n - span.dim) == 4
 

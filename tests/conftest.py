@@ -13,7 +13,15 @@ from math import comb
 
 from f2spec.boolfunc import BooleanFunction
 from f2spec.fourier import Spectrum
-from f2spec.gf2 import GF2Matrix, Subspace, affine_span, xor_translate
+from f2spec.gf2 import (
+    AffineSubspace,
+    GF2Matrix,
+    Subspace,
+    affine_span,
+    linear_span,
+    orthogonal_complement,
+    xor_translate,
+)
 
 
 def dot(x: int, y: int) -> int:
@@ -121,6 +129,81 @@ def oracle_even_zohar_s(k: Fraction) -> int:
     while not (starts_at_or_below(s) and not starts_at_or_below(s + 1)):
         s += 1
     return s
+
+
+# ---- the coset split of a two-subspace core ---------------------------
+# structure._two_flat_pieces builds both pieces from the core spectrum in
+# closed form; this route splits the core's support instead, one point at a
+# time, and the two must agree piece for piece.
+
+
+def _split_by_cosets(n, k, supp, v1_perp, v2_perp):
+    """Partition the support by cosets of the first direction subspace.
+
+    Exactly one coset class must be full: it becomes the first piece, and the
+    remaining points must form one full coset whose direction matches the
+    second constraint space.
+    """
+    target = 1 << (n - k)
+    groups: dict[int, list[int]] = {}
+    basis = v1_perp.basis
+    for x in supp:
+        sig = 0
+        for i, u in enumerate(basis):
+            sig |= dot(u, x) << i
+        groups.setdefault(sig, []).append(x)
+    full = [g for g in groups.values() if len(g) == target]
+    if len(full) != 1:
+        return None
+    piece1 = AffineSubspace(min(full[0]), orthogonal_complement(v1_perp))
+    rest = supp - set(full[0])
+    if len(rest) != target:
+        return None
+    piece2 = affine_span(n, rest)
+    if piece2.dim != n - k or 1 << piece2.dim != len(rest):
+        return None
+    if piece2.direction != orthogonal_complement(v2_perp):
+        return None
+    return piece1, piece2
+
+
+def oracle_two_flat_pieces(core: BooleanFunction, sets):
+    """Both pieces of a non-exceptional two-subspace core, split off its support.
+
+    k >= 3: the negative class spans the first constraint space, and the
+    unique triple gap joined with the leftover positive masks spans the
+    second.  k = 2: the negative mask beta and the first positive mask a
+    with F(beta + a) = 0 (summed over the support here) and beta + a the sum
+    of the other two positive masks span the first; those two span the
+    second.  None when the split fails.
+    """
+    n, k = sets.n, sets.k
+    supp = core.support()
+    if k == 2:
+        (beta,) = sets.minus.members
+        for a_r in sorted(sets.plus.members):
+            gamma = beta ^ a_r
+            others = sorted(sets.plus.members - {a_r})
+            if len(others) != 2 or others[0] ^ others[1] != gamma:
+                continue
+            if sum(1 - 2 * dot(gamma, x) for x in supp) != 0:
+                continue
+            v1_perp = linear_span(n, (beta, a_r))
+            v2_perp = linear_span(n, others)
+            if v1_perp.dim != 2 or v2_perp.dim != 2:
+                continue
+            split = _split_by_cosets(n, 2, supp, v1_perp, v2_perp)
+            if split is not None:
+                return split
+        return None
+    v1_perp = linear_span(n, sets.minus.members)
+    if v1_perp.dim != k or len(sets.triple_gaps) != 1:
+        return None
+    (gamma,) = sets.triple_gaps.members
+    v2_perp = linear_span(n, sets.plus_rest.members | {gamma})
+    if v2_perp.dim != k:
+        return None
+    return _split_by_cosets(n, k, supp, v1_perp, v2_perp)
 
 
 # ---- bit-at-a-time reference versions of the table plumbing -----------

@@ -145,6 +145,22 @@ def test_addcomb_fk_rejects_a_doubling_constant_no_set_has(capsys):
     assert code == 0 and json.loads(out)["s"] == 8191
 
 
+def test_addcomb_set_commands_cap_the_number_of_sums(tmp_path, capsys):
+    # 4,096 points form 4,096^2 = 2^24 sums, the cap; one more point is
+    # rejected before any sum is formed
+    at_cap = write_json(tmp_path, "a.json", {"n": 13, "support": list(range(4096))})
+    over = write_json(tmp_path, "b.json", {"n": 13, "support": list(range(4097))})
+    code, out, _ = run_cli(capsys, "addcomb", "doubling", "--in", at_cap)
+    assert code == 0 and json.loads(out) == {"num": 1, "den": 1}
+    for sub in ("doubling", "sumfree", "laba"):
+        code, _, err = run_cli(capsys, "addcomb", sub, "--in", over)
+        assert code == 2 and str(cli.MAX_SET_PAIRS) in err
+    code, _, err = run_cli(capsys, "addcomb", "sumset", "--a", at_cap, "--b", over)
+    assert code == 2 and str(cli.MAX_SET_PAIRS) in err
+    code, _, _ = run_cli(capsys, "addcomb", "sumset", "--a", over, "--b", over)
+    assert code == 2
+
+
 def test_addcomb_dimension_mismatch_is_input_error(tmp_path, capsys):
     a = write_json(tmp_path, "a.json", {"n": 3, "support": [1]})
     b = write_json(tmp_path, "b.json", {"n": 4, "support": [1]})

@@ -1,11 +1,12 @@
 import functools
+from operator import add
 
 import pytest
 
 from f2spec import structure
 from f2spec.addcomb import sumset
 from f2spec.boolfunc import BooleanFunction, apply_transform, shift, tensor
-from f2spec.errors import SpectrumScopeError
+from f2spec.errors import SpectrumScopeError, TheoremViolationError
 from f2spec.families import (
     affine_indicator,
     all_ones,
@@ -41,8 +42,11 @@ from f2spec.structure import (
 )
 
 from conftest import (
+    dot,
+    indicator_spectrum,
     is_full_affine_subspace,
     oracle_is_irreducible,
+    oracle_two_flat_pieces,
     span_points,
     transform_spectrum,
 )
@@ -500,6 +504,74 @@ def test_structural_recovery_needs_no_partition_search(monkeypatch):
             m = random_invertible(base.n, rng)
             f = shift(apply_transform(base, m), random_vector(base.n, rng))
             assert _is_mandated_partition(f, decompose(f)), f
+
+
+def _two_flat_cores():
+    """(core, core spectrum, spectral sets) of the m = 2 core of every
+    in-scope table at n <= 4 and of two seeded images of two_affine(n, k)
+    for each n = 5..12 and k >= 2; none of them has the four-flat k = 4
+    profile."""
+    rng = SplitMix64(43)
+    cases = list(_two_subspace_tables_up_to_n4())
+    for n in range(5, 13):
+        for k in range(2, (n + 1) // 2 + 1):
+            for _ in range(2):
+                m = random_invertible(n, rng)
+                f = shift(apply_transform(two_affine(n, k), m), random_vector(n, rng))
+                cases.append((f, None, None))
+    for f, s, cls in cases:
+        core, trace = reduce_to_core(f, s, cls)
+        yield core, trace.core_spectrum, spectral_sets(trace.core_spectrum)
+
+
+def test_two_flat_pieces_match_the_coset_split_oracle():
+    checked = 0
+    for core, s, sets in _two_flat_cores():
+        pieces = structure._two_flat_pieces(sets)
+        assert pieces is not None
+        assert pieces == oracle_two_flat_pieces(core, sets), core
+        # the closed-form spectra of the two pieces add up to the core's
+        total = [0] * (1 << core.n)
+        for piece in pieces:
+            perp = [
+                a
+                for a in range(1 << core.n)
+                if not any(dot(a, v) for v in piece.direction.basis)
+            ]
+            indicator = indicator_spectrum(core.n, piece.shift, perp, core.n - piece.dim)
+            total = list(map(add, total, indicator))
+        assert tuple(total) == s.coeffs
+        checked += 1
+    assert checked == 2632  # 2,576 cores from n <= 4 and 56 images
+
+
+def test_fallback_search_runs_when_the_spectral_route_fails(monkeypatch):
+    monkeypatch.setattr(structure, "_two_flat_pieces", lambda sets: None)
+    search = structure.find_flat_partition
+    found = []
+
+    def recording(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(structure, "find_flat_partition", recording)
+    rng = SplitMix64(47)
+    images = []
+    for base in (two_affine(5, 2), two_affine(7, 3)):
+        for _ in range(2):
+            m = random_invertible(base.n, rng)
+            images.append(shift(apply_transform(base, m), random_vector(base.n, rng)))
+    for f in images:
+        found.clear()
+        dec = decompose(f)
+        assert _is_mandated_partition(f, dec)
+        _, trace = reduce_to_core(f)
+        assert len(found) == 1 and found[0] is not None
+        assert dec.pieces == tuple(map(trace.lift_flat, found[0]))
+    monkeypatch.setattr(structure, "find_flat_partition", lambda *args: None)
+    for f in images:
+        with pytest.raises(TheoremViolationError):
+            decompose(f)
 
 
 def test_decompose_of_an_irreducible_image_builds_no_matrix(monkeypatch):
