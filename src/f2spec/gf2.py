@@ -12,7 +12,7 @@ between parallel workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_DIMENSION = 24
@@ -306,68 +306,59 @@ def transform_sending_to_first(n: int, basis: Iterable[int]) -> GF2Matrix:
     return GF2Matrix(n, l_rows, l_inverse_rows)
 
 
-def iter_subspaces(n: int, dim: int) -> Iterator[Subspace]:
-    """All subspaces of F_2^n of the given dimension, each exactly once.
-
-    Enumerates reduced row-echelon bases directly: choose pivot columns,
-    then every assignment of the free positions below each pivot.  The
-    values of one row are its pivot bit plus each subset of its free
-    positions, built by doubling; row 0's free bits count fastest.
-    """
-    check_dimension(n)
-    if dim < 0 or dim > n:
+def _spans(rows: list) -> Iterator[int]:
+    """Span masks of every value assignment to the RREF rows, the first
+    row fastest.  The span of the slower rows is built once per assignment;
+    its translates by each value of the first row (the pivot bit, then each
+    free bit in increasing order doubling the list) cost one masked
+    delta-swap per value."""
+    if not rows:
+        yield 1
         return
-    if dim == 0:
-        yield Subspace(n, ())
-        return
-    for pivots in combinations(range(n - 1, -1, -1), dim):
-        pivot_set = set(pivots)
-        choices = []
-        for p in pivots:
-            values = [1 << p]
-            for q in range(p):
-                if q not in pivot_set:
-                    values += [v | (1 << q) for v in values]
-            choices.append(values)
-        # product varies its last factor fastest, so feed the rows reversed
-        for rows in product(*reversed(choices)):
-            yield Subspace(n, rows[::-1])
+    (pivot_stride, pivot_mask), free = rows[0]
+    for span in _spans(rows[1:]):
+        moved = [((span & pivot_mask) << pivot_stride) | ((span >> pivot_stride) & pivot_mask)]
+        for stride, m in free:
+            moved += [((x & m) << stride) | ((x >> stride) & m) for x in moved]
+        for x in moved:
+            yield span | x
 
 
 def iter_affine_masks(n: int, dim: int) -> Iterator[int]:
     """Point bitmasks of every affine subspace of the given dimension.
 
-    Bit x of a mask marks membership of the point x.  Generated lazily,
-    one direction subspace at a time; the masks of one direction partition
-    all 2^n points and come in increasing order of their smallest point.
+    Bit x of a mask marks membership of the point x.  Directions are the
+    reduced row-echelon bases: pivot sets by combinations of the positions
+    from the top, then every value of each row (its pivot bit plus a subset
+    of the free positions below it), with row 0, the highest pivot, counting
+    fastest.  The masks of one direction partition all 2^n points and come
+    in increasing order of their smallest point.
 
     Everything is whole-mask work: translating a mask by e_q is one masked
-    delta-swap with stride 2^q.  The direction mask grows from {0} by
-    OR-ing in its translate by each basis row.  The smallest point of a
-    coset of an RREF subspace is its member with every pivot bit clear, so
+    delta-swap with stride 2^q.  Directions are built from the slowest row
+    down: the span of rows dim-1..i+1 is built once for each value of those
+    rows, its translates by every value of row i come from doubling over
+    the row's free bits (one delta-swap per value), and the span of rows
+    dim-1..i is that span OR one translate.  The smallest point of a coset
+    of an RREF subspace is its member with every pivot bit clear, so
     doubling the coset list over the non-pivot coordinates in increasing
-    order lists the cosets by increasing smallest point.
+    order lists the cosets by increasing smallest point.  Lazy: each row
+    holds one translate list at a time, beside one direction's cosets.
     """
+    check_dimension(n)
+    if dim < 0 or dim > n:
+        return
     size = 1 << n
-    swap_masks = [_low_half_mask(size, 1 << q) for q in range(n)]
-    for sub in iter_subspaces(n, dim):
-        direction = 1
-        pivots = 0
-        for row in sub.basis:
-            moved = direction
-            while row:
-                stride = row & -row
-                row ^= stride
-                m = swap_masks[stride.bit_length() - 1]
-                moved = ((moved & m) << stride) | ((moved >> stride) & m)
-            direction |= moved
-            pivots |= stride  # the last bit cleared is the pivot
-        masks = [direction]
-        for q, m in enumerate(swap_masks):
-            if not (pivots >> q) & 1:
-                stride = 1 << q
+    swaps = [(1 << q, _low_half_mask(size, 1 << q)) for q in range(n)]
+    for pivots in combinations(range(n - 1, -1, -1), dim):
+        pivot_bits = sum(1 << p for p in pivots)
+        free = [swaps[q] for q in range(n) if not (pivot_bits >> q) & 1]
+        rows = [(swaps[p], [sw for sw in free if sw[0] < 1 << p]) for p in pivots]
+        for direction in _spans(rows):
+            masks = [direction]
+            for stride, m in free:
                 masks += [((x & m) << stride) | ((x >> stride) & m) for x in masks]
-        yield from masks
+            yield from masks
 
 
 def max_flat_through(n: int, point: int, points: Iterable[int]) -> AffineSubspace:

@@ -32,7 +32,7 @@ from .families import (
     generate,
 )
 from .fourier import Spectrum, butterfly, sparsity, wht
-from .gf2 import GF2Matrix, int_to_bits, iter_affine_masks
+from .gf2 import _ASCII_TO_BIT, GF2Matrix, iter_affine_masks
 from .structure import (
     IN_SCOPE_TAGS,
     TAG_EXCEPTIONAL_K4,
@@ -175,7 +175,11 @@ def enumerate_verify_range(
     for lo in range(start, stop, _CHUNK_TABLES):
         hi = min(lo + _CHUNK_TABLES, stop)
         t0 = time.perf_counter()
-        bits = b"".join(int_to_bits(table, size) for table in range(lo, hi))
+        # one format pass: tables hi - 1 down to lo, each written most
+        # significant bit first; read backwards, that is every table's bits
+        # least significant first, table lo first
+        digits = (f"{{:0{size}b}}" * (hi - lo)).format(*range(hi - 1, lo - 1, -1))
+        bits = digits[::-1].encode().translate(_ASCII_TO_BIT)
         coeffs = butterfly(bits, n)
         back = butterfly(coeffs, n)
         bad_round_trip = set()

@@ -78,12 +78,16 @@ def load_point_set(path: str) -> PointSet:
 
 def _load(path: str) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path} nests its JSON too deeply") from exc
 
 
 def function_to_obj(f: BooleanFunction) -> dict:

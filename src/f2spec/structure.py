@@ -113,9 +113,11 @@ class SpectralSets:
 
 def _signed_masks(s: Spectrum, k: int) -> tuple[frozenset[int], frozenset[int]]:
     unit = 1 << (s.n - k)
-    masks = range(len(s.coeffs))
-    plus = frozenset(compress(masks, map(unit.__eq__, s.coeffs)))
-    minus = frozenset(compress(masks, map((-unit).__eq__, s.coeffs)))
+    coeffs = s.coeffs
+    # one scan for the few nonzero masks, then split those by value
+    nonzero = list(compress(range(len(coeffs)), coeffs))
+    plus = frozenset([a for a in nonzero if coeffs[a] == unit])
+    minus = frozenset([a for a in nonzero if coeffs[a] == -unit])
     return plus, minus
 
 

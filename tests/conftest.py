@@ -8,7 +8,7 @@ paths, so the two can check each other.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from f2spec.boolfunc import BooleanFunction
@@ -17,7 +17,9 @@ from f2spec.gf2 import (
     AffineSubspace,
     GF2Matrix,
     Subspace,
+    _low_half_mask,
     affine_span,
+    check_dimension,
     linear_span,
     orthogonal_complement,
     xor_translate,
@@ -318,10 +320,66 @@ def oracle_max_flat_basis(point: int, points) -> list[int]:
     return basis
 
 
-# ---- point-at-a-time references for the flat enumeration -------------
-# Per-bit and per-point versions of gf2.iter_subspaces and
-# gf2.iter_affine_masks; the whole-mask generators must match them in
-# content and order.
+# ---- references for the flat enumeration -----------------------------
+# gf2.iter_affine_masks builds each direction from the span of its slower
+# rows.  The subspace-at-a-time generators below are the library's earlier
+# versions of it; they and the per-bit, per-point oracles after them must
+# all give the same masks in the same order.
+
+
+def iter_subspaces(n: int, dim: int):
+    """All subspaces of F_2^n of the given dimension, each exactly once.
+
+    Enumerates reduced row-echelon bases directly: choose pivot columns,
+    then every assignment of the free positions below each pivot.  The
+    values of one row are its pivot bit plus each subset of its free
+    positions, built by doubling; row 0's free bits count fastest.
+    """
+    check_dimension(n)
+    if dim < 0 or dim > n:
+        return
+    if dim == 0:
+        yield Subspace(n, ())
+        return
+    for pivots in combinations(range(n - 1, -1, -1), dim):
+        pivot_set = set(pivots)
+        choices = []
+        for p in pivots:
+            values = [1 << p]
+            for q in range(p):
+                if q not in pivot_set:
+                    values += [v | (1 << q) for v in values]
+            choices.append(values)
+        # product varies its last factor fastest, so feed the rows reversed
+        for rows in product(*reversed(choices)):
+            yield Subspace(n, rows[::-1])
+
+
+def reference_affine_masks(n: int, dim: int):
+    """Coset masks of each subspace from iter_subspaces: the direction mask
+    grows from {0} by OR-ing in its translate by each basis row (one masked
+    delta-swap per set bit), and the cosets come from doubling over the
+    non-pivot coordinates in increasing order."""
+    size = 1 << n
+    swap_masks = [_low_half_mask(size, 1 << q) for q in range(n)]
+    for sub in iter_subspaces(n, dim):
+        direction = 1
+        pivots = 0
+        for row in sub.basis:
+            moved = direction
+            while row:
+                stride = row & -row
+                row ^= stride
+                m = swap_masks[stride.bit_length() - 1]
+                moved = ((moved & m) << stride) | ((moved >> stride) & m)
+            direction |= moved
+            pivots |= stride  # the last bit cleared is the pivot
+        masks = [direction]
+        for q, m in enumerate(swap_masks):
+            if not (pivots >> q) & 1:
+                stride = 1 << q
+                masks += [((x & m) << stride) | ((x >> stride) & m) for x in masks]
+        yield from masks
 
 
 def oracle_subspaces(n: int, dim: int):

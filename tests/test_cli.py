@@ -96,6 +96,20 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert code == 2
 
 
+def test_input_that_is_not_utf8_is_bad_input(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'\xff\xfe{"n": 2, "support": []}')
+    code, out, err = run_cli(capsys, "classify", "--in", str(bad))
+    assert code == 2 and not out and "UTF-8" in err
+
+
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run_cli(capsys, "classify", "--in", str(deep))
+    assert code == 2 and not out and "too deeply" in err
+
+
 def test_exit_code_3_on_out_of_scope(tmp_path, capsys):
     path = write_json(tmp_path, "or.json", {"n": 2, "support": [1, 2, 3]})
     code, _, err = run_cli(capsys, "decompose", "--in", path)

@@ -11,14 +11,18 @@ from f2spec.gf2 import (
     affine_span,
     find_flat_partition,
     iter_affine_masks,
-    iter_subspaces,
     linear_span,
     max_flat_through,
     orthogonal_complement,
     transform_sending_to_first,
 )
 
-from conftest import dot, is_full_affine_subspace, oracle_transform_sending_to_e1
+from conftest import (
+    dot,
+    is_full_affine_subspace,
+    iter_subspaces,
+    oracle_transform_sending_to_e1,
+)
 
 CE_MINUS_CLASS = [1, 2, 4, 8, 16, 32, 63]
 

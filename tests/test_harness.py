@@ -221,7 +221,7 @@ def test_n4_two_subspace_census_matches_flat_pair_oracle():
     # 2-flats (840) plus 4-point sets that are not flats (1820 - 140)
     from itertools import combinations
 
-    from f2spec.gf2 import iter_subspaces
+    from conftest import iter_subspaces
 
     flats = []
     for sub in iter_subspaces(4, 2):
