@@ -15,4 +15,4 @@ class SpectrumScopeError(ValueError):
 
 
 class TheoremViolationError(RuntimeError):
-    """A decomposition postcondition failed even after the fallback search."""
+    """A decomposition route failed, or its pieces failed the postcondition."""

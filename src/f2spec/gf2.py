@@ -388,60 +388,3 @@ def max_flat_through(n: int, point: int, points: Iterable[int]) -> AffineSubspac
         ok &= xor_translate(ok, cand, n)
     return AffineSubspace(point, Subspace.spanned_by(n, basis))
 
-
-def iter_subspaces_within(
-    deltas: frozenset[int], dim: int
-) -> Iterator[frozenset[int]]:
-    """All dim-dimensional subspaces contained in a point set (0 must be in it).
-
-    Each subspace is produced exactly once, via its greedy-minimal generator
-    sequence: the next generator is always the smallest element the subspace
-    adds, and generators increase.
-    """
-    ordered = sorted(deltas)
-
-    def rec(span: frozenset[int], last: int, depth: int) -> Iterator[frozenset[int]]:
-        if depth == dim:
-            yield span
-            return
-        for c in ordered:
-            if c <= last or c in span:
-                continue
-            new = frozenset(c ^ s for s in span)
-            if min(new) != c or not new <= deltas:
-                continue
-            yield from rec(span | new, c, depth + 1)
-
-    if 0 in deltas:
-        yield from rec(frozenset([0]), 0, 0)
-
-
-def find_flat_partition(
-    n: int, points: Iterable[int], dim: int, count: int
-) -> list[AffineSubspace] | None:
-    """Exhaustively partition the points into `count` disjoint dim-flats.
-
-    Returns None when no such partition exists. Backtracking always assigns
-    the smallest remaining point first, so a partition is found iff one
-    exists.
-    """
-    pts = frozenset(points)
-    if len(pts) != count << dim:
-        return None
-    return _partition_rec(n, pts, dim, count)
-
-
-def _partition_rec(
-    n: int, points: frozenset[int], dim: int, count: int
-) -> list[AffineSubspace] | None:
-    if not points:
-        return []
-    p = min(points)
-    deltas = frozenset(x ^ p for x in points)
-    for span in iter_subspaces_within(deltas, dim):
-        rest = points - {p ^ s for s in span}
-        sub = _partition_rec(n, rest, dim, count - 1)
-        if sub is not None:
-            flat = AffineSubspace(p, Subspace.spanned_by(n, span))
-            return [flat] + sub
-    return None

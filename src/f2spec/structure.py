@@ -13,6 +13,7 @@ every decomposition it emits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Iterable
 
@@ -30,7 +31,6 @@ from .gf2 import (
     GF2Matrix,
     Subspace,
     affine_span,
-    find_flat_partition,
     iter_affine_masks,
     linear_span,
     max_flat_through,
@@ -98,7 +98,8 @@ class SpectralSets:
     plus / minus collect the masks with coefficient +1/2^k and -1/2^k.
     double_sums are the nonzero pairwise sums of minus-masks (they all land
     in plus), plus_rest is the remainder of plus, and triple_gaps are the
-    triple sums outside minus, where the spectrum provably vanishes.
+    triple sums outside minus, where the spectrum provably vanishes.  The
+    last three come from the t^2 pair sums and are built on first read.
     """
 
     n: int
@@ -106,9 +107,26 @@ class SpectralSets:
     t: int
     plus: PointSet
     minus: PointSet
-    double_sums: PointSet
-    plus_rest: PointSet
-    triple_gaps: PointSet
+
+    @cached_property
+    def _pair_sums(self) -> frozenset[int]:
+        """B + B, with 0, for B the negative class."""
+        minus = self.minus.members
+        return frozenset(b1 ^ b2 for b1 in minus for b2 in minus)
+
+    @cached_property
+    def double_sums(self) -> PointSet:
+        return PointSet(self.n, (self._pair_sums - {0}) & self.plus.members)
+
+    @cached_property
+    def plus_rest(self) -> PointSet:
+        return PointSet(self.n, self.plus.members - self.double_sums.members)
+
+    @cached_property
+    def triple_gaps(self) -> PointSet:
+        minus = self.minus.members
+        triples = frozenset(x ^ b for x in self._pair_sums for b in minus)
+        return PointSet(self.n, triples - minus)
 
 
 def _signed_masks(s: Spectrum, k: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -147,21 +165,7 @@ def spectral_sets(s: Spectrum, cls: Classification | None = None) -> SpectralSet
             f"coefficient class sizes {len(plus)}/{len(minus)} do not match "
             f"the forced 3t/t with t={t}; the spectrum is not a 0/1 function"
         )
-    sums = frozenset(b1 ^ b2 for b1 in minus for b2 in minus) - {0}
-    double_sums = sums & plus
-    plus_rest = plus - double_sums
-    triples = frozenset(x ^ b for x in (sums | {0}) for b in minus)
-    triple_gaps = triples - minus
-    return SpectralSets(
-        s.n,
-        cls.k,
-        t,
-        PointSet(s.n, plus),
-        PointSet(s.n, minus),
-        PointSet(s.n, double_sums),
-        PointSet(s.n, plus_rest),
-        PointSet(s.n, triple_gaps),
-    )
+    return SpectralSets(s.n, cls.k, t, PointSet(s.n, plus), PointSet(s.n, minus))
 
 
 def triangle_neighbors(rho: int, minus: PointSet) -> PointSet:
@@ -171,9 +175,10 @@ def triangle_neighbors(rho: int, minus: PointSet) -> PointSet:
     has even size because its members come in pairs (b, rho + b).
     """
     members = minus.members
-    if rho == 0 or rho not in {x ^ y for x in members for y in members}:
+    neighbors = frozenset(b for b in members if rho ^ b in members)
+    if rho == 0 or not neighbors:
         raise ValueError("rho is not a nonzero pairwise sum of the class")
-    return PointSet(minus.n, frozenset(b for b in members if rho ^ b in members))
+    return PointSet(minus.n, neighbors)
 
 
 @dataclass(frozen=True)
@@ -392,10 +397,10 @@ def decompose(
     """Write the support as the disjoint union of affine subspaces.
 
     The single-subspace case is read off the support directly; m = 2 cases
-    are reduced to an irreducible core, recovered there, and lifted back.
-    If the structural recovery fails its own verification, an exhaustive
-    partition search runs before the failure is declared a violation.  The
-    result has passed verify_decomposition.
+    are reduced to an irreducible core, recovered there from the core's
+    spectrum, and lifted back.  Each spectrum has one route, and the result
+    has passed verify_decomposition: a route that fails, or whose pieces
+    fail that check, raises TheoremViolationError.
 
     f is transformed and classified here unless the caller passes its
     spectrum (and classification), as reduce_to_core does.  The reduction
@@ -415,45 +420,25 @@ def decompose(
         )
     n = f.n
     if cls.m == 1:
-        dec = Decomposition((affine_span(n, f.support()),), cls)
-        if verify_decomposition(f, dec):
-            return dec
+        pieces: tuple[AffineSubspace, ...] = (affine_span(n, f.support()),)
     else:
         core, trace = reduce_to_core(f, s, cls)
         core_cls = _in_scope(cls.k - (n - trace.core_n), cls.m)
-        primary = _decompose_core(core, trace.core_spectrum, core_cls)
-        for core_pieces in _candidate_partitions(core, core_cls, primary):
-            dec = Decomposition(tuple(map(trace.lift_flat, core_pieces)), cls)
-            if verify_decomposition(f, dec):
-                return dec
-    raise TheoremViolationError(
-        "no verified affine decomposition found; this falsifies the "
-        "structure theorem for this input"
-    )
-
-
-def _candidate_partitions(
-    core: BooleanFunction,
-    cls: Classification,
-    primary: tuple[AffineSubspace, ...] | None,
-):
-    if primary is not None:
-        yield primary
-    fallback = _fallback_partition(core, cls)
-    if fallback is not None and fallback != primary:
-        yield fallback
-
-
-def _fallback_partition(
-    core: BooleanFunction, cls: Classification
-) -> tuple[AffineSubspace, ...] | None:
-    """Exhaustive search for a valid partition of an m = 2 core support."""
-    k = cls.k
-    supp = core.support()
-    found = find_flat_partition(core.n, supp, core.n - k, 2)
-    if found is None and k == 4:
-        found = find_flat_partition(core.n, supp, core.n - k - 1, 4)
-    return tuple(found) if found is not None else None
+        try:
+            core_pieces = _decompose_core(core, trace.core_spectrum, core_cls)
+        except ValueError as exc:
+            # the core failed the route's own checks (class sizes, an empty class)
+            raise TheoremViolationError(f"the core recovery failed: {exc}") from exc
+        if core_pieces is None:
+            raise TheoremViolationError("the core recovery found no pieces")
+        pieces = tuple(map(trace.lift_flat, core_pieces))
+    dec = Decomposition(pieces, cls)
+    if not verify_decomposition(f, dec):
+        raise TheoremViolationError(
+            "the pieces failed verification; this falsifies the structure "
+            "theorem for this input"
+        )
+    return dec
 
 
 def first_constant_codim(table: int, masks_by_codim: Iterable[Iterable[int]]) -> int | None:

@@ -11,6 +11,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+import pytest
+
+from f2spec import structure
 from f2spec.boolfunc import BooleanFunction
 from f2spec.fourier import Spectrum
 from f2spec.gf2 import (
@@ -44,6 +47,19 @@ def oracle_is_irreducible(f: BooleanFunction) -> bool:
     if f.is_zero:
         raise ValueError("the zero function has no support")
     return affine_span(f.n, f.support()).dim == f.n
+
+
+@pytest.fixture
+def short_negative_class(monkeypatch):
+    """Make the core route read one mask too few in each negative class, so
+    that spectral_sets finds the class sizes wrong and raises ValueError."""
+    signed = structure._signed_masks
+
+    def patched(s, k):
+        plus, minus = signed(s, k)
+        return plus, minus - set(sorted(minus)[:1])
+
+    monkeypatch.setattr(structure, "_signed_masks", patched)
 
 
 def indicator_spectrum(n: int, shift: int, perp_points: list[int], codim: int) -> list[int]:
@@ -318,6 +334,47 @@ def oracle_max_flat_basis(point: int, points) -> list[int]:
             span |= new
             basis.append(cand)
     return basis
+
+
+def _subspaces_within(deltas: frozenset[int], dim: int):
+    """Point sets of the dim-dimensional subspaces inside deltas (0 must be
+    in it), each once: generators increase, and each is the smallest
+    element its step adds to the span."""
+    ordered = sorted(deltas)
+
+    def rec(span: frozenset[int], last: int, depth: int):
+        if depth == dim:
+            yield span
+            return
+        for c in ordered:
+            if c <= last or c in span:
+                continue
+            new = frozenset(c ^ s for s in span)
+            if min(new) == c and new <= deltas:
+                yield from rec(span | new, c, depth + 1)
+
+    if 0 in deltas:
+        yield from rec(frozenset([0]), 0, 0)
+
+
+def oracle_flat_partition(n: int, points, dim: int, count: int):
+    """Exhaustively partition the points into `count` disjoint dim-flats.
+
+    Returns the flats as a list, or None when no such partition exists.
+    Backtracking always covers the smallest remaining point next, so a
+    partition is found iff one exists.
+    """
+    pts = frozenset(points)
+    if len(pts) != count << dim:
+        return None
+    if not pts:
+        return []
+    p = min(pts)
+    for span in _subspaces_within(frozenset(x ^ p for x in pts), dim):
+        rest = oracle_flat_partition(n, pts - {p ^ s for s in span}, dim, count - 1)
+        if rest is not None:
+            return [AffineSubspace(p, Subspace.spanned_by(n, span)), *rest]
+    return None
 
 
 # ---- references for the flat enumeration -----------------------------

@@ -15,11 +15,15 @@ from f2spec.addcomb import PointSet, doubling_constant, even_zohar_bound, even_z
 from f2spec.boolfunc import BooleanFunction
 from f2spec.families import counterexample_core, two_affine
 from f2spec.fourier import Spectrum, is_boolean_spectrum, wht
-from f2spec.gf2 import find_flat_partition
 from f2spec.harness import enumerate_verify, random_verify
 from f2spec.structure import decompose, verify_decomposition
 
-from conftest import boolean_convolution_check, expected_two_affine_spectrum, naive_wht
+from conftest import (
+    boolean_convolution_check,
+    expected_two_affine_spectrum,
+    naive_wht,
+    oracle_flat_partition,
+)
 
 
 def test_criterion_1_exhaustive_verification_n4():
@@ -57,7 +61,7 @@ def test_criterion_2_counterexample_reproduction():
     assert [p.dim for p in dec.pieces] == [1, 1, 1, 1]
 
     # exhaustive search: the support admits no split into two 2-flats
-    assert find_flat_partition(6, f.support(), 2, 2) is None
+    assert oracle_flat_partition(6, f.support(), 2, 2) is None
     print("\nACCEPTANCE 2 PASS: counterexample support, spectrum histogram "
           "(8 / -4x7 / +4x21 / 0x35), 22/7 doubling, four verified 1-flats, "
           "and no two-2-flat split")

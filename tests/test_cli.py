@@ -126,6 +126,12 @@ def test_exit_code_4_on_violation(tmp_path, capsys, monkeypatch):
     assert code == 4 and "VERIFICATION FAILURE" in err
 
 
+def test_exit_code_4_when_the_core_route_raises(tmp_path, capsys, short_negative_class):
+    path = write_json(tmp_path, "f.json", jsonio.function_to_obj(two_affine(5, 2)))
+    code, out, err = run_cli(capsys, "decompose", "--in", path)
+    assert code == 4 and out == "" and "VERIFICATION FAILURE" in err
+
+
 def test_addcomb_subcommands(tmp_path, capsys):
     a = write_json(tmp_path, "a.json", {"n": 3, "support": [1, 2]})
     b = write_json(tmp_path, "b.json", {"n": 3, "support": [4]})

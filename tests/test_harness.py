@@ -283,6 +283,17 @@ def test_random_verify_parameter_validation():
         random_verify(6, 0, seed=1)
 
 
+def test_a_failing_core_route_is_recorded_as_a_violation(short_negative_class):
+    r = enumerate_verify_range(3, 0, 256)
+    two_subspace = [
+        table
+        for table in range(1, 256)
+        if classify(wht(BooleanFunction(3, table))).m == 2
+    ]
+    assert two_subspace
+    assert r.violations == [(table, "decomposition_failed") for table in two_subspace]
+
+
 def test_random_verify_accepts_four_pieces_of_an_embedded_exceptional_core(monkeypatch):
     # k = 6 overall with a k = 4 core: four 3-flats are the mandated profile
     embedded = tensor(counterexample_padded(8), delta(2))

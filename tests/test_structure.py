@@ -154,6 +154,23 @@ def test_spectral_sets_claim_sizes_for_all_generated_instances():
         assert len(sets.minus) == t
 
 
+def test_decompose_builds_no_pair_sums_below_k4(monkeypatch):
+    captured = []
+
+    def recording(*args):
+        captured.append(spectral_sets(*args))
+        return captured[-1]
+
+    monkeypatch.setattr(structure, "spectral_sets", recording)
+    rng = SplitMix64(53)
+    base = two_affine(12, 6)
+    f = shift(apply_transform(base, random_invertible(12, rng)), random_vector(12, rng))
+    decompose(f)
+    (sets,) = captured
+    assert sets.k == 6
+    assert not {"double_sums", "plus_rest", "triple_gaps"} & set(vars(sets))
+
+
 # ------------------------------------------------------ triangle neighbors
 
 def test_triangle_neighbors_two_affine_core():
@@ -470,40 +487,37 @@ def _is_mandated_partition(f, dec) -> bool:
 
 
 def test_decompose_partitions_the_support_into_mandated_flats():
-    rng = SplitMix64(29)
     cases = [f for f, _, _ in _two_subspace_tables_up_to_n4()] + _seeded_reducible_images()
-    for base in (
-        tensor(two_affine(3, 2), delta(2)),
-        tensor(two_affine(5, 2), delta(3)),
-        tensor(counterexample_core(), delta(3)),
-        tensor(two_affine(7, 4), delta(2)),
+    for seed, bases in (
+        (
+            29,
+            (
+                tensor(two_affine(3, 2), delta(2)),
+                tensor(two_affine(5, 2), delta(3)),
+                tensor(counterexample_core(), delta(3)),
+                tensor(two_affine(7, 4), delta(2)),
+            ),
+        ),
+        (
+            41,
+            (
+                counterexample_core(),
+                counterexample_padded(8),
+                tensor(counterexample_core(), delta(2)),
+                two_affine(3, 2),
+                tensor(two_affine(5, 2), delta(2)),
+                two_affine(7, 3),
+                tensor(two_affine(7, 4), delta(1)),
+            ),
+        ),
     ):
-        for _ in range(3):
-            m = random_invertible(base.n, rng)
-            cases.append(shift(apply_transform(base, m), random_vector(base.n, rng)))
+        rng = SplitMix64(seed)
+        for base in bases:
+            for _ in range(3):
+                m = random_invertible(base.n, rng)
+                cases.append(shift(apply_transform(base, m), random_vector(base.n, rng)))
     for f in cases:
         assert _is_mandated_partition(f, decompose(f)), f
-
-
-def test_structural_recovery_needs_no_partition_search(monkeypatch):
-    def search(*args):
-        raise AssertionError("the exhaustive partition search ran")
-
-    monkeypatch.setattr(structure, "find_flat_partition", search)
-    rng = SplitMix64(41)
-    for base in (
-        counterexample_core(),
-        counterexample_padded(8),
-        tensor(counterexample_core(), delta(2)),
-        two_affine(3, 2),
-        tensor(two_affine(5, 2), delta(2)),
-        two_affine(7, 3),
-        tensor(two_affine(7, 4), delta(1)),
-    ):
-        for _ in range(3):
-            m = random_invertible(base.n, rng)
-            f = shift(apply_transform(base, m), random_vector(base.n, rng))
-            assert _is_mandated_partition(f, decompose(f)), f
 
 
 def _two_flat_cores():
@@ -545,33 +559,38 @@ def test_two_flat_pieces_match_the_coset_split_oracle():
     assert checked == 2632  # 2,576 cores from n <= 4 and 56 images
 
 
-def test_fallback_search_runs_when_the_spectral_route_fails(monkeypatch):
-    monkeypatch.setattr(structure, "_two_flat_pieces", lambda sets: None)
-    search = structure.find_flat_partition
-    found = []
+def test_decompose_raises_when_the_two_flat_route_fails(monkeypatch):
+    route = structure._two_flat_pieces
 
-    def recording(*args):
-        found.append(search(*args))
-        return found[-1]
+    def swapped(sets):
+        # the mandated dimensions, but with the shifts swapped they miss
+        # the support of these inputs
+        first, second = route(sets)
+        return (
+            AffineSubspace(first.shift, second.direction),
+            AffineSubspace(second.shift, first.direction),
+        )
 
-    monkeypatch.setattr(structure, "find_flat_partition", recording)
     rng = SplitMix64(47)
     images = []
     for base in (two_affine(5, 2), two_affine(7, 3)):
         for _ in range(2):
             m = random_invertible(base.n, rng)
             images.append(shift(apply_transform(base, m), random_vector(base.n, rng)))
-    for f in images:
-        found.clear()
-        dec = decompose(f)
-        assert _is_mandated_partition(f, dec)
-        _, trace = reduce_to_core(f)
-        assert len(found) == 1 and found[0] is not None
-        assert dec.pieces == tuple(map(trace.lift_flat, found[0]))
-    monkeypatch.setattr(structure, "find_flat_partition", lambda *args: None)
-    for f in images:
-        with pytest.raises(TheoremViolationError):
+    for patched in (lambda sets: None, swapped):
+        monkeypatch.setattr(structure, "_two_flat_pieces", patched)
+        for f in images:
+            with pytest.raises(TheoremViolationError):
+                decompose(f)
+
+
+def test_decompose_raises_when_the_core_route_raises(short_negative_class):
+    # spectral_sets rejects the short class with ValueError, on the
+    # two-flat route (k = 2, 3) and on the four-flat route (k = 4)
+    for f in (two_affine(3, 2), two_affine(7, 3), counterexample_padded(8)):
+        with pytest.raises(TheoremViolationError) as info:
             decompose(f)
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_decompose_of_an_irreducible_image_builds_no_matrix(monkeypatch):
