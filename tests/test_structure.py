@@ -487,37 +487,52 @@ def _is_mandated_partition(f, dec) -> bool:
 
 
 def test_decompose_partitions_the_support_into_mandated_flats():
+    rng = SplitMix64(29)
     cases = [f for f, _, _ in _two_subspace_tables_up_to_n4()] + _seeded_reducible_images()
-    for seed, bases in (
-        (
-            29,
-            (
-                tensor(two_affine(3, 2), delta(2)),
-                tensor(two_affine(5, 2), delta(3)),
-                tensor(counterexample_core(), delta(3)),
-                tensor(two_affine(7, 4), delta(2)),
-            ),
-        ),
-        (
-            41,
-            (
-                counterexample_core(),
-                counterexample_padded(8),
-                tensor(counterexample_core(), delta(2)),
-                two_affine(3, 2),
-                tensor(two_affine(5, 2), delta(2)),
-                two_affine(7, 3),
-                tensor(two_affine(7, 4), delta(1)),
-            ),
-        ),
+    for base in (
+        tensor(two_affine(3, 2), delta(2)),
+        tensor(two_affine(5, 2), delta(3)),
+        tensor(counterexample_core(), delta(3)),
+        tensor(two_affine(7, 4), delta(2)),
     ):
-        rng = SplitMix64(seed)
-        for base in bases:
-            for _ in range(3):
-                m = random_invertible(base.n, rng)
-                cases.append(shift(apply_transform(base, m), random_vector(base.n, rng)))
+        for _ in range(3):
+            m = random_invertible(base.n, rng)
+            cases.append(shift(apply_transform(base, m), random_vector(base.n, rng)))
     for f in cases:
         assert _is_mandated_partition(f, decompose(f)), f
+
+
+def test_structural_recovery_needs_no_partition_search(monkeypatch):
+    # no search is left to fall back on: the pieces are the lifted pieces of
+    # the one core route, called once per input
+    assert not hasattr(structure, "find_flat_partition")
+    route = structure._decompose_core
+    found = []
+
+    def recording(*args):
+        found.append(route(*args))
+        return found[-1]
+
+    monkeypatch.setattr(structure, "_decompose_core", recording)
+    rng = SplitMix64(41)
+    for base in (
+        counterexample_core(),
+        counterexample_padded(8),
+        tensor(counterexample_core(), delta(2)),
+        two_affine(3, 2),
+        tensor(two_affine(5, 2), delta(2)),
+        two_affine(7, 3),
+        tensor(two_affine(7, 4), delta(1)),
+    ):
+        for _ in range(3):
+            m = random_invertible(base.n, rng)
+            f = shift(apply_transform(base, m), random_vector(base.n, rng))
+            found.clear()
+            dec = decompose(f)
+            assert _is_mandated_partition(f, dec), f
+            _, trace = reduce_to_core(f)
+            assert len(found) == 1 and found[0] is not None
+            assert dec.pieces == tuple(map(trace.lift_flat, found[0]))
 
 
 def _two_flat_cores():
