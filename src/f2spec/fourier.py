@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul, neg, or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .boolfunc import BooleanFunction
 from .gf2 import _low_half_mask, int_to_bits
@@ -140,16 +140,25 @@ def shift_spectrum(s: Spectrum, a: int) -> Spectrum:
 def granularity(s: Spectrum) -> int:
     """Maximum granularity over the nonzero coefficients; 0 for the zero map.
 
+    The fold runs over the distinct values: an in-scope spectrum has at
+    most five, and building the set costs about half of folding all 2^n
+    entries at n = 14..16.
+    """
+    return _granularity(s.n, set(s.coeffs))
+
+
+def _granularity(n: int, values: Iterable[int]) -> int:
+    """Granularity of a spectrum on n inputs from its coefficient values;
+    each distinct value once is enough.
+
     The coefficient c / 2^n has granularity n minus the number of trailing
     zeros of c (at least 0), and the OR of all coefficients has the fewest
-    trailing zeros of any of them, sign included.  The fold runs over the
-    distinct values: an in-scope spectrum has at most five, and building
-    the set costs about half of folding all 2^n entries at n = 14..16.
+    trailing zeros of any of them, sign included.
     """
-    folded = reduce(or_, set(s.coeffs), 0)
+    folded = reduce(or_, values, 0)
     if not folded:
         return 0
-    return max(0, s.n - (folded & -folded).bit_length() + 1)
+    return max(0, n - (folded & -folded).bit_length() + 1)
 
 
 def sparsity(s: Spectrum) -> int:

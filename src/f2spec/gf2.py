@@ -12,6 +12,7 @@ between parallel workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -59,6 +60,14 @@ def _low_half_mask(size: int, stride: int) -> int:
     return mask & ((1 << size) - 1) if size < 8 else mask
 
 
+@lru_cache(maxsize=4)
+def swap_masks(n: int) -> tuple[int, ...]:
+    """The delta-swap mask of each stride 2^q < 2^n, built once for each of
+    the last few n: n 2^n bits in all, 128 KiB at n = 16."""
+    size = 1 << n
+    return tuple(_low_half_mask(size, 1 << q) for q in range(n))
+
+
 def xor_translate(bits: int, a: int, n: int) -> int:
     """The point set {x + a : x in bits} of F_2^n, as a 2^n-bit mask.
 
@@ -66,11 +75,11 @@ def xor_translate(bits: int, a: int, n: int) -> int:
     is one masked delta-swap of the whole mask (Hacker's Delight, ch. 7), so
     the cost is O(n 2^n) bit operations at most.
     """
-    size = 1 << n
+    masks = swap_masks(n)
     while a:
         stride = a & -a
         a ^= stride
-        m = _low_half_mask(size, stride)
+        m = masks[stride.bit_length() - 1]
         bits = ((bits & m) << stride) | ((bits >> stride) & m)
     return bits
 
@@ -147,18 +156,20 @@ def linear_span(n: int, points: Iterable[int]) -> Subspace:
 
 def orthogonal_complement(v: Subspace) -> Subspace:
     """All vectors orthogonal to every basis row; dim is n - dim(v)."""
-    pivots = [r.bit_length() - 1 for r in v.basis]
-    pivot_set = set(pivots)
+    return Subspace.spanned_by(v.n, complement_generators(v.n, v.basis))
+
+
+def complement_generators(n: int, rows: Iterable[int]) -> list[int]:
+    """A basis of the vectors orthogonal to the reduced rows, unreduced: for
+    each non-pivot position c, e_c plus the pivot bit of each row with bit c
+    set (the rows' pivots must occur in no other row, as rref gives)."""
+    pivoted = [(r, 1 << (r.bit_length() - 1)) for r in rows]
+    pivot_bits = sum(p for _, p in pivoted)
     gens = []
-    for c in range(v.n):
-        if c in pivot_set:
-            continue
-        w = 1 << c
-        for row, p in zip(v.basis, pivots):
-            if (row >> c) & 1:
-                w |= 1 << p
-        gens.append(w)
-    return Subspace.spanned_by(v.n, gens)
+    for c in range(n):
+        if not (pivot_bits >> c) & 1:
+            gens.append(sum(p for r, p in pivoted if (r >> c) & 1) | 1 << c)
+    return gens
 
 
 @dataclass(frozen=True)
@@ -257,11 +268,15 @@ class GF2Matrix:
     def apply(self, x: int) -> int:
         return sum(((self.rows[i] & x).bit_count() & 1) << i for i in range(self.n))
 
+    def columns(self) -> tuple[int, ...]:
+        """M e_1, ..., M e_n."""
+        return _transpose_rows(self.n, self.rows)
+
     def images(self) -> list[int]:
         """[M x for x in range(2^n)], built by doubling over the columns."""
         out = [0]
-        for i in range(self.n):
-            out += list(map(self.apply(1 << i).__xor__, out))
+        for col in self.columns():
+            out += list(map(col.__xor__, out))
         return out
 
     def apply_inverse(self, x: int) -> int:
@@ -348,8 +363,7 @@ def iter_affine_masks(n: int, dim: int) -> Iterator[int]:
     check_dimension(n)
     if dim < 0 or dim > n:
         return
-    size = 1 << n
-    swaps = [(1 << q, _low_half_mask(size, 1 << q)) for q in range(n)]
+    swaps = [(1 << q, m) for q, m in enumerate(swap_masks(n))]
     for pivots in combinations(range(n - 1, -1, -1), dim):
         pivot_bits = sum(1 << p for p in pivots)
         free = [swaps[q] for q in range(n) if not (pivot_bits >> q) & 1]

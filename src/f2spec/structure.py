@@ -4,39 +4,43 @@ A 0/1 function whose scaled coefficients all lie in {0, +-u, +-2u} for
 u = 2^(n-k) is supported on one affine subspace of dimension n-k (when
 f^(0) = 1/2^k), or on two of dimension n-k, or -- only when the irreducible
 core has k = 4 -- on four of dimension n-k-1.  This module classifies a
-spectrum, restricts the function to the affine span of its support in one
-change of coordinates, builds two pieces in closed form from the core
-spectrum (four pieces are peeled off the core's support), and verifies
-every decomposition it emits.
+spectrum and decomposes through its quotient: f is constant on the cosets
+of the annihilator of the span of the nonzero coefficient positions, so
+the work runs on a function h of s = dim(span) inputs, gathered from f and
+its spectrum.  h is restricted to the affine span of its support in one
+change of coordinates, two pieces come in closed form from the core
+spectrum (four pieces are peeled off the core's support), and each piece
+is lifted back to f in one affine map.  Every decomposition emitted is
+verified on f itself with 2^n-bit masks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from typing import Iterable
+from itertools import compress, repeat
+from operator import mul, neg, rshift
+from typing import Callable, Iterable
 
 from .addcomb import PointSet
 from .boolfunc import BooleanFunction, apply_transform, restrict_first_bit, shift
 from .errors import SpectrumScopeError, TheoremViolationError
-from .fourier import (
-    Spectrum,
-    granularity,
-    shift_spectrum,
-    wht,
-)
+from .fourier import Spectrum, _granularity, shift_spectrum, wht
 from .gf2 import (
     AffineSubspace,
     GF2Matrix,
     Subspace,
     affine_span,
+    bits_to_int,
+    complement_generators,
     iter_affine_masks,
     linear_span,
     max_flat_through,
     orthogonal_complement,
     rref,
     transform_sending_to_first,
+    xor_translate,
 )
 
 TAG_TRIVIAL = "Trivial"
@@ -69,7 +73,7 @@ def classify(s: Spectrum) -> Classification:
     values = set(coeffs)
     if values == {0}:
         return Classification(TAG_TRIVIAL, 0, 0)
-    k = granularity(s)
+    k = _granularity(n, values)
     unit = 1 << (n - k)
     f0 = coeffs[0]
     if f0 % unit:
@@ -201,6 +205,13 @@ class ReductionTrace:
         if self.transform is None:
             return y ^ self.shift
         return self.transform.apply(y << (self.original_n - self.core_n)) ^ self.shift
+
+    def lift_columns(self) -> list[int]:
+        """The linear part of lift_point: lift_point(e_(j+1)) + lift_point(0)
+        for each core coordinate j."""
+        if self.transform is None:
+            return [1 << j for j in range(self.core_n)]
+        return list(self.transform.columns()[self.original_n - self.core_n :])
 
     def lift_flat(self, flat: AffineSubspace) -> AffineSubspace:
         """Map an affine subspace of the core space back; dimension is kept.
@@ -345,18 +356,6 @@ def _decompose_core(
     return _two_flat_pieces(sets)
 
 
-def _pieces_cover_exactly(
-    pieces: tuple[AffineSubspace, ...], supp: frozenset[int]
-) -> bool:
-    union: set[int] = set()
-    for piece in pieces:
-        pts = set(piece.points())
-        if union & pts:
-            return False
-        union |= pts
-    return union == supp
-
-
 def _pieces_match_mandate(
     pieces: tuple[AffineSubspace, ...], n: int, cls: Classification
 ) -> bool:
@@ -383,10 +382,123 @@ def _pieces_match_mandate(
 
 def verify_decomposition(f: BooleanFunction, dec: Decomposition) -> bool:
     """Postcondition check: disjoint full flats of mandated dimensions whose
-    union reproduces the support bit-exactly."""
-    return _pieces_match_mandate(
-        dec.pieces, f.n, dec.classification
-    ) and _pieces_cover_exactly(dec.pieces, f.support())
+    union reproduces the support bit-exactly.
+
+    Each piece's 2^n-bit point mask grows from its shift by doubling over
+    its basis, one xor_translate per basis vector; every translate must
+    miss the mask so far (an independent basis), each mask must miss the
+    union of the earlier ones, and the union must equal f's table.
+    """
+    n = f.n
+    if not _pieces_match_mandate(dec.pieces, n, dec.classification):
+        return False
+    union = 0
+    for piece in dec.pieces:
+        if piece.n != n:
+            return False
+        mask = 1 << piece.shift
+        for v in piece.direction.basis:
+            moved = xor_translate(mask, v, n)
+            if moved & mask:
+                return False
+            mask |= moved
+        if mask & union:
+            return False
+        union |= mask
+    return union == f.table
+
+
+def _spectral_quotient(
+    f: BooleanFunction, spectrum: Spectrum, sigma: tuple[int, ...], origin: int
+) -> tuple[BooleanFunction, Spectrum]:
+    """h on F_2^s with f = h o pi, and h's spectrum, gathered from f's.
+
+    sigma is the rref basis of the span of the nonzero coefficient
+    positions, and s its size.  Every coefficient vanishes off sigma's
+    span, so f is constant on the cosets of its annihilator, and pi(x) =
+    (<sigma_i, x + origin>)_i (sigma_i by increasing pivot p_i) maps each
+    coset to a point.  sec(y) = sum of e_(p_i) over the set bits i of y
+    has pi(origin + sec(y)) = y, since each pivot lies in one row only, so
+    h(y) = f(origin + sec(y)), and for alpha = sum beta_i sigma_i
+
+        H(beta) = (-1)^<alpha, origin> F(alpha) / 2^(n - s),
+
+    the same normalised coefficients.  With origin f's smallest support
+    point, h(0) = 1.  When s = n, sec is the identity and h is f shifted
+    by origin.
+    """
+    n, s = f.n, len(sigma)
+    if s == n:
+        return shift(f, origin), shift_spectrum(spectrum, origin)
+    points = [origin]
+    alphas = [0]
+    signs = [1]
+    for r in reversed(sigma):
+        points += list(map((1 << (r.bit_length() - 1)).__xor__, points))
+        alphas += list(map(r.__xor__, alphas))
+        signs += list(map(neg, signs)) if (r & origin).bit_count() & 1 else signs
+    table = f.table.to_bytes(((1 << n) + 7) >> 3, "little")
+    h_bits = bytes(table[x >> 3] >> (x & 7) & 1 for x in points)
+    h = BooleanFunction(s, bits_to_int(h_bits))
+    signed = map(mul, map(spectrum.coeffs.__getitem__, alphas), signs)
+    return h, Spectrum(s, tuple(map(rshift, signed, repeat(n - s))))
+
+
+def _quotient_lift(
+    n: int, sigma: tuple[int, ...], origin: int, trace: ReductionTrace
+) -> Callable[[AffineSubspace], AffineSubspace]:
+    """The lift of core flats straight to f's coordinates, in one affine map.
+
+    The trace's lift (core -> h) followed by y -> origin + sec(y) (h -> f,
+    see _spectral_quotient) is x -> offset + the sum of columns[j] over the
+    set bits j of x.  A flat of the core lifts to its image plus the
+    annihilator of sigma's span, the directions along which f is constant.
+    When s = n and the core is h itself, the map is a translation.
+    """
+    if len(sigma) == n:  # sec is the identity, and the annihilator is {0}
+        offset = origin ^ trace.shift
+        if trace.transform is None:
+            return lambda flat: AffineSubspace(offset ^ flat.shift, flat.direction)
+        columns = trace.lift_columns()
+        kernel = []
+    else:
+        pivots = [1 << (r.bit_length() - 1) for r in reversed(sigma)]
+        offset = origin ^ _combine(trace.shift, pivots)
+        columns = pivots
+        if trace.transform is not None:
+            columns = [_combine(c, pivots) for c in trace.lift_columns()]
+        kernel = complement_generators(n, sigma)
+
+    def lift(flat: AffineSubspace) -> AffineSubspace:
+        basis = [_combine(v, columns) for v in flat.direction.basis]
+        return AffineSubspace(
+            offset ^ _combine(flat.shift, columns), Subspace(n, rref(basis + kernel))
+        )
+
+    return lift
+
+
+def _smallest_of_each_length(points: list[int], n: int) -> tuple[int, ...]:
+    """For each bit b from n - 1 down, the smallest of the sorted points
+    whose highest set bit is b, if any.  Distinct pivots make them
+    independent, and for a subspace they are its rref rows: a pivot bit
+    below b in the smallest member would leave a smaller one."""
+    rows = []
+    for b in reversed(range(n)):
+        i = bisect_left(points, 1 << b)
+        if i < len(points) and points[i] >> b == 1:
+            rows.append(points[i])
+    return tuple(rows)
+
+
+def _combine(y: int, vectors: list[int]) -> int:
+    """The sum of vectors[j] over the set bits j of y."""
+    x = 0
+    while y:
+        low = y & -y
+        x ^= vectors[low.bit_length() - 1]
+        y ^= low
+    return x
 
 
 def decompose(
@@ -396,17 +508,26 @@ def decompose(
 ) -> Decomposition:
     """Write the support as the disjoint union of affine subspaces.
 
-    The single-subspace case is read off the support directly; m = 2 cases
-    are reduced to an irreducible core, recovered there from the core's
-    spectrum, and lifted back.  Each spectrum has one route, and the result
-    has passed verify_decomposition: a route that fails, or whose pieces
+    The decomposition runs on the spectral quotient: sigma, the rref basis
+    of the span of the nonzero coefficient positions (s = dim), leaves f
+    constant on the cosets of its annihilator, so f = h o pi for h on F_2^s
+    with the same k and m (see _spectral_quotient).
+    - m = 1: the nonzero positions are U^perp for the support c + U, so
+      the piece is U through f's smallest support point; the rref rows of
+      U^perp are its smallest members of each bit length.
+    - m = 2: h and its spectrum are gathered (2^s entries each), h is
+      reduced to an irreducible core, the pieces are recovered there from
+      the core's spectrum, and each is lifted to f in one affine map.  The
+      core's classification follows from its dimension: it keeps every
+      coefficient value and drops the dimension by w, so k drops by w.
+    Each spectrum has one route, and the result has passed
+    verify_decomposition on f itself: a route that fails, or whose pieces
     fail that check, raises TheoremViolationError.
 
     f is transformed and classified here unless the caller passes its
-    spectrum (and classification), as reduce_to_core does.  The reduction
-    carries the spectrum to the core, whose classification follows from its
-    dimension: the core keeps every coefficient value and drops n by w, so
-    k drops by w and m stays.
+    spectrum (and classification); past that, only the scan for the
+    nonzero positions, a byte copy of the table for the gather, and the
+    bitmask verification touch 2^n entries.
     """
     if f.is_zero:
         raise SpectrumScopeError("the zero function has no affine decomposition")
@@ -419,11 +540,20 @@ def decompose(
             f"(granularity {cls.k}, F(0) = {cls.m}/2^{cls.k})"
         )
     n = f.n
+    nonzero = list(compress(range(1 << n), s.coeffs))
+    origin = (f.table & -f.table).bit_length() - 1
+    firsts = _smallest_of_each_length(nonzero, n)
     if cls.m == 1:
-        pieces: tuple[AffineSubspace, ...] = (affine_span(n, f.support()),)
+        # the nonzero positions are U^perp for the support origin + U
+        kernel = orthogonal_complement(Subspace(n, firsts))
+        pieces: tuple[AffineSubspace, ...] = (AffineSubspace(origin, kernel),)
     else:
-        core, trace = reduce_to_core(f, s, cls)
-        core_cls = _in_scope(cls.k - (n - trace.core_n), cls.m)
+        # n rows with distinct pivots span F_2^n, whose rref is the unit rows
+        full = len(firsts) == n
+        sigma = tuple(1 << b for b in reversed(range(n))) if full else rref(nonzero)
+        h, hs = _spectral_quotient(f, s, sigma, origin)
+        core, trace = reduce_to_core(h, hs, cls)
+        core_cls = _in_scope(cls.k - (h.n - trace.core_n), cls.m)
         try:
             core_pieces = _decompose_core(core, trace.core_spectrum, core_cls)
         except ValueError as exc:
@@ -431,7 +561,7 @@ def decompose(
             raise TheoremViolationError(f"the core recovery failed: {exc}") from exc
         if core_pieces is None:
             raise TheoremViolationError("the core recovery found no pieces")
-        pieces = tuple(map(trace.lift_flat, core_pieces))
+        pieces = tuple(map(_quotient_lift(n, sigma, origin, trace), core_pieces))
     dec = Decomposition(pieces, cls)
     if not verify_decomposition(f, dec):
         raise TheoremViolationError(

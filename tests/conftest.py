@@ -15,7 +15,8 @@ import pytest
 
 from f2spec import structure
 from f2spec.boolfunc import BooleanFunction
-from f2spec.fourier import Spectrum
+from f2spec.errors import SpectrumScopeError, TheoremViolationError
+from f2spec.fourier import Spectrum, wht
 from f2spec.gf2 import (
     AffineSubspace,
     GF2Matrix,
@@ -60,6 +61,57 @@ def short_negative_class(monkeypatch):
         return plus, minus - set(sorted(minus)[:1])
 
     monkeypatch.setattr(structure, "_signed_masks", patched)
+
+
+# ---- the dense decomposition ------------------------------------------
+# structure.decompose runs on the spectral quotient h (2^s entries) and
+# checks the pieces with bitmasks; this is the route it replaced, which
+# reduces f itself and checks the pieces as point sets.
+
+
+def oracle_pieces_cover_exactly(pieces, supp: frozenset[int]) -> bool:
+    """Whether the pieces' point sets are pairwise disjoint and their union
+    is supp."""
+    union: set[int] = set()
+    for piece in pieces:
+        pts = set(piece.points())
+        if union & pts:
+            return False
+        union |= pts
+    return union == supp
+
+
+def oracle_dense_decompose(f: BooleanFunction, s=None, cls=None):
+    """decompose on all 2^n entries: the m = 1 piece is the affine span of
+    the support, and m = 2 reduces f itself to its core, recovers the
+    pieces there, and lifts them through the reduction's trace.  Raises
+    TheoremViolationError when the route fails or its pieces miss the
+    mandated profile or the support."""
+    if s is None:
+        s = wht(f)
+    if cls is None:
+        cls = structure.classify(s)
+    if cls.tag not in structure.IN_SCOPE_TAGS:
+        raise SpectrumScopeError("out of scope")
+    n = f.n
+    if cls.m == 1:
+        pieces = (affine_span(n, f.support()),)
+    else:
+        core, trace = structure.reduce_to_core(f, s, cls)
+        core_cls = structure._in_scope(cls.k - (n - trace.core_n), cls.m)
+        try:
+            core_pieces = structure._decompose_core(core, trace.core_spectrum, core_cls)
+        except ValueError as exc:
+            raise TheoremViolationError(str(exc)) from exc
+        if core_pieces is None:
+            raise TheoremViolationError("no pieces")
+        pieces = tuple(map(trace.lift_flat, core_pieces))
+    if not (
+        structure._pieces_match_mandate(pieces, n, cls)
+        and oracle_pieces_cover_exactly(pieces, f.support())
+    ):
+        raise TheoremViolationError("the pieces failed verification")
+    return structure.Decomposition(pieces, cls)
 
 
 def indicator_spectrum(n: int, shift: int, perp_points: list[int], codim: int) -> list[int]:

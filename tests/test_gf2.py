@@ -9,11 +9,14 @@ from f2spec.gf2 import (
     GF2Matrix,
     Subspace,
     affine_span,
+    complement_generators,
     iter_affine_masks,
     linear_span,
     max_flat_through,
     orthogonal_complement,
+    swap_masks,
     transform_sending_to_first,
+    xor_translate,
 )
 
 from conftest import (
@@ -21,6 +24,7 @@ from conftest import (
     is_full_affine_subspace,
     iter_subspaces,
     oracle_flat_partition,
+    oracle_shift,
     oracle_transform_sending_to_e1,
 )
 
@@ -248,3 +252,41 @@ def test_find_flat_partition_impossible_shape():
     # XOR to zero
     assert oracle_flat_partition(3, [0, 1, 2, 4], 2, 1) is None
     assert oracle_flat_partition(3, [0, 1, 2, 3], 2, 1) is not None
+
+
+def test_swap_masks_hold_the_points_with_the_stride_bit_clear():
+    for n in range(0, 8):
+        masks = swap_masks(n)
+        assert len(masks) == n
+        for q, m in enumerate(masks):
+            assert m == sum(1 << x for x in range(1 << n) if not (x >> q) & 1)
+
+
+@given(st.integers(min_value=1, max_value=9), st.data())
+def test_xor_translate_matches_the_oracle(n, data):
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+    a = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    assert xor_translate(bits, a, n) == oracle_shift(n, bits, a)
+
+
+def test_complement_generators_span_the_orthogonal_complement():
+    for n in range(1, 6):
+        for d in range(n + 1):
+            for sub in iter_subspaces(n, d):
+                gens = complement_generators(n, sub.basis)
+                assert len(gens) == n - d
+                assert all(dot(g, r) == 0 for g in gens for r in sub.basis)
+                assert linear_span(n, gens) == orthogonal_complement(sub)
+
+
+def test_matrix_columns_are_the_images_of_the_unit_vectors():
+    rng = random.Random(3)
+    for n in range(1, 9):
+        while True:
+            try:
+                m = GF2Matrix.from_rows(n, [rng.getrandbits(n) for _ in range(n)])
+                break
+            except ValueError:
+                continue
+        assert m.columns() == tuple(m.apply(1 << i) for i in range(n))
+        assert m.images() == [m.apply(x) for x in range(1 << n)]

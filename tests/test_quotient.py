@@ -1,0 +1,330 @@
+"""decompose on the spectral quotient against the dense route it replaced.
+
+decompose gathers h on F_2^s (s the dimension of the span of the nonzero
+coefficient positions), recovers the pieces there and checks them on f
+with bitmasks; conftest.oracle_dense_decompose reduces f itself and checks
+point sets.  The two must give the same JSON wherever the pieces are
+unique (the one-flat and two-flat routes); the greedy four-flat route may
+pick another partition of the same support.
+"""
+
+import functools
+import importlib.util
+import sys
+from itertools import compress
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from f2spec import jsonio, structure
+from f2spec.boolfunc import BooleanFunction, apply_transform, shift, tensor
+from f2spec.errors import TheoremViolationError
+from f2spec.families import affine_indicator, counterexample_padded, delta, two_affine
+from f2spec.fourier import wht
+from f2spec.gf2 import AffineSubspace, Subspace, affine_span, complement_generators, rref
+from f2spec.harness import SplitMix64, random_invertible, random_vector
+from f2spec.structure import (
+    IN_SCOPE_TAGS,
+    Decomposition,
+    classify,
+    decompose,
+    verify_decomposition,
+)
+
+from conftest import (
+    dot,
+    iter_subspaces,
+    oracle_dense_decompose,
+    oracle_pieces_cover_exactly,
+    oracle_shift,
+)
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def assert_matches_dense(f, s=None, cls=None):
+    """decompose(f) against the dense oracle: identical JSON, except that a
+    four-flat partition need only be verified, with the same piece
+    dimensions and the same union as the oracle's."""
+    dec = decompose(f, s, cls)
+    ref = oracle_dense_decompose(f, s, cls)
+    if len(ref.pieces) == 4:
+        assert verify_decomposition(f, dec)
+        assert sorted(p.dim for p in dec.pieces) == sorted(p.dim for p in ref.pieces)
+        union = {x for p in dec.pieces for x in p.points()}
+        assert union == {x for p in ref.pieces for x in p.points()} == f.support()
+    else:
+        assert jsonio.decomposition_to_obj(dec) == jsonio.decomposition_to_obj(ref), f
+
+
+def image(base, seed):
+    rng = SplitMix64(seed)
+    m = random_invertible(base.n, rng)
+    return shift(apply_transform(base, m), random_vector(base.n, rng))
+
+
+@st.composite
+def family_images(draw, max_n=12):
+    """A seeded image of one of the three decompose-large families:
+    two-affine, counterexample-padded, or two-affine on n - 2 inputs
+    embedded in a codimension-2 subspace."""
+    family = draw(st.sampled_from(["two-affine", "counterexample-padded", "embedded"]))
+    seed = draw(st.integers(min_value=0, max_value=1 << 32))
+    if family == "counterexample-padded":
+        base = counterexample_padded(draw(st.integers(min_value=6, max_value=max_n)))
+    else:
+        inner_max = max_n - 2 if family == "embedded" else max_n
+        n = draw(st.integers(min_value=3, max_value=inner_max))
+        base = two_affine(n, draw(st.integers(min_value=2, max_value=(n + 1) // 2)))
+        if family == "embedded":
+            base = tensor(base, delta(2))
+    return image(base, seed)
+
+
+@functools.cache
+def _in_scope_tables_up_to_n4():
+    cases = []
+    for n in range(1, 5):
+        for table in range(1, 1 << (1 << n)):
+            f = BooleanFunction(n, table)
+            s = wht(f)
+            cls = classify(s)
+            if cls.tag in IN_SCOPE_TAGS:
+                cases.append((f, s, cls))
+    return tuple(cases)
+
+
+# ------------------------------------------------------------------ parity
+
+def test_parity_with_the_dense_route_on_every_in_scope_table_up_to_n4():
+    cases = _in_scope_tables_up_to_n4()
+    assert len(cases) == 2948
+    for f, s, cls in cases:
+        assert_matches_dense(f, s, cls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_images())
+def test_parity_with_the_dense_route_on_family_images(f):
+    assert_matches_dense(f)
+
+
+def _decompose_large_inputs(seed, workdir, monkeypatch):
+    """The input files of the benchmark's decompose-large workload."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    workloads.DecomposeLarge().build(seed, workdir)
+    return sorted(workdir.glob("decompose-*.json"))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_parity_with_the_dense_route_on_the_decompose_large_inputs(
+    seed, tmp_path, monkeypatch
+):
+    paths = _decompose_large_inputs(seed, tmp_path, monkeypatch)
+    assert len(paths) == 16
+    for path in paths:
+        assert_matches_dense(jsonio.load_function(str(path)))
+
+
+def test_a_short_negative_class_in_the_quotient_core_raises(short_negative_class):
+    # s < n here, and the embedded image still has two reducible directions
+    # inside the quotient
+    for base in (two_affine(9, 3), tensor(two_affine(7, 3), delta(2)), counterexample_padded(9)):
+        f = image(base, 7)
+        sigma = rref(compress(range(1 << f.n), wht(f).coeffs))
+        assert len(sigma) < f.n
+        with pytest.raises(TheoremViolationError) as info:
+            decompose(f)
+        assert isinstance(info.value.__cause__, ValueError)
+
+
+# ---------------------------------------------------------------- quotient
+
+@st.composite
+def in_scope_images(draw, max_n=10):
+    """Seeded images of in-scope instances up to n = max_n: one flat, two
+    flats (also embedded in a codimension-2 subspace) or four."""
+    kind = draw(st.sampled_from(["affine", "family"]))
+    if kind == "family":
+        return draw(family_images(max_n))
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    k = draw(st.integers(min_value=0, max_value=n))
+    return image(affine_indicator(n, k), draw(st.integers(min_value=0, max_value=1 << 32)))
+
+
+def quotient(f):
+    s = wht(f)
+    sigma = rref(compress(range(1 << f.n), s.coeffs))
+    origin = min(f.support())
+    h, hs = structure._spectral_quotient(f, s, sigma, origin)
+    return s, sigma, origin, h, hs
+
+
+@settings(max_examples=60, deadline=None)
+@given(in_scope_images())
+def test_f_is_h_of_the_projection(f):
+    s, sigma, origin, h, hs = quotient(f)
+    n = f.n
+    assert h.n == len(sigma) and h.value(0) == 1
+    # f is constant on the cosets of the annihilator of sigma's span
+    for v in complement_generators(n, sigma):
+        assert oracle_shift(n, f.table, v) == f.table
+    # and f(x) = h(pi(x + origin)), pi reading the coordinates <sigma_i, x>
+    rows = sigma[::-1]
+    for x in range(1 << n):
+        y = sum(dot(r, x ^ origin) << i for i, r in enumerate(rows))
+        assert f.value(x) == h.value(y)
+    # the gathered spectrum is h's own, with the same k and m
+    assert hs == wht(h)
+    cls, h_cls = classify(s), classify(hs)
+    assert (h_cls.tag, h_cls.k, h_cls.m) == (cls.tag, cls.k, cls.m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=3, max_value=10), st.data())
+def test_two_affine_quotients_have_at_most_2k_minus_1_dimensions(n, data):
+    k = data.draw(st.integers(min_value=2, max_value=(n + 1) // 2))
+    f = image(two_affine(n, k), data.draw(st.integers(min_value=0, max_value=1 << 32)))
+    _, sigma, _, h, _ = quotient(f)
+    assert len(sigma) == h.n <= 2 * k - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(in_scope_images())
+def test_decompose_with_a_spectrum_makes_no_transform(f):
+    s = wht(f)
+    cls = classify(s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "wht", lambda *args: pytest.fail("wht was called"))
+        dec = decompose(f, s, cls)
+    assert verify_decomposition(f, dec)
+
+
+def test_measured_quotient_dimensions_of_the_bench_families():
+    cases = (
+        (two_affine(14, 3), 5),
+        (two_affine(16, 5), 9),
+        (counterexample_padded(14), 6),
+        (tensor(two_affine(14, 3), delta(2)), 7),
+    )
+    for base, s in cases:
+        _, sigma, _, h, _ = quotient(image(base, 3))
+        assert len(sigma) == h.n == s
+
+
+def test_smallest_of_each_length_reads_the_rref_rows_of_every_subspace():
+    for n in range(1, 6):
+        for d in range(n + 1):
+            for sub in iter_subspaces(n, d):
+                points = sorted(sub.points())
+                assert structure._smallest_of_each_length(points, n) == sub.basis
+
+
+def test_quotient_lift_keeps_the_dimension_and_lifts_every_point():
+    rng = SplitMix64(61)
+    for base in (tensor(two_affine(5, 3), delta(2)), counterexample_padded(8), two_affine(8, 3)):
+        f = image(base, rng.below(1 << 30))
+        _, sigma, origin, h, hs = quotient(f)
+        core, trace = structure.reduce_to_core(h, hs)
+        lift = structure._quotient_lift(f.n, sigma, origin, trace)
+        pivots = [r.bit_length() - 1 for r in reversed(sigma)]
+        kernel = Subspace.spanned_by(f.n, complement_generators(f.n, sigma))
+        for _ in range(4):
+            gens = [random_vector(core.n, rng) for _ in range(rng.below(core.n + 1))]
+            flat = AffineSubspace(random_vector(core.n, rng), Subspace.spanned_by(core.n, gens))
+            lifted = lift(flat)
+            assert lifted.dim == flat.dim + kernel.dim
+            points = set()
+            for y in flat.points():
+                z = trace.lift_point(y)
+                x = origin ^ sum(1 << p for i, p in enumerate(pivots) if (z >> i) & 1)
+                points |= {x ^ v for v in kernel.points()}
+            assert set(lifted.points()) == points
+
+
+# ------------------------------------------------------------ verification
+
+def _corrupted(dec):
+    """Decompositions near dec, nearly all invalid: each piece moved by a
+    unit vector, the pieces' shifts swapped (another valid partition when
+    the core has k = 2), a piece halved, a piece repeated, and a basis
+    vector doubled."""
+    pieces = dec.pieces
+    n = pieces[0].n
+    out = []
+    for i, p in enumerate(pieces):
+        for q in range(n):
+            moved = AffineSubspace(p.shift ^ (1 << q), p.direction)
+            if moved != p:
+                out.append((*pieces[:i], moved, *pieces[i + 1 :]))
+    if len(pieces) > 1:
+        a, b, *rest = pieces
+        out.append((AffineSubspace(b.shift, a.direction), AffineSubspace(a.shift, b.direction), *rest))
+        out.append((a, a, *rest))
+    first = pieces[0]
+    if first.dim:
+        top, *others = first.direction.basis
+        out.append((AffineSubspace(first.shift, Subspace(n, tuple(others))), *pieces[1:]))
+        dependent = Subspace(n, (top, top, *others[1:]))
+        out.append((AffineSubspace(first.shift, dependent), *pieces[1:]))
+    return [Decomposition(tuple(ps), dec.classification) for ps in out]
+
+
+def oracle_verify(f, dec):
+    """The point-set check: mandated dimensions, each basis independent, and
+    the pieces' point sets partition the support."""
+    independent = all(
+        affine_span(f.n, p.points()).dim == p.dim for p in dec.pieces
+    )
+    return (
+        independent
+        and structure._pieces_match_mandate(dec.pieces, f.n, dec.classification)
+        and oracle_pieces_cover_exactly(dec.pieces, f.support())
+    )
+
+
+def test_bitmask_verification_matches_the_point_set_oracle():
+    cases = [f for f, _, _ in _in_scope_tables_up_to_n4()[::7]]
+    rng = SplitMix64(67)
+    for base in (two_affine(7, 3), counterexample_padded(7), tensor(two_affine(5, 2), delta(2))):
+        cases.append(image(base, rng.below(1 << 30)))
+    checked = rejected = 0
+    for f in cases:
+        dec = decompose(f)
+        assert verify_decomposition(f, dec) and oracle_verify(f, dec)
+        # the same pieces leave out a point added to the support
+        zeros = ~f.table & ((1 << (1 << f.n)) - 1)
+        if zeros:
+            wider = BooleanFunction(f.n, f.table | (zeros & -zeros))
+            assert not verify_decomposition(wider, dec) and not oracle_verify(wider, dec)
+        for bad in _corrupted(dec):
+            assert verify_decomposition(f, bad) == oracle_verify(f, bad), (f, bad)
+            checked += 1
+            rejected += not oracle_verify(f, bad)
+    assert rejected > checked // 2
+
+
+def test_verification_rejects_a_piece_of_another_dimension():
+    f = two_affine(5, 2)
+    dec = decompose(f)
+    wide = tuple(AffineSubspace(p.shift, Subspace(6, p.direction.basis)) for p in dec.pieces)
+    assert not verify_decomposition(f, Decomposition(wide, dec.classification))
+
+
+def test_verification_rejects_a_dependent_basis():
+    # three basis vectors claim a 3-flat, but they span a plane that is the
+    # whole support; the classification claims the one-flat profile of k = 1
+    f = affine_indicator(4, 2)
+    plane = decompose(f).pieces[0]
+    a, b = plane.direction.basis
+    claimed = AffineSubspace(plane.shift, Subspace(4, (a, b, a ^ b)))
+    assert claimed.points() and set(claimed.points()) == f.support()
+    dec = Decomposition((claimed,), structure.Classification(structure.TAG_RVL, 1, 1))
+    assert not verify_decomposition(f, dec)
+    assert not oracle_verify(f, dec)

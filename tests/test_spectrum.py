@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+from f2spec import fourier, structure
 from f2spec.boolfunc import (
     BooleanFunction,
     apply_transform,
@@ -76,6 +77,26 @@ def test_granularity_matches_fraction_denominators_arbitrary_spectra(n, data):
     )
     s = Spectrum(n, tuple(coeffs))
     assert granularity(s) == oracle_granularity(s)
+
+
+def test_classify_folds_the_granularity_from_its_own_value_set(monkeypatch):
+    # classify reads k from the set of values it builds anyway, through the
+    # fold that granularity uses, and never builds a second set
+    sets = []
+
+    class CountingSet(set):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sets.append(self)
+
+    monkeypatch.setattr(structure, "set", CountingSet, raising=False)
+    monkeypatch.setattr(fourier, "set", CountingSet, raising=False)
+    for table in range(1, 1 << 16, 97):
+        s = wht(BooleanFunction(4, table))
+        sets.clear()
+        k = structure.classify(s).k
+        assert len(sets) == 1
+        assert k == oracle_granularity(s) == granularity(s)
 
 
 def test_sparsity_examples():

@@ -1,4 +1,5 @@
 import functools
+from itertools import compress
 from operator import add
 
 import pytest
@@ -22,6 +23,7 @@ from f2spec.gf2 import (
     affine_span,
     iter_affine_masks,
     linear_span,
+    rref,
 )
 from f2spec.harness import SplitMix64, random_invertible, random_vector
 from f2spec.structure import (
@@ -503,17 +505,24 @@ def test_decompose_partitions_the_support_into_mandated_flats():
 
 
 def test_structural_recovery_needs_no_partition_search(monkeypatch):
-    # no search is left to fall back on: the pieces are the lifted pieces of
-    # the one core route, called once per input
+    # no search is left to fall back on: the pieces are the pieces of the
+    # one core route, called once per input on the core of the spectral
+    # quotient h, and lifted to f in one affine map
     assert not hasattr(structure, "find_flat_partition")
-    route = structure._decompose_core
-    found = []
+    route, reduce = structure._decompose_core, structure.reduce_to_core
+    found, traces = [], []
 
     def recording(*args):
         found.append(route(*args))
         return found[-1]
 
+    def reducing(*args):
+        core, trace = reduce(*args)
+        traces.append(trace)
+        return core, trace
+
     monkeypatch.setattr(structure, "_decompose_core", recording)
+    monkeypatch.setattr(structure, "reduce_to_core", reducing)
     rng = SplitMix64(41)
     for base in (
         counterexample_core(),
@@ -528,11 +537,15 @@ def test_structural_recovery_needs_no_partition_search(monkeypatch):
             m = random_invertible(base.n, rng)
             f = shift(apply_transform(base, m), random_vector(base.n, rng))
             found.clear()
+            traces.clear()
             dec = decompose(f)
             assert _is_mandated_partition(f, dec), f
-            _, trace = reduce_to_core(f)
             assert len(found) == 1 and found[0] is not None
-            assert dec.pieces == tuple(map(trace.lift_flat, found[0]))
+            (trace,) = traces
+            sigma = rref(compress(range(1 << f.n), wht(f).coeffs))
+            origin = min(f.support())
+            lift = structure._quotient_lift(f.n, sigma, origin, trace)
+            assert dec.pieces == tuple(map(lift, found[0]))
 
 
 def _two_flat_cores():
