@@ -44,10 +44,19 @@ def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
         x = (a + b - B) | ((a + B - b) << s*width)
 
     leaves the biased sum in lane j and the biased difference in lane
-    j + s.  The lane is the narrowest of 16, 32 and 64 bits (or a whole
-    number of bytes beyond) that holds max|v| * 2^n with its sign, so no
-    lane carries into or borrows from its neighbour at any stage.  Strides
-    stay below 2^n, so the blocks of one call never mix.
+    j + s.  Strides stay below 2^n, so the blocks of one call never mix.
+    They run from 2^(n-1) down to 1, so each stage's M is the previous
+    one XOR itself shifted by the new stride.
+
+    After i stages no entry exceeds peak * 2^i in absolute value, peak the
+    largest |v| of the input.  The next stage runs on the narrowest lane of
+    8, 16, 32 or 64 bits (or a whole number of bytes beyond) that holds
+    peak * 2^(i+1) with its sign, so no lane carries into or borrows from
+    its neighbour.  When that bound outgrows the lane, every lane is
+    widened in one bytes pass first: a 0/1 table runs its first 6 stages
+    on 8-bit lanes, the next 8 on 16 bits and the rest on 32.  Below
+    _STAGED_LANES lanes the passes cost more than the narrower stages
+    save, and every stage runs on the lane of the last.
     """
     size = 1 << n
     count = len(values)
@@ -56,43 +65,124 @@ def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
     if not count:
         return ()
     raw = isinstance(values, (bytes, bytearray))
+    small = None  # the entries as signed bytes, where each fits in one
     if raw:  # a truth table's bytes are all 0/1: delete those at C speed
-        peak = max(values.translate(None, b"\x00\x01") or b"\x01")
+        peak_bits = max(values.translate(None, b"\x00\x01") or b"\x01").bit_length()
+        if peak_bits < 8:
+            small = values
     else:
-        peak = max(max(values), -min(values))
-    need = (peak << n).bit_length() + 1
-    width = next((w for w in (16, 32, 64) if need <= w), -(-need // 8) * 8)
+        try:  # a Struct's pack takes a tuple as its argument tuple, uncopied
+            small = struct.Struct(f"<{count}b").pack(*values)
+        except struct.error:
+            peak_bits = max(max(values), -min(values)).bit_length()
+        else:  # the bit length of the largest |v|, by one memchr per length
+            magnitudes = small.translate(_MAGNITUDE_BITS)
+            peak_bits = next((k for k in range(8, 0, -1) if k in magnitudes), 0)
+            del magnitudes
+    last = _lane_width(peak_bits + n + 1)
+    if count < _STAGED_LANES:
+        widths = [last] * n
+    else:
+        widths = [_lane_width(peak_bits + i + 2) for i in range(n)]
+    width = widths[0] if n else last
     nb = width >> 3
-    lane_bias = bytes(nb - 1) + b"\x80"
-    bias = int.from_bytes(lane_bias * count, "little")
-    if raw:
-        buf = bytearray(lane_bias * count)
-        buf[0::nb] = values
-        x = int.from_bytes(buf, "little")
-        del buf
+    if small is not None:
+        lanes = small.translate(_FLIP)
+        if nb > 1:
+            lanes = _widen(lanes, 1, nb)
+    elif raw:
+        lanes = bytearray(_lane_bias(nb) * count)
+        lanes[0::nb] = values
     else:
-        x = int.from_bytes(_pack(values, width), "little") ^ bias
-    # every whole-int temporary is as large as x: drop each one as soon as
-    # it is used
-    for i in range(n):
+        lanes = _flip_top(_pack(values, width), nb)
+    x = int.from_bytes(lanes, "little")
+    del lanes, small
+    # every whole-int temporary is as large as x: the stage rebinds x and a
+    # as it goes, so that at most six such ints (x, a, mask, bias and two
+    # temporaries) live at once
+    mask = None
+    for done, i in enumerate(range(n - 1, -1, -1)):
+        if widths[done] != width:  # this stage's bound outgrows the lane
+            data = x.to_bytes(count * nb, "little")
+            del x
+            mask = bias = None
+            width = widths[done]
+            x = int.from_bytes(_widen(data, nb, width >> 3), "little")
+            nb = width >> 3
+            del data
         shift = width << i
-        mask = _low_half_mask(count * width, shift)
+        if mask is None:
+            bias = int.from_bytes(_lane_bias(nb) * count, "little")
+            mask = _low_half_mask(count * width, shift)
+        else:  # lanes with bit i clear, from those with bit i + 1 clear
+            mask ^= mask << shift
         a = x & mask
-        b = (x >> shift) & mask
-        del x
-        low_bias = bias & mask
-        del mask
-        x = a + b - low_bias
-        del b, low_bias
-        x |= ((a << 1) - x) << shift  # 2a - (a + b - B) = a + B - b
+        x >>= shift
+        x &= mask  # b
+        x += a
+        x -= bias & mask  # a + b - B
+        a <<= 1
+        a -= x  # 2a - (a + b - B) = a + B - b
+        x |= a << shift
         del a
-    data = (x ^ bias).to_bytes(count * nb, "little")
-    del x, bias
+    mask = bias = None  # release both before the output is built
+    data = _flip_top(x.to_bytes(count * nb, "little"), nb)
+    del x
     return _unpack(data, width)
 
 
+# below this many lanes every stage runs on the lane of the last: on 0/1
+# tables and their spectra at n = 9..14, widening gained nothing below 2^13
+# lanes and made the transform up to 45% slower at n = 9
+_STAGED_LANES = 1 << 13
+
 # array and struct codes of the signed lanes of each standard width
-_LANE_CODES = {16: "h", 32: "i", 64: "q"}
+_LANE_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+# translations of one byte: its top bit flipped (bias on or off), the bit
+# length of its magnitude read as a signed byte, and, for the biased top
+# byte of a lane, the sign fill and biased top byte of a wider lane
+_FLIP = bytes(b ^ 0x80 for b in range(256))
+_MAGNITUDE_BITS = bytes(min(b, 256 - b).bit_length() for b in range(256))
+_SIGN_FILL = bytes(0x00 if b & 0x80 else 0xFF for b in range(256))
+_WIDE_TOP = bytes(0x80 if b & 0x80 else 0x7F for b in range(256))
+
+
+def _lane_width(need: int) -> int:
+    """Bits of the narrowest lane that holds a need-bit signed value."""
+    return next((w for w in (8, 16, 32, 64) if need <= w), -(-need // 8) * 8)
+
+
+def _lane_bias(nb: int) -> bytes:
+    """The bias of one nb-byte lane, little-endian: 2^(8nb - 1)."""
+    return bytes(nb - 1) + b"\x80"
+
+
+def _flip_top(data: bytes | array, nb: int) -> bytes | bytearray:
+    """Lanes of nb bytes with the top bit of each flipped: adds the bias to
+    two's-complement lanes, or takes it off biased ones."""
+    if nb == 1:
+        return data.translate(_FLIP)
+    data = bytearray(data)
+    data[nb - 1 :: nb] = data[nb - 1 :: nb].translate(_FLIP)
+    return data
+
+
+def _widen(data: bytes | bytearray, nb: int, wide: int) -> bytearray:
+    """Biased lanes of nb bytes as biased lanes of wide > nb bytes, at C
+    speed: the low bytes are copied, and the old top byte becomes the
+    value's byte, the sign fill and the new top byte by three translations."""
+    top = data[nb - 1 :: nb]
+    out = bytearray(len(top) * wide)
+    for k in range(nb - 1):
+        out[k::wide] = data[k::nb]
+    out[nb - 1 :: wide] = top.translate(_FLIP)
+    if wide - nb > 1:
+        fill = top.translate(_SIGN_FILL)
+        for k in range(nb, wide - 1):
+            out[k::wide] = fill
+    out[wide - 1 :: wide] = top.translate(_WIDE_TOP)
+    return out
 
 
 def _pack(values: Sequence[int], width: int) -> bytes | array:

@@ -5,13 +5,13 @@ exhaustively at small n and by hypothesis up to n = 12."""
 
 import random
 import tracemalloc
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f2spec import structure
+from f2spec import fourier, structure
 from f2spec.boolfunc import (
     BooleanFunction,
     apply_transform,
@@ -128,28 +128,39 @@ def test_butterfly_matches_loop_oracle_on_integer_vectors():
             assert butterfly(table, n) == oracle_blocks(table, n)
 
 
-def test_butterfly_is_exact_on_both_sides_of_every_lane_width():
-    # the lane holds max|v| * 2^n with its sign; each product sits on one
-    # side of the 16-, 32- and 64-bit lanes, or far past them
-    for n in (0, 1, 3, 6):
-        for product in (
-            (1 << 15) - 1,
-            1 << 15,
-            (1 << 31) - 1,
-            1 << 31,
-            (1 << 63) - 1,
-            1 << 63,
-            1 << 70,
-        ):
-            peak = product >> n  # the largest peak with peak * 2^n <= product
+def test_butterfly_is_exact_on_both_sides_of_every_lane_width(monkeypatch):
+    # stage i runs on a lane that holds peak * 2^(i+1) with its sign.  Each
+    # peak below puts that bound on one side of the 8-, 16-, 32- or 64-bit
+    # lane, or far past them, after j of the n stages.  With _STAGED_LANES
+    # at 1 every call widens its lanes at stage j; at its default, these
+    # short inputs run every stage on the lane of the last
+    bounds = [(1 << k) - d for k in (7, 15, 31, 63) for d in (1, 0)] + [1 << 70]
+    for staged_lanes, n in product((1, fourier._STAGED_LANES), (0, 1, 3, 6)):
+        monkeypatch.setattr(fourier, "_STAGED_LANES", staged_lanes)
+        for peak in sorted({bound >> j for bound in bounds for j in range(n + 1)}):
             for blocks in (1, 3):
                 for values in (
                     [peak] * (blocks << n),
                     [-peak] * (blocks << n),
                     [(-peak, peak, 0, -1)[i % 4] for i in range(blocks << n)],
                     [peak if i % 3 else -peak for i in range(blocks << n)],
+                    [(peak, 0, peak >> 1)[i % 3] for i in range(blocks << n)],
                 ):
-                    assert butterfly(values, n) == oracle_blocks(values, n), (n, product)
+                    expected = oracle_blocks(values, n)
+                    assert butterfly(values, n) == expected, (n, peak)
+                    assert butterfly(tuple(values), n) == expected, (n, peak)
+                    if min(values) >= 0 and peak < 256:  # 0/1 or arbitrary bytes
+                        assert butterfly(bytes(values), n) == expected, (n, peak)
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_butterfly_round_trip_widens_a_01_table_through_every_lane(n):
+    # a 0/1 table at n = 16 or 18 runs stages 0-5 on 8-bit lanes, 6-13 on
+    # 16 and the rest on 32; its spectrum, a tuple, comes back on 32-bit
+    # lanes that widen to 64
+    bits = bytes(random.Random(n).getrandbits(1) for _ in range(1 << n))
+    assert len(bits) >= fourier._STAGED_LANES
+    assert butterfly(butterfly(bits, n), n) == tuple(b << n for b in bits)
 
 
 def test_butterfly_of_nothing_and_of_ragged_lengths():
