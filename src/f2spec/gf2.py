@@ -234,36 +234,28 @@ def _transpose_rows(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GF2Matrix:
-    """Invertible n x n matrix over F_2 with its inverse cached.
+    """Invertible n x n matrix over F_2, held as its rows.
 
-    rows[i] holds row i+1 as a bitmask; (Mx)_i = <rows[i], x>.  The product
-    inverse * matrix is checked to be the identity at construction.
+    rows[i] holds row i+1 as a bitmask; (Mx)_i = <rows[i], x>.  The rows
+    are checked to be independent at construction; the inverse is computed
+    only when asked for.
     """
 
     n: int
     rows: tuple[int, ...]
-    inverse_rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
         check_dimension(self.n)
-        if len(self.rows) != self.n or len(self.inverse_rows) != self.n:
+        if len(self.rows) != self.n:
             raise ValueError("row count must equal the dimension")
-        for i in range(self.n):
-            e = 1 << i
-            if self.apply(self.apply_inverse(e)) != e:
-                raise ValueError("cached inverse does not invert the matrix")
+        for r in self.rows:
+            check_vector(r, self.n)
+        if len(_echelon(self.rows)) != self.n:
+            raise ValueError("matrix is singular over GF(2)")
 
     @staticmethod
     def from_rows(n: int, rows: Iterable[int]) -> "GF2Matrix":
-        rows = tuple(rows)
-        for r in rows:
-            check_vector(r, n)
-        return GF2Matrix(n, rows, _invert_rows(n, rows))
-
-    @staticmethod
-    def identity(n: int) -> "GF2Matrix":
-        rows = tuple(1 << i for i in range(n))
-        return GF2Matrix(n, rows, rows)
+        return GF2Matrix(n, tuple(rows))
 
     def apply(self, x: int) -> int:
         return sum(((self.rows[i] & x).bit_count() & 1) << i for i in range(self.n))
@@ -279,20 +271,8 @@ class GF2Matrix:
             out += list(map(col.__xor__, out))
         return out
 
-    def apply_inverse(self, x: int) -> int:
-        return sum(
-            ((self.inverse_rows[i] & x).bit_count() & 1) << i for i in range(self.n)
-        )
-
     def inverse(self) -> "GF2Matrix":
-        return GF2Matrix(self.n, self.inverse_rows, self.rows)
-
-    def transpose(self) -> "GF2Matrix":
-        return GF2Matrix(
-            self.n,
-            _transpose_rows(self.n, self.rows),
-            _transpose_rows(self.n, self.inverse_rows),
-        )
+        return GF2Matrix(self.n, _invert_rows(self.n, self.rows))
 
 
 def transform_sending_to_first(n: int, basis: Iterable[int]) -> GF2Matrix:
@@ -301,8 +281,9 @@ def transform_sending_to_first(n: int, basis: Iterable[int]) -> GF2Matrix:
     Concretely: for g(x) = f(Lx) the spectra satisfy g^(e_(i+1)) =
     f^(basis[i]).  The basis must be in echelon form (nonzero rows with
     distinct highest set bits, as rref returns).  It is completed with the
-    standard vectors at the other positions, which are then independent of
-    it by their distinct highest bits, so the result is reproducible.
+    standard vectors at the other positions, in increasing order, which
+    are then independent of it by their distinct highest bits, so the
+    result is reproducible.
     """
     basis = tuple(basis)
     for v in basis:
@@ -311,14 +292,10 @@ def transform_sending_to_first(n: int, basis: Iterable[int]) -> GF2Matrix:
     if -1 in pivots or len(pivots) != len(basis):
         raise ValueError("basis must be nonzero rows with distinct highest bits")
     cols = (*basis, *(1 << i for i in range(n) if i not in pivots))
-    # P has the completed basis as columns, so P e_(i+1) = basis[i]; the
-    # function-side matrix is L = (P^-1)^T, whose spectrum action is
-    # beta -> P beta.
-    p_rows = _transpose_rows(n, cols)
-    p_inv = _invert_rows(n, p_rows)
-    l_rows = _transpose_rows(n, p_inv)
-    l_inverse_rows = _transpose_rows(n, p_rows)
-    return GF2Matrix(n, l_rows, l_inverse_rows)
+    # P has the completed basis as columns, so P e_(i+1) = basis[i], and the
+    # function-side matrix L = (P^-1)^T, whose spectrum action is
+    # beta -> P beta, is (P^T)^-1: the rows of P^T are the completed basis.
+    return GF2Matrix(n, _invert_rows(n, cols))
 
 
 def _spans(rows: list) -> Iterator[int]:

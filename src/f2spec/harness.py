@@ -97,7 +97,8 @@ def random_vector(n: int, rng: SplitMix64) -> int:
 
 
 def random_invertible(n: int, rng: SplitMix64) -> GF2Matrix:
-    """Rejection-sample an invertible matrix row by row."""
+    """Rejection-sample an invertible matrix: draw all n rows from rng,
+    then keep them if they are independent, else draw n more."""
     while True:
         rows = tuple(rng.below(1 << n) for _ in range(n))
         try:

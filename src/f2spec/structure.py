@@ -200,30 +200,12 @@ class ReductionTrace:
     transform: GF2Matrix | None
     core_spectrum: Spectrum
 
-    def lift_point(self, y: int) -> int:
-        """Map a core point back to the original coordinates."""
-        if self.transform is None:
-            return y ^ self.shift
-        return self.transform.apply(y << (self.original_n - self.core_n)) ^ self.shift
-
     def lift_columns(self) -> list[int]:
-        """The linear part of lift_point: lift_point(e_(j+1)) + lift_point(0)
-        for each core coordinate j."""
+        """The linear part of the lift y -> L(y << w) + shift back to the
+        original coordinates: L(e_(j+1) << w) for each core coordinate j."""
         if self.transform is None:
             return [1 << j for j in range(self.core_n)]
         return list(self.transform.columns()[self.original_n - self.core_n :])
-
-    def lift_flat(self, flat: AffineSubspace) -> AffineSubspace:
-        """Map an affine subspace of the core space back; dimension is kept.
-
-        lift_point is affine (x -> Lx + c), so the shift lifts as a point and
-        each direction vector v as lift_point(v) + lift_point(0)."""
-        c = self.lift_point(0)
-        basis = [self.lift_point(v) ^ c for v in flat.direction.basis]
-        return AffineSubspace(
-            self.lift_point(flat.shift),
-            Subspace.spanned_by(self.original_n, basis),
-        )
 
 
 def reduce_to_core(
@@ -268,7 +250,8 @@ def reduce_to_core(
     found = [coeffs.index(f0, 1)]
     for _ in range(1, w):
         found.append(coeffs.index(f0, 1 << found[-1].bit_length()))
-    transform = transform_sending_to_first(f.n, rref(found))
+    basis = rref(found)
+    transform = transform_sending_to_first(f.n, basis)
     g = apply_transform(g, transform)
     for _ in range(w):
         g, g1 = restrict_first_bit(g)
@@ -276,11 +259,15 @@ def reduce_to_core(
             raise TheoremViolationError(
                 "support was not confined to the affine span of its points"
             )
-    # the core keeps G(b << w) = F(P (b << w)) with P = (L^-1)^T, whose
-    # columns w+1..n are the rows w+1..n of L^-1: gather only those images
+    # the core keeps G(b << w) = F(P (b << w)), and P's columns w+1..n are
+    # the unit vectors at the non-pivot positions of W's basis, in
+    # increasing order: the core's spectrum is F at the masks with every
+    # pivot bit clear, listed in increasing order
+    pivot_bits = sum(1 << (v.bit_length() - 1) for v in basis)
     images = [0]
-    for col in transform.inverse_rows[w:]:
-        images += list(map(col.__xor__, images))
+    for q in range(f.n):
+        if not (pivot_bits >> q) & 1:
+            images += list(map((1 << q).__or__, images))
     core_s = Spectrum(g.n, tuple(map(coeffs.__getitem__, images)))
     return g, ReductionTrace(f.n, g.n, origin, transform, core_s)
 

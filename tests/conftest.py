@@ -81,6 +81,27 @@ def oracle_pieces_cover_exactly(pieces, supp: frozenset[int]) -> bool:
     return union == supp
 
 
+def oracle_lift_point(trace, y: int) -> int:
+    """Map a core point back to the original coordinates: L(y << w) +
+    shift, or y + shift when the reduction made no transform."""
+    if trace.transform is None:
+        return y ^ trace.shift
+    return trace.transform.apply(y << (trace.original_n - trace.core_n)) ^ trace.shift
+
+
+def oracle_lift_flat(trace, flat: AffineSubspace) -> AffineSubspace:
+    """Map an affine subspace of the core space back; dimension is kept.
+
+    The lift is affine (x -> Lx + c), so the shift lifts as a point and
+    each direction vector v as lift(v) + lift(0)."""
+    c = oracle_lift_point(trace, 0)
+    basis = [oracle_lift_point(trace, v) ^ c for v in flat.direction.basis]
+    return AffineSubspace(
+        oracle_lift_point(trace, flat.shift),
+        Subspace.spanned_by(trace.original_n, basis),
+    )
+
+
 def oracle_dense_decompose(f: BooleanFunction, s=None, cls=None):
     """decompose on all 2^n entries: the m = 1 piece is the affine span of
     the support, and m = 2 reduces f itself to its core, recovers the
@@ -105,7 +126,7 @@ def oracle_dense_decompose(f: BooleanFunction, s=None, cls=None):
             raise TheoremViolationError(str(exc)) from exc
         if core_pieces is None:
             raise TheoremViolationError("no pieces")
-        pieces = tuple(map(trace.lift_flat, core_pieces))
+        pieces = tuple(oracle_lift_flat(trace, piece) for piece in core_pieces)
     if not (
         structure._pieces_match_mandate(pieces, n, cls)
         and oracle_pieces_cover_exactly(pieces, f.support())
@@ -304,8 +325,43 @@ def transform_spectrum(s: Spectrum, m: GF2Matrix) -> Spectrum:
     """Spectrum of x -> f(Mx) from the spectrum of f: G(gamma) = F(P gamma)
     with P = (M^-1)^T, a gather through the images of P of all 2^n masks.
     structure.reduce_to_core gathers only the images it keeps."""
-    images = m.inverse().transpose().images()
+    images = transpose_matrix(m.inverse()).images()
     return Spectrum(s.n, tuple(map(s.coeffs.__getitem__, images)))
+
+
+def identity_matrix(n: int) -> GF2Matrix:
+    return GF2Matrix(n, tuple(1 << i for i in range(n)))
+
+
+def transpose_matrix(m: GF2Matrix) -> GF2Matrix:
+    """M^T: its row j holds bit j of each row of M."""
+    return GF2Matrix(
+        m.n, tuple(sum(((r >> j) & 1) << i for i, r in enumerate(m.rows)) for j in range(m.n))
+    )
+
+
+def oracle_rank(rows) -> int:
+    """Rank over F_2 by elimination on the lowest set bit of each pivot
+    row: a different pivot rule from the library's echelon, which pivots
+    on the highest."""
+    rows = [r for r in rows if r]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        low = pivot & -pivot
+        rows = [r ^ pivot if r & low else r for r in rows]
+        rows = [r for r in rows if r]
+        rank += 1
+    return rank
+
+
+def oracle_random_invertible_rows(n: int, rng) -> tuple[int, ...]:
+    """Draw n rows of n bits from rng and keep them if their oracle rank
+    is n, else draw n more."""
+    while True:
+        rows = tuple(rng.below(1 << n) for _ in range(n))
+        if oracle_rank(rows) == n:
+            return rows
 
 
 def oracle_support(n: int, table: int) -> frozenset[int]:

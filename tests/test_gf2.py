@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -21,11 +22,14 @@ from f2spec.gf2 import (
 
 from conftest import (
     dot,
+    identity_matrix,
     is_full_affine_subspace,
     iter_subspaces,
     oracle_flat_partition,
+    oracle_rank,
     oracle_shift,
     oracle_transform_sending_to_e1,
+    transpose_matrix,
 )
 
 CE_MINUS_CLASS = [1, 2, 4, 8, 16, 32, 63]
@@ -141,7 +145,7 @@ def test_is_full_affine_subspace():
 
 
 def test_transform_sending_e1_to_e1_is_identity():
-    assert transform_sending_to_first(4, (1,)) == GF2Matrix.identity(4)
+    assert transform_sending_to_first(4, (1,)) == identity_matrix(4)
 
 
 def test_transform_rejects_zero():
@@ -154,7 +158,7 @@ def test_transform_sending_to_first_needs_an_echelon_basis():
     for basis in [(3, 2), (5, 4, 1), (2, 0), (16,)]:
         with pytest.raises(ValueError):
             transform_sending_to_first(4, basis)
-    assert transform_sending_to_first(4, ()) == GF2Matrix.identity(4)
+    assert transform_sending_to_first(4, ()) == identity_matrix(4)
     assert transform_sending_to_first(3, (4, 2, 1)) == GF2Matrix.from_rows(3, [4, 2, 1])
 
 
@@ -183,20 +187,43 @@ def test_transform_composed_with_inverse_is_identity_pointwise():
         n = rng.randint(1, 8)
         alpha = rng.randrange(1, 1 << n)
         m = transform_sending_to_first(n, (alpha,))
+        inverse = m.inverse()
         for _ in range(10):
             x = rng.randrange(1 << n)
-            assert m.apply_inverse(m.apply(x)) == x
-            assert m.apply(m.apply_inverse(x)) == x
+            assert inverse.apply(m.apply(x)) == x
+            assert m.apply(inverse.apply(x)) == x
 
 
 def test_matrix_construction_rejects_singular():
     with pytest.raises(ValueError):
         GF2Matrix.from_rows(2, (1, 1))
+    for n, rows in [(2, (1, 1)), (3, (1, 2, 3)), (3, (5, 0, 2)), (4, (15, 9, 6, 3))]:
+        with pytest.raises(ValueError, match="singular"):
+            GF2Matrix(n, rows)
+    # a wrong row count or a row too wide is rejected too
+    for n, rows in [(2, (1,)), (2, (1, 2, 3)), (2, (4, 1))]:
+        with pytest.raises(ValueError):
+            GF2Matrix(n, rows)
+
+
+def test_matrix_rank_check_accepts_exactly_the_general_linear_group():
+    # |GL(n, 2)| = prod (2^n - 2^i): 168 for n = 3, 20,160 for n = 4
+    for n, order in [(3, 168), (4, 20_160)]:
+        accepted = 0
+        for rows in product(range(1 << n), repeat=n):
+            try:
+                GF2Matrix.from_rows(n, rows)
+            except ValueError:
+                assert oracle_rank(rows) < n
+                continue
+            assert oracle_rank(rows) == n
+            accepted += 1
+        assert accepted == order
 
 
 def test_matrix_transpose_spectral_consistency():
     m = GF2Matrix.from_rows(3, (3, 6, 4))
-    t = m.transpose()
+    t = transpose_matrix(m)
     for i in range(3):
         for j in range(3):
             assert ((m.rows[i] >> j) & 1) == ((t.rows[j] >> i) & 1)

@@ -18,6 +18,8 @@ from f2spec.harness import (
 )
 from f2spec.structure import classify
 
+from conftest import oracle_random_invertible_rows
+
 
 def test_splitmix64_reference_outputs():
     # published reference outputs of the splitmix64 recurrence
@@ -45,9 +47,21 @@ def test_random_invertible_is_invertible_and_seeded():
     rng2 = SplitMix64(7)
     m2 = random_invertible(6, rng2)
     assert m == m2
+    inverse = m.inverse()
     for i in range(6):
         e = 1 << i
-        assert m.apply_inverse(m.apply(e)) == e
+        assert inverse.apply(m.apply(e)) == e
+
+
+def test_random_invertible_matches_an_oracle_sampler():
+    # the same SplitMix64 stream, rejected by an independent rank check:
+    # the same rows, after the same number of draws
+    for n in range(5, 13):
+        for seed in range(200):
+            rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
+            m = random_invertible(n, rng)
+            assert m.rows == oracle_random_invertible_rows(n, oracle_rng)
+            assert rng.next_u64() == oracle_rng.next_u64()
 
 
 def test_enumerate_verify_n1_counts():

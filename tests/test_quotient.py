@@ -37,6 +37,7 @@ from conftest import (
     dot,
     iter_subspaces,
     oracle_dense_decompose,
+    oracle_lift_point,
     oracle_pieces_cover_exactly,
     oracle_shift,
 )
@@ -242,7 +243,7 @@ def test_quotient_lift_keeps_the_dimension_and_lifts_every_point():
             assert lifted.dim == flat.dim + kernel.dim
             points = set()
             for y in flat.points():
-                z = trace.lift_point(y)
+                z = oracle_lift_point(trace, y)
                 x = origin ^ sum(1 << p for i, p in enumerate(pivots) if (z >> i) & 1)
                 points |= {x ^ v for v in kernel.points()}
             assert set(lifted.points()) == points

@@ -22,7 +22,13 @@ from f2spec.fourier import (
 )
 from f2spec.gf2 import GF2Matrix, transform_sending_to_first
 
-from conftest import boolean_convolution_check, naive_wht, oracle_granularity
+from conftest import (
+    boolean_convolution_check,
+    identity_matrix,
+    naive_wht,
+    oracle_granularity,
+    transpose_matrix,
+)
 
 OR2 = BooleanFunction(2, 0b1110)
 
@@ -213,7 +219,7 @@ def test_tensor_spectrum_is_product_exhaustive_small():
 
 
 def test_apply_identity_transform():
-    m = GF2Matrix.identity(2)
+    m = identity_matrix(2)
     assert apply_transform(OR2, m) == OR2
 
 
@@ -243,7 +249,7 @@ def test_transform_spectrum_permutation_rule():
         g = apply_transform(f, m)
         gc = wht(g).coeffs
         fc = wht(f).coeffs
-        mt_inv = m.transpose().inverse()
+        mt_inv = transpose_matrix(m).inverse()
         for b in range(1 << n):
             assert gc[b] == fc[mt_inv.apply(b)]
         assert sorted(gc) == sorted(fc)
