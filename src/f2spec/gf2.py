@@ -212,20 +212,6 @@ def affine_span(n: int, points: Iterable[int]) -> AffineSubspace:
     return AffineSubspace(p0, direction)
 
 
-def _invert_rows(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Gauss-Jordan inverse of an n x n bit matrix; raises if singular."""
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if (aug[r] >> col) & 1), None)
-        if piv is None:
-            raise ValueError("matrix is singular over GF(2)")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(n):
-            if r != col and (aug[r] >> col) & 1:
-                aug[r] ^= aug[col]
-    return tuple(aug[i] >> n for i in range(n))
-
-
 def _transpose_rows(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(
         sum(((rows[i] >> j) & 1) << i for i in range(n)) for j in range(n)
@@ -237,8 +223,7 @@ class GF2Matrix:
     """Invertible n x n matrix over F_2, held as its rows.
 
     rows[i] holds row i+1 as a bitmask; (Mx)_i = <rows[i], x>.  The rows
-    are checked to be independent at construction; the inverse is computed
-    only when asked for.
+    are checked to be independent at construction.
     """
 
     n: int
@@ -271,31 +256,36 @@ class GF2Matrix:
             out += list(map(col.__xor__, out))
         return out
 
-    def inverse(self) -> "GF2Matrix":
-        return GF2Matrix(self.n, _invert_rows(self.n, self.rows))
-
 
 def transform_sending_to_first(n: int, basis: Iterable[int]) -> GF2Matrix:
     """Invertible L whose spectrum action moves basis[i] to e_(i+1).
 
     Concretely: for g(x) = f(Lx) the spectra satisfy g^(e_(i+1)) =
-    f^(basis[i]).  The basis must be in echelon form (nonzero rows with
-    distinct highest set bits, as rref returns).  It is completed with the
-    standard vectors at the other positions, in increasing order, which
-    are then independent of it by their distinct highest bits, so the
-    result is reproducible.
+    f^(basis[i]).  The basis must be in reduced echelon form, as rref
+    returns it: nonzero rows whose highest set bits (pivots) are distinct
+    and set in no other row.  Completed by the unit vectors at the
+    non-pivot positions in increasing order, it is the columns of P, and
+    L = (P^-1)^T, whose spectrum action is beta -> P beta, has <L e_i,
+    P e_j> = [i = j].  So L is written down in closed form: its first
+    columns are the rows' pivot bits, in the order of the rows, and the
+    rest are complement_generators(n, basis).
     """
     basis = tuple(basis)
     for v in basis:
         check_vector(v, n)
-    pivots = {v.bit_length() - 1 for v in basis}
-    if -1 in pivots or len(pivots) != len(basis):
-        raise ValueError("basis must be nonzero rows with distinct highest bits")
-    cols = (*basis, *(1 << i for i in range(n) if i not in pivots))
-    # P has the completed basis as columns, so P e_(i+1) = basis[i], and the
-    # function-side matrix L = (P^-1)^T, whose spectrum action is
-    # beta -> P beta, is (P^T)^-1: the rows of P^T are the completed basis.
-    return GF2Matrix(n, _invert_rows(n, cols))
+    pivots = [1 << (v.bit_length() - 1) for v in basis if v]
+    pivot_bits = sum(set(pivots))
+    if (
+        len(pivots) != len(basis)
+        or pivot_bits.bit_count() != len(basis)
+        or any(v & pivot_bits != p for v, p in zip(basis, pivots))
+    ):
+        raise ValueError(
+            "basis must be nonzero rows in reduced echelon form: distinct "
+            "highest bits, each set in no other row"
+        )
+    cols = (*pivots, *complement_generators(n, basis))
+    return GF2Matrix(n, _transpose_rows(n, cols))
 
 
 def _spans(rows: list) -> Iterator[int]:

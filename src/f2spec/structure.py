@@ -29,7 +29,6 @@ from .errors import SpectrumScopeError, TheoremViolationError
 from .fourier import Spectrum, _granularity, shift_spectrum, wht
 from .gf2 import (
     AffineSubspace,
-    GF2Matrix,
     Subspace,
     affine_span,
     bits_to_int,
@@ -75,10 +74,8 @@ def classify(s: Spectrum) -> Classification:
         return Classification(TAG_TRIVIAL, 0, 0)
     k = _granularity(n, values)
     unit = 1 << (n - k)
-    f0 = coeffs[0]
-    if f0 % unit:
-        return Classification(TAG_OUT_OF_SCOPE, k, 0)
-    m = f0 // unit
+    # k is the granularity of a value set holding F(0), so unit divides it
+    m = coeffs[0] // unit
     allowed = {0, unit, -unit}
     if m == 2:
         allowed |= {2 * unit, -2 * unit}
@@ -134,12 +131,24 @@ class SpectralSets:
 
 
 def _signed_masks(s: Spectrum, k: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The masks with coefficient +2^(n-k) and -2^(n-k), once the nonzero
+    coefficients show s to be a core spectrum with 0 in its support: no
+    nonzero mask but 0 has the magnitude of F(0), and they sum to 2^n."""
     unit = 1 << (s.n - k)
     coeffs = s.coeffs
-    # one scan for the few nonzero masks, then split those by value
+    # one scan for the few nonzero masks, then the checks and the split
+    # run on those alone
     nonzero = list(compress(range(len(coeffs)), coeffs))
-    plus = frozenset([a for a in nonzero if coeffs[a] == unit])
-    minus = frozenset([a for a in nonzero if coeffs[a] == -unit])
+    values = list(map(coeffs.__getitem__, nonzero))
+    f0 = coeffs[0]
+    if values.count(f0) + values.count(-f0) > 1:
+        raise ValueError("spectrum still has a reducible direction; reduce first")
+    if sum(values) != 1 << s.n:
+        # the class sizes below are forced only once the origin is in the
+        # support; a shift by any support point arranges that
+        raise ValueError("origin not in the support; shift the function first")
+    plus = frozenset([a for a, v in zip(nonzero, values) if v == unit])
+    minus = frozenset([a for a, v in zip(nonzero, values) if v == -unit])
     return plus, minus
 
 
@@ -147,20 +156,15 @@ def spectral_sets(s: Spectrum, cls: Classification | None = None) -> SpectralSet
     """Extract the coefficient sets of a core spectrum and check their sizes.
 
     Requires an m = 2 classification with no remaining reducible direction
-    (no nonzero mask whose coefficient has the magnitude of F(0)).  A caller
-    that has already classified s passes the result as cls.
+    (no nonzero mask whose coefficient has the magnitude of F(0)) and the
+    origin in the support; _signed_masks checks both on the nonzero masks
+    it lists.  A caller that has already classified s passes the result
+    as cls.
     """
     if cls is None:
         cls = classify(s)
     if cls.tag not in (TAG_TWO_SUBSPACE, TAG_EXCEPTIONAL_K4):
         raise ValueError("spectral sets exist only for m = 2 spectra")
-    f0 = s.coeffs[0]
-    if s.coeffs.count(f0) + s.coeffs.count(-f0) > 1:
-        raise ValueError("spectrum still has a reducible direction; reduce first")
-    if sum(s.coeffs) != 1 << s.n:
-        # the class sizes below are forced only once the origin is in the
-        # support; a shift by any support point arranges that
-        raise ValueError("origin not in the support; shift the function first")
     plus, minus = _signed_masks(s, cls.k)
     t = cls.t
     assert t is not None
@@ -190,22 +194,18 @@ class ReductionTrace:
     """How a core was reached, plus the core's spectrum, which the reduction
     carries along instead of transforming the core again.
 
-    The core is f(L(y << w) + shift) for y in F_2^core_n, with w =
-    original_n - core_n; transform is L, or None when w = 0.
+    The core is f(shift + the sum of columns[j] over the set bits j of y)
+    for y in F_2^core_n: columns is the linear part of the lift back to the
+    original coordinates.  It is complement_generators of the rref rows
+    of W, the annihilator of the support's span (see reduce_to_core), so
+    the unit vectors when W = {0}.
     """
 
     original_n: int
     core_n: int
     shift: int
-    transform: GF2Matrix | None
+    columns: tuple[int, ...]
     core_spectrum: Spectrum
-
-    def lift_columns(self) -> list[int]:
-        """The linear part of the lift y -> L(y << w) + shift back to the
-        original coordinates: L(e_(j+1) << w) for each core coordinate j."""
-        if self.transform is None:
-            return [1 << j for j in range(self.core_n)]
-        return list(self.transform.columns()[self.original_n - self.core_n :])
 
 
 def reduce_to_core(
@@ -218,10 +218,12 @@ def reduce_to_core(
     After a shift by the smallest support point, the masks whose
     coefficient equals F(0) are exactly the annihilator W of the span of
     the support (no coefficient can equal -F(0), since 0 is a support
-    point).  One transform sends an echelon basis of W to e_1..e_w, which
+    point).  One transform L sends the rref basis of W to e_1..e_w, which
     confines the support to x_1 = ... = x_w = 0, and w restrictions to
     that half leave the core: irreducible, of dimension n - w, with the
-    origin in its support.  When w = 0 the core is the shifted f.
+    origin in its support.  The core's coordinates are those of W^perp:
+    L's columns w+1..n, complement_generators of W's rows, which the trace
+    keeps as the lift's columns.  When w = 0 the core is the shifted f.
 
     The spectrum of f (and its classification) is computed here unless the
     caller passes it; the reduction then carries it by exact rules instead
@@ -243,16 +245,19 @@ def reduce_to_core(
     f0 = coeffs[0]
     w = coeffs.count(f0).bit_length() - 1
     if w == 0:
-        return g, ReductionTrace(f.n, f.n, origin, None, s)
+        units = tuple(1 << j for j in range(f.n))
+        return g, ReductionTrace(f.n, f.n, origin, units, s)
     # W's members in increasing order come in blocks of growing highest
     # bit, so the first member at or above 2^(bit length of the last one
-    # found) is a new basis vector: w scans find a basis
+    # found) is a new basis vector: w scans find a basis.  Each is the
+    # smallest member with its highest bit, so no lower pivot bit is set
+    # in it (clearing one would leave a smaller member): reversed, they
+    # are W's rref rows
     found = [coeffs.index(f0, 1)]
     for _ in range(1, w):
         found.append(coeffs.index(f0, 1 << found[-1].bit_length()))
-    basis = rref(found)
-    transform = transform_sending_to_first(f.n, basis)
-    g = apply_transform(g, transform)
+    basis = tuple(reversed(found))
+    g = apply_transform(g, transform_sending_to_first(f.n, basis))
     for _ in range(w):
         g, g1 = restrict_first_bit(g)
         if g1.table != 0:
@@ -269,7 +274,8 @@ def reduce_to_core(
         if not (pivot_bits >> q) & 1:
             images += list(map((1 << q).__or__, images))
     core_s = Spectrum(g.n, tuple(map(coeffs.__getitem__, images)))
-    return g, ReductionTrace(f.n, g.n, origin, transform, core_s)
+    columns = tuple(complement_generators(f.n, basis))
+    return g, ReductionTrace(f.n, g.n, origin, columns, core_s)
 
 
 @dataclass(frozen=True)
@@ -440,21 +446,13 @@ def _quotient_lift(
     see _spectral_quotient) is x -> offset + the sum of columns[j] over the
     set bits j of x.  A flat of the core lifts to its image plus the
     annihilator of sigma's span, the directions along which f is constant.
-    When s = n and the core is h itself, the map is a translation.
+    When s = n the pivots are the unit vectors, sec is the identity and
+    the annihilator is {0}, so the same composition covers that case.
     """
-    if len(sigma) == n:  # sec is the identity, and the annihilator is {0}
-        offset = origin ^ trace.shift
-        if trace.transform is None:
-            return lambda flat: AffineSubspace(offset ^ flat.shift, flat.direction)
-        columns = trace.lift_columns()
-        kernel = []
-    else:
-        pivots = [1 << (r.bit_length() - 1) for r in reversed(sigma)]
-        offset = origin ^ _combine(trace.shift, pivots)
-        columns = pivots
-        if trace.transform is not None:
-            columns = [_combine(c, pivots) for c in trace.lift_columns()]
-        kernel = complement_generators(n, sigma)
+    pivots = [1 << (r.bit_length() - 1) for r in reversed(sigma)]
+    offset = origin ^ _combine(trace.shift, pivots)
+    columns = [_combine(c, pivots) for c in trace.columns]
+    kernel = complement_generators(n, sigma)
 
     def lift(flat: AffineSubspace) -> AffineSubspace:
         basis = [_combine(v, columns) for v in flat.direction.basis]

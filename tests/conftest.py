@@ -82,11 +82,13 @@ def oracle_pieces_cover_exactly(pieces, supp: frozenset[int]) -> bool:
 
 
 def oracle_lift_point(trace, y: int) -> int:
-    """Map a core point back to the original coordinates: L(y << w) +
-    shift, or y + shift when the reduction made no transform."""
-    if trace.transform is None:
-        return y ^ trace.shift
-    return trace.transform.apply(y << (trace.original_n - trace.core_n)) ^ trace.shift
+    """Map a core point back to the original coordinates: shift plus the
+    trace's lift column of each set bit of y, one bit at a time."""
+    x = trace.shift
+    for j, column in enumerate(trace.columns):
+        if (y >> j) & 1:
+            x ^= column
+    return x
 
 
 def oracle_lift_flat(trace, flat: AffineSubspace) -> AffineSubspace:
@@ -325,8 +327,21 @@ def transform_spectrum(s: Spectrum, m: GF2Matrix) -> Spectrum:
     """Spectrum of x -> f(Mx) from the spectrum of f: G(gamma) = F(P gamma)
     with P = (M^-1)^T, a gather through the images of P of all 2^n masks.
     structure.reduce_to_core gathers only the images it keeps."""
-    images = transpose_matrix(m.inverse()).images()
+    images = transpose_matrix(oracle_inverse(m)).images()
     return Spectrum(s.n, tuple(map(s.coeffs.__getitem__, images)))
+
+
+def oracle_inverse(m: GF2Matrix) -> GF2Matrix:
+    """M^-1 by Gauss-Jordan elimination on the rows of [M | I]."""
+    n = m.n
+    aug = [m.rows[i] | (1 << (n + i)) for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if (aug[r] >> col) & 1)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(n):
+            if r != col and (aug[r] >> col) & 1:
+                aug[r] ^= aug[col]
+    return GF2Matrix(n, tuple(aug[i] >> n for i in range(n)))
 
 
 def identity_matrix(n: int) -> GF2Matrix:
@@ -404,13 +419,13 @@ def oracle_restrict_first_bit(n: int, table: int) -> tuple[int, int]:
     return t0, t1
 
 
-def oracle_transform_sending_to_e1(n: int, alpha: int) -> GF2Matrix:
-    """Complete alpha to a basis by echelon insertion of e_1, e_2, ... in
-    turn, keeping each one that stays independent.  With those vectors as
-    the columns of P, the matrix is L = (P^-1)^T, so L^-1 = P^T has them
-    as its rows."""
-    cols = [alpha]
-    echelon = {alpha.bit_length() - 1: alpha}
+def oracle_transform_sending_to_first(n: int, basis) -> GF2Matrix:
+    """Complete the basis by echelon insertion of e_1, e_2, ... in turn,
+    keeping each one that stays independent.  With those vectors as the
+    columns of P, the matrix is L = (P^-1)^T, so L^-1 = P^T has them as
+    its rows, and L comes from Gauss-Jordan elimination."""
+    cols = list(basis)
+    echelon = {v.bit_length() - 1: v for v in cols}
     for i in range(n):
         if len(cols) == n:
             break
@@ -423,7 +438,7 @@ def oracle_transform_sending_to_e1(n: int, alpha: int) -> GF2Matrix:
                 cols.append(1 << i)
                 break
             v ^= row
-    return GF2Matrix.from_rows(n, cols).inverse()
+    return oracle_inverse(GF2Matrix.from_rows(n, cols))
 
 
 def oracle_max_flat_basis(point: int, points) -> list[int]:

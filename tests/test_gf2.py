@@ -15,6 +15,7 @@ from f2spec.gf2 import (
     linear_span,
     max_flat_through,
     orthogonal_complement,
+    rref,
     swap_masks,
     transform_sending_to_first,
     xor_translate,
@@ -26,9 +27,10 @@ from conftest import (
     is_full_affine_subspace,
     iter_subspaces,
     oracle_flat_partition,
+    oracle_inverse,
     oracle_rank,
     oracle_shift,
-    oracle_transform_sending_to_e1,
+    oracle_transform_sending_to_first,
     transpose_matrix,
 )
 
@@ -158,6 +160,10 @@ def test_transform_sending_to_first_needs_an_echelon_basis():
     for basis in [(3, 2), (5, 4, 1), (2, 0), (16,)]:
         with pytest.raises(ValueError):
             transform_sending_to_first(4, basis)
+    # echelon but not reduced: the pivot bit of 2 is set in 6 too, and
+    # the closed form would give another L than elimination on (6, 2)
+    with pytest.raises(ValueError):
+        transform_sending_to_first(3, (6, 2))
     assert transform_sending_to_first(4, ()) == identity_matrix(4)
     assert transform_sending_to_first(3, (4, 2, 1)) == GF2Matrix.from_rows(3, [4, 2, 1])
 
@@ -177,8 +183,30 @@ def test_transform_moves_or_coefficient():
 def test_transform_matches_echelon_completion_oracle_up_to_n10():
     for n in range(1, 11):
         for alpha in range(1, 1 << n):
-            expected = oracle_transform_sending_to_e1(n, alpha)
+            expected = oracle_transform_sending_to_first(n, (alpha,))
             assert transform_sending_to_first(n, (alpha,)) == expected
+
+
+def test_transform_matches_gauss_jordan_on_every_rref_basis_up_to_n5():
+    bases = 0
+    for n in range(6):
+        for d in range(n + 1):
+            for sub in iter_subspaces(n, d):
+                expected = oracle_transform_sending_to_first(n, sub.basis)
+                assert transform_sending_to_first(n, sub.basis) == expected
+                bases += 1
+    # the subspaces of F_2^n for n = 0..5: 1, 2, 5, 16, 67, 374
+    assert bases == 465
+
+
+def test_transform_matches_gauss_jordan_on_random_rref_bases_n6_to_n16():
+    rng = random.Random(17)
+    for n in range(6, 17):
+        for _ in range(100):
+            d = rng.randint(0, n)
+            basis = rref(rng.getrandbits(n) for _ in range(d))
+            expected = oracle_transform_sending_to_first(n, basis)
+            assert transform_sending_to_first(n, basis) == expected
 
 
 def test_transform_composed_with_inverse_is_identity_pointwise():
@@ -187,7 +215,7 @@ def test_transform_composed_with_inverse_is_identity_pointwise():
         n = rng.randint(1, 8)
         alpha = rng.randrange(1, 1 << n)
         m = transform_sending_to_first(n, (alpha,))
-        inverse = m.inverse()
+        inverse = oracle_inverse(m)
         for _ in range(10):
             x = rng.randrange(1 << n)
             assert inverse.apply(m.apply(x)) == x

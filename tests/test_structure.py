@@ -24,6 +24,7 @@ from f2spec.gf2 import (
     iter_affine_masks,
     linear_span,
     rref,
+    transform_sending_to_first,
 )
 from f2spec.harness import SplitMix64, random_invertible, random_vector
 from f2spec.structure import (
@@ -138,14 +139,16 @@ def test_spectral_sets_k2_has_no_triple_gap():
 
 def test_spectral_sets_requires_core():
     reducible = tensor(two_affine(5, 2), delta(1))
-    with pytest.raises(ValueError):
+    message = "^spectrum still has a reducible direction; reduce first$"
+    with pytest.raises(ValueError, match=message):
         spectral_sets(wht(reducible))
 
 
 def test_spectral_sets_requires_origin_in_support():
     f = shift(two_affine(5, 3), 8)  # support no longer contains 0
     assert f.value(0) == 0
-    with pytest.raises(ValueError):
+    message = "^origin not in the support; shift the function first$"
+    with pytest.raises(ValueError, match=message):
         spectral_sets(wht(f))
 
 
@@ -251,7 +254,7 @@ def test_reduce_irreducible_is_identity():
     f = counterexample_core()
     core, trace = reduce_to_core(f)
     assert core == f
-    assert (trace.core_n, trace.shift, trace.transform) == (6, 0, None)
+    assert (trace.core_n, trace.shift, trace.columns) == (6, 0, (1, 2, 4, 8, 16, 32))
 
 
 def test_reduce_handles_negative_coefficient_via_shift():
@@ -354,7 +357,14 @@ def test_core_spectrum_gathers_only_the_kept_coefficients():
         if w == 0:
             continue
         reducible += 1
-        moved = transform_spectrum(shift_spectrum(s, trace.shift), trace.transform)
+        # L from W's rref rows, found by a scan of every mask: its last
+        # n - w columns are the trace's lift columns
+        shifted = shift_spectrum(s, trace.shift)
+        f0 = shifted.coeffs[0]
+        basis = rref(a for a in range(1, 1 << f.n) if shifted.coeffs[a] == f0)
+        m = transform_sending_to_first(f.n, basis)
+        assert m.columns()[w:] == trace.columns
+        moved = transform_spectrum(shifted, m)
         assert trace.core_spectrum.coeffs == moved.coeffs[:: 1 << w]
         assert trace.core_spectrum == wht(core)
     # the eight seeded images and the 1,986 in-scope n = 4 tables whose
