@@ -24,13 +24,8 @@ from .errors import InputFormatError, SpectrumScopeError, TheoremViolationError
 from .families import FAMILIES, generate
 from .fourier import granularity, sparsity, wht
 from .gf2 import MAX_DIMENSION
-from .harness import (
-    check_exhaustive_args,
-    check_random_args,
-    enumerate_verify,
-    random_verify,
-)
-from .structure import check_kill_args, classify, decompose, kill_number
+from .harness import enumerate_verify, random_verify
+from .structure import classify, decompose, kill_number
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -129,12 +124,6 @@ def _run(args: argparse.Namespace) -> int:
         _emit({"sparsity": sparsity(wht(f))})
     elif cmd == "kill-number":
         f = jsonio.load_function(args.path)
-        # only the size is input: errors raised by the search itself keep
-        # their own exit code
-        try:
-            check_kill_args(f.n)
-        except ValueError as exc:
-            raise InputFormatError(str(exc)) from exc
         _emit({"kill_number": kill_number(f)})
     elif cmd == "generate":
         try:
@@ -211,15 +200,8 @@ def _run_addcomb(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    # only the arguments are input: errors raised by the run itself keep
-    # their own exit code
-    try:
-        if args.random is None:
-            check_exhaustive_args(args.n)
-        else:
-            check_random_args(args.n, args.random, args.family, args.k)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    # the run checks its own arguments (InputFormatError); any other error
+    # it raises keeps its own exit code
     if args.random is None:
         report = enumerate_verify(args.n)
     else:

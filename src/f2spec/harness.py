@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from operator import eq, mul
 
 from .boolfunc import BooleanFunction, apply_transform, shift
-from .errors import TheoremViolationError
+from .errors import InputFormatError, TheoremViolationError
 from .families import (
     FAMILY_AFFINE,
     FAMILY_COUNTEREXAMPLE_PADDED,
@@ -224,9 +224,9 @@ def enumerate_verify_range(
 
 
 def check_exhaustive_args(n: int) -> None:
-    """Raise ValueError unless enumerate_verify(n) accepts n."""
+    """Raise InputFormatError unless enumerate_verify(n) accepts n."""
     if not 1 <= n <= 4:
-        raise ValueError("exhaustive verification is limited to 1 <= n <= 4")
+        raise InputFormatError("exhaustive verification is limited to 1 <= n <= 4")
 
 
 def enumerate_verify(n: int) -> VerificationReport:
@@ -241,18 +241,18 @@ def enumerate_verify(n: int) -> VerificationReport:
 def check_random_args(
     n: int, count: int, family: str | None = None, k: int | None = None
 ) -> None:
-    """Raise ValueError unless random_verify can draw every instance it is
-    asked for and every instance is in scope; called before any work, so a
-    later error is never a bad argument.
+    """Raise InputFormatError unless random_verify can draw every instance
+    it is asked for and every instance is in scope; called before any work,
+    so a later error is never a bad argument.
 
     An invertible transform and a shift move coefficients and flip their
     signs but keep F(0) and every magnitude, so the base instance of a
     family decides the classification of all its images.
     """
     if not 5 <= n <= 12:
-        raise ValueError("randomized verification expects 5 <= n <= 12")
+        raise InputFormatError("randomized verification expects 5 <= n <= 12")
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise InputFormatError("count must be at least 1")
     if k is not None:
         # a pinned k applies to the affine and two-affine draws
         checked = [family] if family is not None else [FAMILY_AFFINE, FAMILY_TWO_AFFINE]
@@ -261,8 +261,12 @@ def check_random_args(
     else:
         checked = [family]
     for fam in checked:
-        if classify(wht(generate(fam, n=n, k=k))).tag == TAG_OUT_OF_SCOPE:
-            raise ValueError(f"every instance of {fam!r} is out of scope")
+        try:
+            base = generate(fam, n=n, k=k)
+        except ValueError as exc:
+            raise InputFormatError(str(exc)) from exc
+        if classify(wht(base)).tag == TAG_OUT_OF_SCOPE:
+            raise InputFormatError(f"every instance of {fam!r} is out of scope")
 
 
 def random_verify(

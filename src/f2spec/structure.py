@@ -4,14 +4,14 @@ A 0/1 function whose scaled coefficients all lie in {0, +-u, +-2u} for
 u = 2^(n-k) is supported on one affine subspace of dimension n-k (when
 f^(0) = 1/2^k), or on two of dimension n-k, or -- only when the irreducible
 core has k = 4 -- on four of dimension n-k-1.  This module classifies a
-spectrum and decomposes through its quotient: f is constant on the cosets
-of the annihilator of the span of the nonzero coefficient positions, so
-the work runs on a function h of s = dim(span) inputs, gathered from f and
-its spectrum.  h is restricted to the affine span of its support in one
-change of coordinates, two pieces come in closed form from the core
-spectrum (four pieces are peeled off the core's support), and each piece
-is lifted back to f in one affine map.  Every decomposition emitted is
-verified on f itself with 2^n-bit masks.
+spectrum and decomposes the support on its irreducible core.  f is
+constant on the cosets of the annihilator of the span of the nonzero
+coefficient positions, and one reduction takes f to the core: a shift,
+the gather of the quotient on s = dim(span) inputs, and a restriction to
+the affine span of the quotient's support.  Two pieces come in closed form
+from the core spectrum (four pieces are peeled off the core's support),
+and the reduction's trace lifts each piece to f in one affine map.  Every
+decomposition emitted is verified on f itself with 2^n-bit masks.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import mul, neg, rshift
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .addcomb import PointSet
 from .boolfunc import BooleanFunction, apply_transform, restrict_first_bit, shift
-from .errors import SpectrumScopeError, TheoremViolationError
+from .errors import InputFormatError, SpectrumScopeError, TheoremViolationError
 from .fourier import Spectrum, _granularity, shift_spectrum, wht
 from .gf2 import (
     AffineSubspace,
@@ -191,21 +191,33 @@ def triangle_neighbors(rho: int, minus: PointSet) -> PointSet:
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """How a core was reached, plus the core's spectrum, which the reduction
-    carries along instead of transforming the core again.
+    """The map from f's core back to f, with the core's spectrum and
+    classification, which the reduction reads off f's spectrum instead of
+    transforming and classifying the core again.
 
     The core is f(shift + the sum of columns[j] over the set bits j of y)
-    for y in F_2^core_n: columns is the linear part of the lift back to the
-    original coordinates.  It is complement_generators of the rref rows
-    of W, the annihilator of the support's span (see reduce_to_core), so
-    the unit vectors when W = {0}.
+    for y in F_2^core_n.  f is constant along kernel, generators of the
+    annihilator of the span of its nonzero coefficient positions, so f's
+    support is those lifted core support points plus span(kernel).  shift
+    is f's smallest support point, and kernel is empty when the nonzero
+    positions span F_2^n.
     """
 
     original_n: int
     core_n: int
     shift: int
     columns: tuple[int, ...]
+    kernel: tuple[int, ...]
     core_spectrum: Spectrum
+    core_classification: Classification
+
+    def lift(self, flat: AffineSubspace) -> AffineSubspace:
+        """A flat of the core lifted to f: its image plus span(kernel)."""
+        basis = [_combine(v, self.columns) for v in flat.direction.basis]
+        return AffineSubspace(
+            self.shift ^ _combine(flat.shift, self.columns),
+            Subspace(self.original_n, rref(basis + list(self.kernel))),
+        )
 
 
 def reduce_to_core(
@@ -213,24 +225,28 @@ def reduce_to_core(
     spectrum: Spectrum | None = None,
     cls: Classification | None = None,
 ) -> tuple[BooleanFunction, ReductionTrace]:
-    """Restrict f to the affine span of its support, with 0 in the support.
+    """f's irreducible core, with the origin in its support, and the trace
+    that lifts it back to f.
 
-    After a shift by the smallest support point, the masks whose
-    coefficient equals F(0) are exactly the annihilator W of the span of
-    the support (no coefficient can equal -F(0), since 0 is a support
-    point).  One transform L sends the rref basis of W to e_1..e_w, which
-    confines the support to x_1 = ... = x_w = 0, and w restrictions to
-    that half leave the core: irreducible, of dimension n - w, with the
-    origin in its support.  The core's coordinates are those of W^perp:
-    L's columns w+1..n, complement_generators of W's rows, which the trace
-    keeps as the lift's columns.  When w = 0 the core is the shifted f.
+    f is shifted once by its smallest support point.  sigma, the rref basis
+    of the span of the nonzero coefficient positions (s = dim), leaves f
+    constant on the cosets of its annihilator, so the shifted f is h o pi
+    for h on F_2^s, gathered with its spectrum (see _spectral_quotient).
+    Then h is restricted to the affine span of its support: the masks
+    whose coefficient equals H(0) are exactly the annihilator W of that
+    span (none can equal -H(0), since 0 is a support point), one transform
+    L sends the rref basis of W to e_1..e_w, which confines the support to
+    x_1 = ... = x_w = 0, and w restrictions to that half leave the core, of
+    dimension s - w.  Its coordinates are those of W^perp: L's columns
+    w+1..s, complement_generators of W's rows, which the trace maps into
+    f's coordinates through sigma's pivots.  h has f's normalised
+    coefficients, and the core keeps h's integer ones on w fewer inputs,
+    so the core's k is k - w.
 
     The spectrum of f (and its classification) is computed here unless the
     caller passes it; the reduction then carries it by exact rules instead
-    of transforming again: a shift by a multiplies F(beta) by
-    (-1)^<beta,a>, the transform gathers through beta -> P beta, and
-    keeping the x_1 = ... = x_w = 0 part leaves G0(b) = G(b << w).  The
-    trace carries the core's spectrum.
+    of transforming again: the transform gathers through beta -> P beta,
+    and keeping the x_1 = ... = x_w = 0 part leaves G0(b) = G(b << w).
     """
     if spectrum is None:
         spectrum = wht(f)
@@ -238,44 +254,53 @@ def reduce_to_core(
         cls = classify(spectrum)
     if cls.tag not in IN_SCOPE_TAGS:
         raise SpectrumScopeError("reduction is only defined for in-scope spectra")
+    n = f.n
     origin = (f.table & -f.table).bit_length() - 1
-    g = shift(f, origin)
-    s = shift_spectrum(spectrum, origin)
-    coeffs = s.coeffs
+    nonzero = list(compress(range(1 << n), spectrum.coeffs))
+    # n rows with distinct pivots span F_2^n, whose rref is the unit rows
+    if len(_smallest_of_each_length(nonzero, n)) == n:
+        sigma = tuple(1 << b for b in reversed(range(n)))
+    else:
+        sigma = rref(nonzero)
+    h, hs = _spectral_quotient(shift(f, origin), spectrum, sigma, origin)
+    pivots = [1 << (r.bit_length() - 1) for r in reversed(sigma)]
+    coeffs = hs.coeffs
     f0 = coeffs[0]
     w = coeffs.count(f0).bit_length() - 1
-    if w == 0:
-        units = tuple(1 << j for j in range(f.n))
-        return g, ReductionTrace(f.n, f.n, origin, units, s)
-    # W's members in increasing order come in blocks of growing highest
-    # bit, so the first member at or above 2^(bit length of the last one
-    # found) is a new basis vector: w scans find a basis.  Each is the
-    # smallest member with its highest bit, so no lower pivot bit is set
-    # in it (clearing one would leave a smaller member): reversed, they
-    # are W's rref rows
-    found = [coeffs.index(f0, 1)]
-    for _ in range(1, w):
-        found.append(coeffs.index(f0, 1 << found[-1].bit_length()))
-    basis = tuple(reversed(found))
-    g = apply_transform(g, transform_sending_to_first(f.n, basis))
-    for _ in range(w):
-        g, g1 = restrict_first_bit(g)
-        if g1.table != 0:
-            raise TheoremViolationError(
-                "support was not confined to the affine span of its points"
-            )
-    # the core keeps G(b << w) = F(P (b << w)), and P's columns w+1..n are
-    # the unit vectors at the non-pivot positions of W's basis, in
-    # increasing order: the core's spectrum is F at the masks with every
-    # pivot bit clear, listed in increasing order
-    pivot_bits = sum(1 << (v.bit_length() - 1) for v in basis)
-    images = [0]
-    for q in range(f.n):
-        if not (pivot_bits >> q) & 1:
-            images += list(map((1 << q).__or__, images))
-    core_s = Spectrum(g.n, tuple(map(coeffs.__getitem__, images)))
-    columns = tuple(complement_generators(f.n, basis))
-    return g, ReductionTrace(f.n, g.n, origin, columns, core_s)
+    core, core_s, columns = h, hs, pivots
+    if w:
+        # W's members in increasing order come in blocks of growing
+        # highest bit, so the first member at or above 2^(bit length of
+        # the last one found) is a new basis vector: w scans find a basis.
+        # Each is the smallest member with its highest bit, so no lower
+        # pivot bit is set in it (clearing one would leave a smaller
+        # member): reversed, they are W's rref rows
+        found = [coeffs.index(f0, 1)]
+        for _ in range(1, w):
+            found.append(coeffs.index(f0, 1 << found[-1].bit_length()))
+        basis = tuple(reversed(found))
+        core = apply_transform(h, transform_sending_to_first(h.n, basis))
+        for _ in range(w):
+            core, core1 = restrict_first_bit(core)
+            if core1.table != 0:
+                raise TheoremViolationError(
+                    "support was not confined to the affine span of its points"
+                )
+        # the core keeps G(b << w) = H(P (b << w)), and P's columns w+1..s
+        # are the unit vectors at the non-pivot positions of W's basis, in
+        # increasing order: the core's spectrum is H at the masks with
+        # every pivot bit clear, listed in increasing order
+        pivot_bits = sum(1 << (v.bit_length() - 1) for v in basis)
+        images = [0]
+        for q in range(h.n):
+            if not (pivot_bits >> q) & 1:
+                images += list(map((1 << q).__or__, images))
+        core_s = Spectrum(core.n, tuple(map(coeffs.__getitem__, images)))
+        columns = [_combine(c, pivots) for c in complement_generators(h.n, basis)]
+    kernel = tuple(complement_generators(n, sigma))
+    core_cls = _in_scope(cls.k - w, cls.m)
+    trace = ReductionTrace(n, core.n, origin, tuple(columns), kernel, core_s, core_cls)
+    return core, trace
 
 
 @dataclass(frozen=True)
@@ -374,8 +399,8 @@ def _pieces_match_mandate(
 
 
 def verify_decomposition(f: BooleanFunction, dec: Decomposition) -> bool:
-    """Postcondition check: disjoint full flats of mandated dimensions whose
-    union reproduces the support bit-exactly.
+    """Postcondition check: disjoint full flats in f's space, of mandated
+    dimensions, whose union reproduces the support bit-exactly.
 
     Each piece's 2^n-bit point mask grows from its shift by doubling over
     its basis, one xor_translate per basis vector; every translate must
@@ -383,12 +408,12 @@ def verify_decomposition(f: BooleanFunction, dec: Decomposition) -> bool:
     union of the earlier ones, and the union must equal f's table.
     """
     n = f.n
-    if not _pieces_match_mandate(dec.pieces, n, dec.classification):
+    if any(p.n != n for p in dec.pieces) or not _pieces_match_mandate(
+        dec.pieces, n, dec.classification
+    ):
         return False
     union = 0
     for piece in dec.pieces:
-        if piece.n != n:
-            return False
         mask = 1 << piece.shift
         for v in piece.direction.basis:
             moved = xor_translate(mask, v, n)
@@ -402,65 +427,39 @@ def verify_decomposition(f: BooleanFunction, dec: Decomposition) -> bool:
 
 
 def _spectral_quotient(
-    f: BooleanFunction, spectrum: Spectrum, sigma: tuple[int, ...], origin: int
+    g: BooleanFunction, spectrum: Spectrum, sigma: tuple[int, ...], origin: int
 ) -> tuple[BooleanFunction, Spectrum]:
-    """h on F_2^s with f = h o pi, and h's spectrum, gathered from f's.
+    """h on F_2^s with g = h o pi, and h's spectrum, gathered from g's
+    table and the spectrum of f, where g is f shifted by origin.
 
     sigma is the rref basis of the span of the nonzero coefficient
     positions, and s its size.  Every coefficient vanishes off sigma's
-    span, so f is constant on the cosets of its annihilator, and pi(x) =
-    (<sigma_i, x + origin>)_i (sigma_i by increasing pivot p_i) maps each
-    coset to a point.  sec(y) = sum of e_(p_i) over the set bits i of y
-    has pi(origin + sec(y)) = y, since each pivot lies in one row only, so
-    h(y) = f(origin + sec(y)), and for alpha = sum beta_i sigma_i
+    span, so g is constant on the cosets of its annihilator, and pi(x) =
+    (<sigma_i, x>)_i (sigma_i by increasing pivot p_i) maps each coset to
+    a point.  sec(y) = sum of e_(p_i) over the set bits i of y has
+    pi(sec(y)) = y, since each pivot lies in one row only, so h(y) =
+    g(sec(y)), and for alpha = sum beta_i sigma_i
 
         H(beta) = (-1)^<alpha, origin> F(alpha) / 2^(n - s),
 
     the same normalised coefficients.  With origin f's smallest support
-    point, h(0) = 1.  When s = n, sec is the identity and h is f shifted
-    by origin.
+    point, h(0) = 1.  When s = n, sec is the identity and h is g.
     """
-    n, s = f.n, len(sigma)
+    n, s = g.n, len(sigma)
     if s == n:
-        return shift(f, origin), shift_spectrum(spectrum, origin)
-    points = [origin]
+        return g, shift_spectrum(spectrum, origin)
+    points = [0]
     alphas = [0]
     signs = [1]
     for r in reversed(sigma):
         points += list(map((1 << (r.bit_length() - 1)).__xor__, points))
         alphas += list(map(r.__xor__, alphas))
         signs += list(map(neg, signs)) if (r & origin).bit_count() & 1 else signs
-    table = f.table.to_bytes(((1 << n) + 7) >> 3, "little")
+    table = g.table.to_bytes(((1 << n) + 7) >> 3, "little")
     h_bits = bytes(table[x >> 3] >> (x & 7) & 1 for x in points)
     h = BooleanFunction(s, bits_to_int(h_bits))
     signed = map(mul, map(spectrum.coeffs.__getitem__, alphas), signs)
     return h, Spectrum(s, tuple(map(rshift, signed, repeat(n - s))))
-
-
-def _quotient_lift(
-    n: int, sigma: tuple[int, ...], origin: int, trace: ReductionTrace
-) -> Callable[[AffineSubspace], AffineSubspace]:
-    """The lift of core flats straight to f's coordinates, in one affine map.
-
-    The trace's lift (core -> h) followed by y -> origin + sec(y) (h -> f,
-    see _spectral_quotient) is x -> offset + the sum of columns[j] over the
-    set bits j of x.  A flat of the core lifts to its image plus the
-    annihilator of sigma's span, the directions along which f is constant.
-    When s = n the pivots are the unit vectors, sec is the identity and
-    the annihilator is {0}, so the same composition covers that case.
-    """
-    pivots = [1 << (r.bit_length() - 1) for r in reversed(sigma)]
-    offset = origin ^ _combine(trace.shift, pivots)
-    columns = [_combine(c, pivots) for c in trace.columns]
-    kernel = complement_generators(n, sigma)
-
-    def lift(flat: AffineSubspace) -> AffineSubspace:
-        basis = [_combine(v, columns) for v in flat.direction.basis]
-        return AffineSubspace(
-            offset ^ _combine(flat.shift, columns), Subspace(n, rref(basis + kernel))
-        )
-
-    return lift
 
 
 def _smallest_of_each_length(points: list[int], n: int) -> tuple[int, ...]:
@@ -493,26 +492,20 @@ def decompose(
 ) -> Decomposition:
     """Write the support as the disjoint union of affine subspaces.
 
-    The decomposition runs on the spectral quotient: sigma, the rref basis
-    of the span of the nonzero coefficient positions (s = dim), leaves f
-    constant on the cosets of its annihilator, so f = h o pi for h on F_2^s
-    with the same k and m (see _spectral_quotient).
     - m = 1: the nonzero positions are U^perp for the support c + U, so
       the piece is U through f's smallest support point; the rref rows of
       U^perp are its smallest members of each bit length.
-    - m = 2: h and its spectrum are gathered (2^s entries each), h is
-      reduced to an irreducible core, the pieces are recovered there from
-      the core's spectrum, and each is lifted to f in one affine map.  The
-      core's classification follows from its dimension: it keeps every
-      coefficient value and drops the dimension by w, so k drops by w.
+    - m = 2: reduce_to_core takes f to its irreducible core through the
+      spectral quotient, the pieces are recovered there from the core's
+      spectrum, and the trace lifts each to f in one affine map.
     Each spectrum has one route, and the result has passed
     verify_decomposition on f itself: a route that fails, or whose pieces
     fail that check, raises TheoremViolationError.
 
     f is transformed and classified here unless the caller passes its
     spectrum (and classification); past that, only the scan for the
-    nonzero positions, a byte copy of the table for the gather, and the
-    bitmask verification touch 2^n entries.
+    nonzero positions, one shift and a byte copy of the table for the
+    gather, and the bitmask verification touch 2^n entries.
     """
     if f.is_zero:
         raise SpectrumScopeError("the zero function has no affine decomposition")
@@ -525,28 +518,24 @@ def decompose(
             f"(granularity {cls.k}, F(0) = {cls.m}/2^{cls.k})"
         )
     n = f.n
-    nonzero = list(compress(range(1 << n), s.coeffs))
-    origin = (f.table & -f.table).bit_length() - 1
-    firsts = _smallest_of_each_length(nonzero, n)
     if cls.m == 1:
         # the nonzero positions are U^perp for the support origin + U
-        kernel = orthogonal_complement(Subspace(n, firsts))
+        nonzero = list(compress(range(1 << n), s.coeffs))
+        origin = (f.table & -f.table).bit_length() - 1
+        kernel = orthogonal_complement(Subspace(n, _smallest_of_each_length(nonzero, n)))
         pieces: tuple[AffineSubspace, ...] = (AffineSubspace(origin, kernel),)
     else:
-        # n rows with distinct pivots span F_2^n, whose rref is the unit rows
-        full = len(firsts) == n
-        sigma = tuple(1 << b for b in reversed(range(n))) if full else rref(nonzero)
-        h, hs = _spectral_quotient(f, s, sigma, origin)
-        core, trace = reduce_to_core(h, hs, cls)
-        core_cls = _in_scope(cls.k - (h.n - trace.core_n), cls.m)
+        core, trace = reduce_to_core(f, s, cls)
         try:
-            core_pieces = _decompose_core(core, trace.core_spectrum, core_cls)
+            core_pieces = _decompose_core(
+                core, trace.core_spectrum, trace.core_classification
+            )
         except ValueError as exc:
             # the core failed the route's own checks (class sizes, an empty class)
             raise TheoremViolationError(f"the core recovery failed: {exc}") from exc
         if core_pieces is None:
             raise TheoremViolationError("the core recovery found no pieces")
-        pieces = tuple(map(_quotient_lift(n, sigma, origin, trace), core_pieces))
+        pieces = tuple(map(trace.lift, core_pieces))
     dec = Decomposition(pieces, cls)
     if not verify_decomposition(f, dec):
         raise TheoremViolationError(
@@ -568,9 +557,9 @@ def first_constant_codim(table: int, masks_by_codim: Iterable[Iterable[int]]) ->
 
 
 def check_kill_args(n: int) -> None:
-    """Raise ValueError unless kill_number accepts a function on n inputs."""
+    """Raise InputFormatError unless kill_number accepts a function on n inputs."""
     if n > 8:
-        raise ValueError("kill number search is exhaustive; n <= 8 required")
+        raise InputFormatError("kill number search is exhaustive; n <= 8 required")
 
 
 def kill_number(f: BooleanFunction) -> int:

@@ -14,9 +14,9 @@ from math import comb
 import pytest
 
 from f2spec import structure
-from f2spec.boolfunc import BooleanFunction
+from f2spec.boolfunc import BooleanFunction, apply_transform, restrict_first_bit, shift
 from f2spec.errors import SpectrumScopeError, TheoremViolationError
-from f2spec.fourier import Spectrum, wht
+from f2spec.fourier import Spectrum, shift_spectrum, wht
 from f2spec.gf2 import (
     AffineSubspace,
     GF2Matrix,
@@ -24,8 +24,11 @@ from f2spec.gf2 import (
     _low_half_mask,
     affine_span,
     check_dimension,
+    complement_generators,
     linear_span,
     orthogonal_complement,
+    rref,
+    transform_sending_to_first,
     xor_translate,
 )
 
@@ -82,8 +85,8 @@ def oracle_pieces_cover_exactly(pieces, supp: frozenset[int]) -> bool:
 
 
 def oracle_lift_point(trace, y: int) -> int:
-    """Map a core point back to the original coordinates: shift plus the
-    trace's lift column of each set bit of y, one bit at a time."""
+    """Map a core point to f's coordinates: shift plus the trace's lift
+    column of each set bit of y, one bit at a time."""
     x = trace.shift
     for j, column in enumerate(trace.columns):
         if (y >> j) & 1:
@@ -104,12 +107,50 @@ def oracle_lift_flat(trace, flat: AffineSubspace) -> AffineSubspace:
     )
 
 
+def oracle_dense_reduce(f: BooleanFunction, s=None, cls=None):
+    """reduce_to_core on f itself, without the quotient: shift f by its
+    smallest support point, send the rref basis of W (the masks whose
+    shifted coefficient equals F(0)) to e_1..e_w, and restrict w times.
+    The core has n - w inputs and the trace an empty kernel."""
+    if s is None:
+        s = wht(f)
+    if cls is None:
+        cls = structure.classify(s)
+    if cls.tag not in structure.IN_SCOPE_TAGS:
+        raise SpectrumScopeError("reduction is only defined for in-scope spectra")
+    n = f.n
+    origin = min(f.support())
+    g = shift(f, origin)
+    shifted = shift_spectrum(s, origin)
+    f0 = shifted.coeffs[0]
+    basis = tuple(rref(a for a in range(1, 1 << n) if shifted.coeffs[a] == f0))
+    w = len(basis)
+    m = transform_sending_to_first(n, basis)
+    g = apply_transform(g, m)
+    for _ in range(w):
+        g, g1 = restrict_first_bit(g)
+        if g1.table != 0:
+            raise TheoremViolationError("support not confined to its affine span")
+    moved = transform_spectrum(shifted, m)
+    core_s = Spectrum(n - w, moved.coeffs[:: 1 << w])
+    trace = structure.ReductionTrace(
+        n,
+        n - w,
+        origin,
+        tuple(complement_generators(n, basis)),
+        (),
+        core_s,
+        structure._in_scope(cls.k - w, cls.m),
+    )
+    return g, trace
+
+
 def oracle_dense_decompose(f: BooleanFunction, s=None, cls=None):
     """decompose on all 2^n entries: the m = 1 piece is the affine span of
-    the support, and m = 2 reduces f itself to its core, recovers the
-    pieces there, and lifts them through the reduction's trace.  Raises
-    TheoremViolationError when the route fails or its pieces miss the
-    mandated profile or the support."""
+    the support, and m = 2 reduces f itself to its core with
+    oracle_dense_reduce, recovers the pieces there, and lifts them point by
+    point.  Raises TheoremViolationError when the route fails or its pieces
+    miss the mandated profile or the support."""
     if s is None:
         s = wht(f)
     if cls is None:
@@ -120,10 +161,11 @@ def oracle_dense_decompose(f: BooleanFunction, s=None, cls=None):
     if cls.m == 1:
         pieces = (affine_span(n, f.support()),)
     else:
-        core, trace = structure.reduce_to_core(f, s, cls)
-        core_cls = structure._in_scope(cls.k - (n - trace.core_n), cls.m)
+        core, trace = oracle_dense_reduce(f, s, cls)
         try:
-            core_pieces = structure._decompose_core(core, trace.core_spectrum, core_cls)
+            core_pieces = structure._decompose_core(
+                core, trace.core_spectrum, trace.core_classification
+            )
         except ValueError as exc:
             raise TheoremViolationError(str(exc)) from exc
         if core_pieces is None:

@@ -5,9 +5,10 @@ import pytest
 
 from f2spec import cli, harness, jsonio
 from f2spec.boolfunc import BooleanFunction
-from f2spec.errors import SpectrumScopeError, TheoremViolationError
+from f2spec.errors import InputFormatError, SpectrumScopeError, TheoremViolationError
 from f2spec.families import two_affine
 from f2spec.fourier import wht
+from f2spec.structure import check_kill_args
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +219,36 @@ def test_verify_bad_n(capsys):
         argv = ["verify", "--n", "8", "--random", "5", "--family", *family_args]
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+
+def test_argument_checks_raise_input_format_error():
+    cases = (
+        lambda: harness.check_exhaustive_args(5),
+        lambda: harness.check_random_args(13, 5),
+        lambda: harness.check_random_args(8, 0),
+        lambda: harness.check_random_args(8, 5, "two-affine", 9),  # generate refuses k
+        lambda: harness.check_random_args(8, 5, "counterexample-core"),  # fixed at n = 6
+        lambda: harness.check_random_args(8, 5, "intro-fk"),  # out of scope
+        lambda: check_kill_args(9),
+    )
+    for case in cases:
+        with pytest.raises(InputFormatError):
+            case()
+
+
+def test_verify_random_checks_its_arguments_once(capsys, monkeypatch):
+    # the pinned family's base instance is classified by the check alone
+    classified = []
+    classify = harness.classify
+
+    def counting(s):
+        classified.append(s.n)
+        return classify(s)
+
+    monkeypatch.setattr(harness, "classify", counting)
+    argv = ["verify", "--n", "6", "--random", "3", "--family", "counterexample-padded"]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and classified == [6]
 
 
 def test_verify_library_error_is_not_bad_input(capsys, monkeypatch):

@@ -49,6 +49,7 @@ from conftest import (
     oracle_affine_masks,
     oracle_apply_transform,
     oracle_butterfly,
+    oracle_dense_reduce,
     oracle_kill_number,
     oracle_max_flat_basis,
     oracle_restrict_first_bit,
@@ -398,6 +399,14 @@ def test_reduction_carries_the_core_spectrum_and_classification():
             cls = structure.classify(s)
             core, trace = structure.reduce_to_core(f, s, cls)
             assert trace.core_spectrum == wht(core)
-            derived = structure._in_scope(cls.k - (n - trace.core_n), cls.m)
-            assert derived == structure.classify(wht(core))
+            # the core keeps every coefficient value and loses the
+            # dimensions of the kernel and of the restriction; only the
+            # restriction's w lowers k
+            w = n - len(trace.kernel) - trace.core_n
+            derived = structure._in_scope(cls.k - w, cls.m)
+            assert derived == trace.core_classification == structure.classify(wht(core))
+            # the dense route reaches the same classification with w inputs fewer
+            _, dense = oracle_dense_reduce(f, s, cls)
+            assert dense.core_n == n - w
+            assert dense.core_classification == trace.core_classification
 

@@ -1,9 +1,9 @@
 """decompose on the spectral quotient against the dense route it replaced.
 
-decompose gathers h on F_2^s (s the dimension of the span of the nonzero
-coefficient positions), recovers the pieces there and checks them on f
-with bitmasks; conftest.oracle_dense_decompose reduces f itself and checks
-point sets.  The two must give the same JSON wherever the pieces are
+decompose reduces f to its core through h on F_2^s (s the dimension of
+the span of the nonzero coefficient positions), recovers the pieces there
+and checks them on f with bitmasks; conftest.oracle_dense_decompose
+reduces f itself, without the quotient, and checks point sets.  The two must give the same JSON wherever the pieces are
 unique (the one-flat and two-flat routes); the greedy four-flat route may
 pick another partition of the same support.
 """
@@ -27,6 +27,9 @@ from f2spec.gf2 import AffineSubspace, Subspace, affine_span, complement_generat
 from f2spec.harness import SplitMix64, random_invertible, random_vector
 from f2spec.structure import (
     IN_SCOPE_TAGS,
+    TAG_EXCEPTIONAL_K4,
+    TAG_RVL,
+    TAG_TWO_SUBSPACE,
     Decomposition,
     classify,
     decompose,
@@ -37,6 +40,7 @@ from conftest import (
     dot,
     iter_subspaces,
     oracle_dense_decompose,
+    oracle_dense_reduce,
     oracle_lift_point,
     oracle_pieces_cover_exactly,
     oracle_shift,
@@ -84,6 +88,32 @@ def family_images(draw, max_n=12):
     return image(base, seed)
 
 
+def two_disjoint_flats(n, k, j, c):
+    """1 on c + U and on V, two (n-k)-flats whose constraint spaces
+    U^perp = span(e_1..e_k) and V^perp = span(e_(k-j+1)..e_(2k-j)) meet in
+    j dimensions.  They are disjoint exactly when c has a set bit among the
+    j shared positions; j = k makes them parallel."""
+    u_perp = (1 << k) - 1
+    v_perp = u_perp << (k - j)
+    assert 1 <= j <= k and 2 * k - j <= n and c & u_perp & v_perp
+    points = [x ^ c for x in range(1 << n) if not x & u_perp]
+    points += [x for x in range(1 << n) if not x & v_perp]
+    return BooleanFunction.from_support(n, points)
+
+
+@st.composite
+def two_flat_images(draw, max_n=10):
+    """A seeded image of two disjoint (n-k)-flats with 1 <= j <= k and
+    2k - j <= n, for j = dim(U^perp & V^perp): every pair of disjoint flats
+    of equal dimension is such an image."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    k = draw(st.integers(min_value=1, max_value=n))
+    j = draw(st.integers(min_value=max(1, 2 * k - n), max_value=k))
+    shared = draw(st.integers(min_value=k - j, max_value=k - 1))
+    c = draw(st.integers(min_value=0, max_value=(1 << n) - 1)) | 1 << shared
+    return image(two_disjoint_flats(n, k, j, c), draw(st.integers(min_value=0, max_value=1 << 32)))
+
+
 @functools.cache
 def _in_scope_tables_up_to_n4():
     cases = []
@@ -110,6 +140,37 @@ def test_parity_with_the_dense_route_on_every_in_scope_table_up_to_n4():
 @given(family_images())
 def test_parity_with_the_dense_route_on_family_images(f):
     assert_matches_dense(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_flat_images())
+def test_parity_with_the_dense_route_on_two_disjoint_flats(f):
+    assert_matches_dense(f)
+    assert verify_decomposition(f, decompose(f))
+
+
+def test_two_disjoint_flats_decompose_by_their_shape_for_every_j():
+    # parallel flats (j = k) are one (n-k+1)-flat; otherwise two (n-k)-flats,
+    # tagged ExceptionalK4Candidate when k = 4 even though the core has two
+    # pieces
+    seen = set()
+    for n in range(2, 9):
+        for k in range(1, n + 1):
+            for j in range(max(1, 2 * k - n), k + 1):
+                for seed in range(2):
+                    f = image(two_disjoint_flats(n, k, j, 1 << (k - 1)), 100 * n + 10 * k + seed)
+                    dec = decompose(f)
+                    assert_matches_dense(f)
+                    cls = dec.classification
+                    if j == k:
+                        assert (cls.tag, cls.k) == (TAG_RVL, k - 1)
+                        assert [p.dim for p in dec.pieces] == [n - k + 1]
+                    else:
+                        tag = TAG_EXCEPTIONAL_K4 if k == 4 else TAG_TWO_SUBSPACE
+                        assert (cls.tag, cls.k) == (tag, k)
+                        assert [p.dim for p in dec.pieces] == [n - k] * 2
+                    seen.add((cls.tag, j >= 2))
+    assert len(seen) == 6
 
 
 def _decompose_large_inputs(seed, workdir, monkeypatch):
@@ -163,7 +224,7 @@ def quotient(f):
     s = wht(f)
     sigma = rref(compress(range(1 << f.n), s.coeffs))
     origin = min(f.support())
-    h, hs = structure._spectral_quotient(f, s, sigma, origin)
+    h, hs = structure._spectral_quotient(shift(f, origin), s, sigma, origin)
     return s, sigma, origin, h, hs
 
 
@@ -228,24 +289,33 @@ def test_smallest_of_each_length_reads_the_rref_rows_of_every_subspace():
 
 
 def test_quotient_lift_keeps_the_dimension_and_lifts_every_point():
+    # the one reduction is the quotient followed by the dense restriction
+    # of h: the same core, and a trace that lifts through both at once
     rng = SplitMix64(61)
     for base in (tensor(two_affine(5, 3), delta(2)), counterexample_padded(8), two_affine(8, 3)):
         f = image(base, rng.below(1 << 30))
         _, sigma, origin, h, hs = quotient(f)
-        core, trace = structure.reduce_to_core(h, hs)
-        lift = structure._quotient_lift(f.n, sigma, origin, trace)
+        core, trace = structure.reduce_to_core(f)
+        h_core, h_trace = oracle_dense_reduce(h, hs)
+        assert core == h_core and trace.core_spectrum == h_trace.core_spectrum
         pivots = [r.bit_length() - 1 for r in reversed(sigma)]
+
+        def through_h(y):
+            z = oracle_lift_point(h_trace, y)
+            return origin ^ sum(1 << p for i, p in enumerate(pivots) if (z >> i) & 1)
+
+        assert all(
+            oracle_lift_point(trace, y) == through_h(y) for y in range(1 << core.n)
+        )
         kernel = Subspace.spanned_by(f.n, complement_generators(f.n, sigma))
+        assert Subspace.spanned_by(f.n, trace.kernel) == kernel
+        assert len(trace.kernel) == kernel.dim
         for _ in range(4):
             gens = [random_vector(core.n, rng) for _ in range(rng.below(core.n + 1))]
             flat = AffineSubspace(random_vector(core.n, rng), Subspace.spanned_by(core.n, gens))
-            lifted = lift(flat)
+            lifted = trace.lift(flat)
             assert lifted.dim == flat.dim + kernel.dim
-            points = set()
-            for y in flat.points():
-                z = oracle_lift_point(trace, y)
-                x = origin ^ sum(1 << p for i, p in enumerate(pivots) if (z >> i) & 1)
-                points |= {x ^ v for v in kernel.points()}
+            points = {through_h(y) ^ v for y in flat.points() for v in kernel.points()}
             assert set(lifted.points()) == points
 
 
@@ -254,8 +324,8 @@ def test_quotient_lift_keeps_the_dimension_and_lifts_every_point():
 def _corrupted(dec):
     """Decompositions near dec, nearly all invalid: each piece moved by a
     unit vector, the pieces' shifts swapped (another valid partition when
-    the core has k = 2), a piece halved, a piece repeated, and a basis
-    vector doubled."""
+    the core has k = 2), a piece halved, a piece repeated, a basis vector
+    doubled, and the last piece moved into a space of one more dimension."""
     pieces = dec.pieces
     n = pieces[0].n
     out = []
@@ -274,12 +344,17 @@ def _corrupted(dec):
         out.append((AffineSubspace(first.shift, Subspace(n, tuple(others))), *pieces[1:]))
         dependent = Subspace(n, (top, top, *others[1:]))
         out.append((AffineSubspace(first.shift, dependent), *pieces[1:]))
+    last = pieces[-1]
+    wider = AffineSubspace(last.shift | 1 << n, Subspace(n + 1, last.direction.basis))
+    out.append((*pieces[:-1], wider))
     return [Decomposition(tuple(ps), dec.classification) for ps in out]
 
 
 def oracle_verify(f, dec):
-    """The point-set check: mandated dimensions, each basis independent, and
-    the pieces' point sets partition the support."""
+    """The point-set check: pieces in f's space, mandated dimensions, each
+    basis independent, and the pieces' point sets partition the support."""
+    if any(p.n != f.n for p in dec.pieces):
+        return False
     independent = all(
         affine_span(f.n, p.points()).dim == p.dim for p in dec.pieces
     )
@@ -316,6 +391,13 @@ def test_verification_rejects_a_piece_of_another_dimension():
     dec = decompose(f)
     wide = tuple(AffineSubspace(p.shift, Subspace(6, p.direction.basis)) for p in dec.pieces)
     assert not verify_decomposition(f, Decomposition(wide, dec.classification))
+    # one line of four from F_2^7 among lines of F_2^6: the ambient check
+    # comes before the four-flat mandate, which spans the pieces in F_2^6
+    f = counterexample_padded(6)
+    dec = decompose(f)
+    assert len(dec.pieces) == 4
+    odd = (*dec.pieces[:-1], AffineSubspace(67, Subspace(7, (1,))))
+    assert not verify_decomposition(f, Decomposition(odd, dec.classification))
 
 
 def test_verification_rejects_a_dependent_basis():

@@ -1,5 +1,4 @@
 import functools
-from itertools import compress
 from operator import add
 
 import pytest
@@ -51,9 +50,9 @@ from conftest import (
     oracle_is_irreducible,
     oracle_lift_flat,
     oracle_lift_point,
+    oracle_dense_reduce,
     oracle_two_flat_pieces,
     span_points,
-    transform_spectrum,
 )
 
 OR2 = BooleanFunction(2, 0b1110)
@@ -243,11 +242,18 @@ def test_reduce_tensor_with_delta_recovers_core_exactly():
     base = two_affine(5, 2)
     padded = tensor(base, delta(2))
     core, trace = reduce_to_core(padded)
-    assert core == base
-    assert trace.original_n == 7 and trace.core_n == 5
-    # 0 is a support point and W = span(e6, e7): the lift is the inclusion
-    assert trace.shift == 0
-    assert [oracle_lift_point(trace, y) for y in range(32)] == list(range(32))
+    # base is constant along e4 and e5, which the quotient drops, and the
+    # two padding inputs are confined to 0, which the restriction drops
+    assert core == two_affine(3, 2)
+    assert (trace.original_n, trace.core_n, trace.shift) == (7, 3, 0)
+    assert (trace.columns, trace.kernel) == ((1, 2, 4), (8, 16))
+    # 0 is a support point: the lift is the inclusion
+    assert [oracle_lift_point(trace, y) for y in range(8)] == list(range(8))
+    # the dense route keeps e4 and e5 in its core, which is base itself
+    dense_core, dense_trace = oracle_dense_reduce(padded)
+    assert dense_core == base
+    assert (dense_trace.core_n, dense_trace.shift, dense_trace.kernel) == (5, 0, ())
+    assert [oracle_lift_point(dense_trace, y) for y in range(32)] == list(range(32))
 
 
 def test_reduce_irreducible_is_identity():
@@ -255,6 +261,7 @@ def test_reduce_irreducible_is_identity():
     core, trace = reduce_to_core(f)
     assert core == f
     assert (trace.core_n, trace.shift, trace.columns) == (6, 0, (1, 2, 4, 8, 16, 32))
+    assert trace.kernel == ()
 
 
 def test_reduce_handles_negative_coefficient_via_shift():
@@ -263,9 +270,11 @@ def test_reduce_handles_negative_coefficient_via_shift():
     flipped = shift(padded, 1 << 5)
     assert wht(flipped).coeffs[32] == -wht(flipped).coeffs[0]
     core, trace = reduce_to_core(flipped)
-    assert core == two_affine(5, 2)
-    assert trace.core_n == 5
-    assert trace.shift == 1 << 5
+    assert core == two_affine(3, 2)
+    assert (trace.core_n, trace.shift, trace.kernel) == (3, 1 << 5, (8, 16))
+    dense_core, dense_trace = oracle_dense_reduce(flipped)
+    assert dense_core == two_affine(5, 2)
+    assert (dense_trace.core_n, dense_trace.shift) == (5, 1 << 5)
 
 
 def test_reduce_trace_lifts_core_support_onto_original():
@@ -273,6 +282,8 @@ def test_reduce_trace_lifts_core_support_onto_original():
     base = tensor(two_affine(3, 2), delta(2))
     f = shift(apply_transform(base, random_invertible(5, rng)), random_vector(5, rng))
     core, trace = reduce_to_core(f)
+    # the nonzero coefficient positions span F_2^5: nothing is quotiented
+    assert trace.kernel == ()
     lifted = {oracle_lift_point(trace, x) for x in core.support()}
     assert lifted == f.support()
     # lifting all core points is injective onto a full affine subspace
@@ -295,10 +306,16 @@ def _seeded_reducible_images():
 
 
 def test_reduce_to_core_ends_irreducible_on_the_affine_span():
+    # two_affine(7, 3) is constant along two directions, which the
+    # quotient drops; the counterexample core is constant along none
+    kernels = []
     for f in _seeded_reducible_images():
         core, trace = reduce_to_core(f)
         assert oracle_is_irreducible(core)
-        assert core.n == f.n - 2 == trace.core_n
+        kernels.append(len(trace.kernel))
+        assert core.n == f.n - 2 - len(trace.kernel) == trace.core_n
+        assert oracle_dense_reduce(f)[1].core_n == f.n - 2
+    assert kernels == [2] * 4 + [0] * 4
 
 
 def test_lift_flat_lifts_every_point():
@@ -311,6 +328,11 @@ def test_lift_flat_lifts_every_point():
             lifted = oracle_lift_flat(trace, flat)
             assert lifted.n == f.n and lifted.dim == flat.dim
             assert set(lifted.points()) == {oracle_lift_point(trace, x) for x in flat.points()}
+            # the trace's own lift adds the directions along which f is constant
+            kernel = span_points(list(trace.kernel))
+            assert set(trace.lift(flat).points()) == {
+                x ^ v for x in lifted.points() for v in kernel
+            }
 
 
 @functools.cache
@@ -335,14 +357,26 @@ def test_reduce_to_core_restricts_to_the_affine_span():
         core, trace = reduce_to_core(f, s, cls)
         assert core.value(0)
         assert oracle_is_irreducible(core)
-        assert trace.core_n == core.n == affine_span(f.n, f.support()).dim
+        d = len(trace.kernel)
+        assert linear_span(f.n, trace.kernel).dim == d
+        assert trace.core_n == core.n == affine_span(f.n, f.support()).dim - d
         assert trace.core_spectrum == wht(core)
-        assert {oracle_lift_point(trace, y) for y in core.support()} == f.support()
+        assert trace.core_classification == classify(wht(core))
+        # core(y) = f(lift(y)) for every y, and the support is the lifted
+        # core support plus the span of the kernel
+        lifted = [oracle_lift_point(trace, y) for y in range(1 << core.n)]
+        assert [core.value(y) for y in range(1 << core.n)] == list(map(f.value, lifted))
+        kernel = span_points(list(trace.kernel))
+        assert {x ^ v for x in map(lifted.__getitem__, core.support()) for v in kernel} == f.support()
 
 
 def test_core_spectrum_gathers_only_the_kept_coefficients():
-    # reduce_to_core gathers the 2^(n-w) coefficients it keeps; the oracle
-    # gathers all 2^n through the transform and keeps every 2^w-th
+    # reduce_to_core gathers the 2^core_n coefficients it keeps; the oracle
+    # reads all 2^n: f is 1 on lift(core) + span(kernel), so F vanishes off
+    # the annihilator of the kernel, and on it F(alpha) is 2^dim(kernel)
+    # (-1)^<alpha, shift> times the core's coefficient at C^T alpha, for C
+    # the matrix of the lift columns.  On the dense route, which keeps the
+    # kernel in its core, the transform's last n - w columns are the lift's
     cases = [(f, wht(f), None) for f in _seeded_reducible_images()]
     for table in range(1, 1 << 16):
         f = BooleanFunction(4, table)
@@ -353,20 +387,30 @@ def test_core_spectrum_gathers_only_the_kept_coefficients():
     reducible = 0
     for f, s, cls in cases:
         core, trace = reduce_to_core(f, s, cls)
-        w = f.n - trace.core_n
+        d = len(trace.kernel)
+        gathered = {}
+        for alpha, c in enumerate(s.coeffs):
+            if any(dot(alpha, v) for v in trace.kernel):
+                assert c == 0
+                continue
+            b = sum(dot(alpha, col) << j for j, col in enumerate(trace.columns))
+            value = (-c if dot(alpha, trace.shift) else c) >> d
+            assert gathered.setdefault(b, value) == value
+        assert tuple(map(gathered.__getitem__, range(1 << core.n))) == trace.core_spectrum.coeffs
+        assert trace.core_spectrum == wht(core)
+        dense_core, dense = oracle_dense_reduce(f, s, cls)
+        w = f.n - dense.core_n
         if w == 0:
             continue
         reducible += 1
         # L from W's rref rows, found by a scan of every mask: its last
-        # n - w columns are the trace's lift columns
+        # n - w columns are the dense lift columns
         shifted = shift_spectrum(s, trace.shift)
         f0 = shifted.coeffs[0]
         basis = rref(a for a in range(1, 1 << f.n) if shifted.coeffs[a] == f0)
         m = transform_sending_to_first(f.n, basis)
-        assert m.columns()[w:] == trace.columns
-        moved = transform_spectrum(shifted, m)
-        assert trace.core_spectrum.coeffs == moved.coeffs[:: 1 << w]
-        assert trace.core_spectrum == wht(core)
+        assert m.columns()[w:] == dense.columns
+        assert dense.core_spectrum == wht(dense_core)
     # the eight seeded images and the 1,986 in-scope n = 4 tables whose
     # support spans a proper flat
     assert reducible == 8 + 1986
@@ -518,8 +562,8 @@ def test_decompose_partitions_the_support_into_mandated_flats():
 
 def test_structural_recovery_needs_no_partition_search(monkeypatch):
     # no search is left to fall back on: the pieces are the pieces of the
-    # one core route, called once per input on the core of the spectral
-    # quotient h, and lifted to f in one affine map
+    # one core route, called once per input on the core of f, and lifted to
+    # f through the reduction's trace
     assert not hasattr(structure, "find_flat_partition")
     route, reduce = structure._decompose_core, structure.reduce_to_core
     found, traces = [], []
@@ -554,10 +598,13 @@ def test_structural_recovery_needs_no_partition_search(monkeypatch):
             assert _is_mandated_partition(f, dec), f
             assert len(found) == 1 and found[0] is not None
             (trace,) = traces
-            sigma = rref(compress(range(1 << f.n), wht(f).coeffs))
-            origin = min(f.support())
-            lift = structure._quotient_lift(f.n, sigma, origin, trace)
-            assert dec.pieces == tuple(map(lift, found[0]))
+            assert dec.pieces == tuple(map(trace.lift, found[0]))
+            # each piece is its core flat, lifted point by point, plus the
+            # span of the kernel
+            kernel = span_points(list(trace.kernel))
+            for piece, flat in zip(dec.pieces, found[0]):
+                lifted = {oracle_lift_point(trace, y) ^ v for y in flat.points() for v in kernel}
+                assert set(piece.points()) == lifted
 
 
 def _two_flat_cores():
