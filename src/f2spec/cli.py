@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import jsonio
 from .addcomb import (
@@ -37,7 +38,10 @@ EXIT_VIOLATION = 4
 MAX_SET_PAIRS = 1 << 24
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    main call in the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="f2spec",
         description="Exact spectra and affine-subspace structure of Boolean "

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Iterator
 
 MAX_DIMENSION = 24
@@ -288,6 +289,15 @@ def transform_sending_to_first(n: int, basis: Iterable[int]) -> GF2Matrix:
     return GF2Matrix(n, _transpose_rows(n, cols))
 
 
+def _translates(mask: int, swaps: list) -> list[int]:
+    """The mask translated by every sum of the swaps' coordinates, doubling
+    over them in order: one masked delta-swap per translate."""
+    out = [mask]
+    for stride, m in swaps:
+        out += [((x & m) << stride) | ((x >> stride) & m) for x in out]
+    return out
+
+
 def _spans(rows: list) -> Iterator[int]:
     """Span masks of every value assignment to the RREF rows, the first
     row fastest.  The span of the slower rows is built once per assignment;
@@ -299,10 +309,8 @@ def _spans(rows: list) -> Iterator[int]:
         return
     (pivot_stride, pivot_mask), free = rows[0]
     for span in _spans(rows[1:]):
-        moved = [((span & pivot_mask) << pivot_stride) | ((span >> pivot_stride) & pivot_mask)]
-        for stride, m in free:
-            moved += [((x & m) << stride) | ((x >> stride) & m) for x in moved]
-        for x in moved:
+        moved = ((span & pivot_mask) << pivot_stride) | ((span >> pivot_stride) & pivot_mask)
+        for x in _translates(moved, free):
             yield span | x
 
 
@@ -317,29 +325,40 @@ def iter_affine_masks(n: int, dim: int) -> Iterator[int]:
     in increasing order of their smallest point.
 
     Everything is whole-mask work: translating a mask by e_q is one masked
-    delta-swap with stride 2^q.  Directions are built from the slowest row
-    down: the span of rows dim-1..i+1 is built once for each value of those
-    rows, its translates by every value of row i come from doubling over
-    the row's free bits (one delta-swap per value), and the span of rows
-    dim-1..i is that span OR one translate.  The smallest point of a coset
-    of an RREF subspace is its member with every pivot bit clear, so
-    doubling the coset list over the non-pivot coordinates in increasing
-    order lists the cosets by increasing smallest point.  Lazy: each row
-    holds one translate list at a time, beside one direction's cosets.
+    delta-swap with stride 2^q.  The span S of rows 1..dim-1 is built once
+    for each value of those rows (_spans: the span of the slower rows OR
+    its translate by each value of the faster row).  With t_j the sum of
+    the free (non-pivot) coordinates picked by the bits of j, A[j] = S + t_j
+    lists S's translates by doubling over the free coordinates in
+    increasing order, and B[j] = A[j] + e_p moves each by row 0's pivot p.
+    Row 0's free bits lie below p, so they are the first free coordinates
+    and its value of index i is e_p + t_i.  The direction of that value is
+    S | (S + e_p + t_i), and its coset through t_j is A[j] | B[i ^ j]: one
+    OR per mask, after 2^(n-dim+1) delta-swaps per S that the 2^f values
+    of row 0 (f its free bits) share.  The smallest point of a coset of an
+    RREF subspace is its member with every pivot bit clear, which is t_j
+    for the coset through t_j, so the cosets come by increasing smallest
+    point.  Lazy: each row holds one translate list at a time, beside A
+    and B.
     """
     check_dimension(n)
     if dim < 0 or dim > n:
         return
     swaps = [(1 << q, m) for q, m in enumerate(swap_masks(n))]
+    if not dim:  # the points themselves
+        yield from _translates(1, swaps)
+        return
     for pivots in combinations(range(n - 1, -1, -1), dim):
         pivot_bits = sum(1 << p for p in pivots)
         free = [swaps[q] for q in range(n) if not (pivot_bits >> q) & 1]
         rows = [(swaps[p], [sw for sw in free if sw[0] < 1 << p]) for p in pivots]
-        for direction in _spans(rows):
-            masks = [direction]
-            for stride, m in free:
-                masks += [((x & m) << stride) | ((x >> stride) & m) for x in masks]
-            yield from masks
+        (stride, m), row_free = rows[0]
+        for span in _spans(rows[1:]):
+            a = _translates(span, free)
+            b = [((x & m) << stride) | ((x >> stride) & m) for x in a]
+            cosets = range(len(a))
+            for i in range(1 << len(row_free)):
+                yield from map(or_, a, map(b.__getitem__, map(i.__xor__, cosets)))
 
 
 def max_flat_through(n: int, point: int, points: Iterable[int]) -> AffineSubspace:

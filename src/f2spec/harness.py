@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from operator import eq, mul
+from operator import mul
 
 from .boolfunc import BooleanFunction, apply_transform, shift
 from .errors import InputFormatError, TheoremViolationError
@@ -161,13 +161,16 @@ def enumerate_verify_range(
     The tables go through the butterfly _CHUNK_TABLES at a time: one call
     transforms a chunk, and a second call on its coefficients must give
     back 2^n * f(x) for every entry of every table (round trip and 0/1
-    range at once).  Only when that comparison fails are the failing
-    tables located.
+    range at once), checked as one bytes comparison with the chunk's bits
+    scaled by 2^n.  Only when that comparison fails are the failing tables
+    located.
     """
     check_exhaustive_args(n)
     if not 0 <= start <= stop <= 1 << (1 << n):
         raise ValueError(f"table range must satisfy 0 <= start <= stop <= 2^(2^{n})")
     size = 1 << n
+    # 0/1 bytes to 0/2^n bytes: n <= 4 keeps 2^n in a byte
+    scale = bytes.maketrans(b"\x01", bytes((size,)))
     report = VerificationReport(n, "exhaustive")
     if masks_by_codim is None:
         masks_by_codim = [list(iter_affine_masks(n, n - c)) for c in range(n + 1)]
@@ -184,7 +187,11 @@ def enumerate_verify_range(
         coeffs = butterfly(bits, n)
         back = butterfly(coeffs, n)
         bad_round_trip = set()
-        if not all(map(eq, back, map(size.__mul__, bits))):
+        try:
+            round_trip_ok = bytes(back) == bits.translate(scale)
+        except ValueError:  # an entry outside 0..255 is no 2^n * f(x)
+            round_trip_ok = False
+        if not round_trip_ok:
             bad_round_trip = {
                 lo + i // size for i, (u, b) in enumerate(zip(back, bits)) if u != size * b
             }

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from f2spec import cli, harness, jsonio
 from f2spec.boolfunc import BooleanFunction
 from f2spec.errors import InputFormatError, SpectrumScopeError, TheoremViolationError
-from f2spec.families import two_affine
+from f2spec.families import generate, two_affine
 from f2spec.fourier import wht
 from f2spec.structure import check_kill_args
 
@@ -301,3 +302,61 @@ def test_spectrum_output_matches_json_dumps(tmp_path, capsys):
             code, out, _ = run_cli(capsys, "spectrum", "--in", path, *flags)
             assert code == 0
             assert out == spectrum_reference_text(f, bool(flags))
+
+
+def without_timing(report_obj):
+    return {key: value for key, value in report_obj.items() if key != "timing_ms"}
+
+
+def test_one_process_reuses_the_parser_across_commands(capsys):
+    # each call starts from the parser's defaults, whatever the call before
+    # it set: k is None again after --k 2, and --random None after --random 3
+    code, out, _ = run_cli(capsys, "generate", "--family", "two-affine", "--n", "5", "--k", "2")
+    assert code == 0
+    assert out == jsonio.dumps(jsonio.function_to_obj(two_affine(5, 2))) + "\n"
+
+    code, out, _ = run_cli(capsys, "generate", "--family", "counterexample-core")
+    assert code == 0
+    assert out == jsonio.dumps(jsonio.function_to_obj(generate("counterexample-core"))) + "\n"
+
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["decompose"])
+    assert usage.value.code == 2
+    assert "--in" in capsys.readouterr().err
+
+    argv = ["verify", "--n", "8", "--random", "3", "--seed", "1", "--family", "two-affine", "--k", "3"]
+    code, out, _ = run_cli(capsys, *argv)
+    expected = harness.random_verify(8, 3, 1, family="two-affine", k=3)
+    assert code == 0
+    assert without_timing(json.loads(out)) == without_timing(jsonio.report_to_obj(expected))
+
+    code, out, _ = run_cli(capsys, "verify", "--n", "3")
+    report = json.loads(out)
+    assert code == 0
+    assert report["mode"] == "exhaustive" and "seed" not in report
+    assert without_timing(report) == without_timing(jsonio.report_to_obj(harness.enumerate_verify(3)))
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    # subparsers are ArgumentParsers too, so every parser of the tree counts
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        path = write_json(tmp_path, "f.json", {"n": 3, "support": [0, 5]})
+        code, _, _ = run_cli(capsys, "sparsity", "--in", path)
+        assert code == 0
+        one_tree = len(built)
+        assert built.count("f2spec") == 1
+        for argv in (["granularity", "--in", path], ["kill-number", "--in", path]):
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+        assert len(built) == one_tree
+    finally:
+        cli._build_parser.cache_clear()

@@ -164,7 +164,12 @@ def test_chunked_range_matches_merged_ranges():
     assert whole.violations == merged.violations == []
 
 
-def test_round_trip_failure_names_only_the_corrupted_table(monkeypatch):
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda v: v + 1, lambda v: v - 1, lambda v: 256],
+    ids=["plus-one", "minus-one-below-byte-range", "256-above-byte-range"],
+)
+def test_round_trip_failure_names_only_the_corrupted_table(monkeypatch, corrupt):
     real = harness.butterfly
     seen = []
 
@@ -173,7 +178,7 @@ def test_round_trip_failure_names_only_the_corrupted_table(monkeypatch):
         seen.append(len(values))
         if len(seen) == 2:  # the round trip of the first chunk
             lanes = list(out)
-            lanes[37 * 16 + 5] += 1
+            lanes[37 * 16 + 5] = corrupt(lanes[37 * 16 + 5])
             return tuple(lanes)
         return out
 
