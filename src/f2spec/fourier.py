@@ -10,9 +10,10 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
-from operator import mul, neg, or_
+from itertools import accumulate, compress
+from operator import add, mul, neg, or_
 from typing import Iterable, Sequence
 
 from .boolfunc import BooleanFunction
@@ -21,10 +22,20 @@ from .gf2 import _low_half_mask, int_to_bits
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Scaled Fourier transform: coeffs[enc(a)] = 2^n * f^(a)."""
+    """Scaled Fourier transform: coeffs[enc(a)] = 2^n * f^(a).
+
+    nonzero, when not None, holds the positions of the nonzero coefficients
+    in increasing order.  Only wht fills it, on a spectrum of at least 2^13
+    entries (the butterfly's _STAGED_LANES) with at most one nonzero
+    coefficient in 16; equality, hashing and repr ignore it, so
+    Spectrum(n, coeffs) equals the transform it was copied from.  Read it
+    through nonzero_positions and coefficient_values, which fall back to a
+    pass over coeffs when it is None.
+    """
 
     n: int
     coeffs: tuple[int, ...]
+    nonzero: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != 1 << self.n:
@@ -58,12 +69,18 @@ def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
     _STAGED_LANES lanes the passes cost more than the narrower stages
     save, and every stage runs on the lane of the last.
     """
+    return _unpack(*_transform(values, n))
+
+
+def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray, int]:
+    """The butterfly's result as two's-complement little-endian lanes, with
+    the lane width in bits; see butterfly."""
     size = 1 << n
     count = len(values)
     if count % size:
         raise ValueError(f"length {count} is not a multiple of 2^{n}")
     if not count:
-        return ()
+        return b"", 8
     raw = isinstance(values, (bytes, bytearray))
     small = None  # the entries as signed bytes, where each fits in one
     if raw:  # a truth table's bytes are all 0/1: delete those at C speed
@@ -128,7 +145,7 @@ def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
     mask = bias = None  # release both before the output is built
     data = _flip_top(x.to_bytes(count * nb, "little"), nb)
     del x
-    return _unpack(data, width)
+    return data, width
 
 
 # below this many lanes every stage runs on the lane of the last: on 0/1
@@ -140,12 +157,14 @@ _STAGED_LANES = 1 << 13
 _LANE_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 # translations of one byte: its top bit flipped (bias on or off), the bit
-# length of its magnitude read as a signed byte, and, for the biased top
-# byte of a lane, the sign fill and biased top byte of a wider lane
+# length of its magnitude read as a signed byte, for the biased top byte of
+# a lane the sign fill and biased top byte of a wider lane, and 0/1 for
+# zero/nonzero
 _FLIP = bytes(b ^ 0x80 for b in range(256))
 _MAGNITUDE_BITS = bytes(min(b, 256 - b).bit_length() for b in range(256))
 _SIGN_FILL = bytes(0x00 if b & 0x80 else 0xFF for b in range(256))
 _WIDE_TOP = bytes(0x80 if b & 0x80 else 0x7F for b in range(256))
+_NONZERO = bytes(map(bool, range(256)))
 
 
 def _lane_width(need: int) -> int:
@@ -210,21 +229,71 @@ def _unpack(data: bytes, width: int) -> tuple[int, ...]:
     return struct.unpack(f"<{len(data) // nb}{code}", data)
 
 
+def _nonzero_lanes(data: bytes | bytearray, nb: int) -> tuple[int, ...] | None:
+    """The positions of the nonzero lanes of nb bytes, in increasing order,
+    or None when more than one lane in 16 is nonzero.
+
+    The strided slices of the lanes' bytes are ORed together as ints, and
+    one translate turns each lane's OR into a 0/1 flag; all of that runs at
+    C speed.  The runs of zero flags between the ones give the positions,
+    one step per nonzero lane.  On denser lanes those steps cost more than
+    one compress over the unpacked coefficients (4 times more on a random
+    table), so nothing is returned.
+    """
+    count = len(data) // nb
+    lanes = int.from_bytes(data[0::nb], "little")
+    for k in range(1, nb):
+        lanes |= int.from_bytes(data[k::nb], "little")
+    flags = lanes.to_bytes(count, "little").translate(_NONZERO)
+    nonzero = flags.count(1)
+    if nonzero > count >> 4:
+        return None
+    zeros_before = accumulate(map(len, flags.split(b"\x01")))
+    return tuple(map(add, zeros_before, range(nonzero)))
+
+
 def wht(f: BooleanFunction) -> Spectrum:
     """Exact transform of a 0/1 truth table: the 0/1 bytes of the table
     (gf2.int_to_bits, one linear pass) go straight into the lanes of the
-    butterfly."""
-    return Spectrum(f.n, butterfly(int_to_bits(f.table, 1 << f.n), f.n))
+    butterfly.  From _STAGED_LANES entries up, the nonzero positions are
+    read off the packed lanes before they are unpacked, and the spectrum
+    carries them when they are sparse (see _nonzero_lanes): past the
+    transform, its readers then touch only those positions."""
+    n = f.n
+    data, width = _transform(int_to_bits(f.table, 1 << n), n)
+    nonzero = _nonzero_lanes(data, width >> 3) if 1 << n >= _STAGED_LANES else None
+    return Spectrum(n, _unpack(data, width), nonzero)
+
+
+def nonzero_positions(s: Spectrum) -> Iterable[int]:
+    """The positions of the nonzero coefficients, in increasing order: the
+    ones the spectrum carries, else a compress over all 2^n coefficients,
+    which is an iterator and can be read once."""
+    if s.nonzero is not None:
+        return s.nonzero
+    return compress(range(len(s.coeffs)), s.coeffs)
+
+
+def coefficient_values(s: Spectrum) -> set[int]:
+    """The distinct coefficient values: those at the carried positions, with
+    0 when some coefficient vanishes, else the set of all 2^n coefficients."""
+    if s.nonzero is None:
+        return set(s.coeffs)
+    values = set(map(s.coeffs.__getitem__, s.nonzero))
+    if len(s.nonzero) < len(s.coeffs):
+        values.add(0)
+    return values
 
 
 def shift_spectrum(s: Spectrum, a: int) -> Spectrum:
-    """Spectrum of x -> f(x + a) from the spectrum of f: F(beta) (-1)^<beta,a>."""
+    """Spectrum of x -> f(x + a) from the spectrum of f: F(beta) (-1)^<beta,a>.
+    A sign flip keeps zeros at zero, so the nonzero positions carry over."""
     if a == 0:
         return s
     signs = [1]
     for i in range(s.n):
         signs += list(map(neg, signs)) if (a >> i) & 1 else signs
-    return Spectrum(s.n, tuple(map(mul, s.coeffs, signs)))
+    return Spectrum(s.n, tuple(map(mul, s.coeffs, signs)), s.nonzero)
 
 
 def granularity(s: Spectrum) -> int:
@@ -232,9 +301,10 @@ def granularity(s: Spectrum) -> int:
 
     The fold runs over the distinct values: an in-scope spectrum has at
     most five, and building the set costs about half of folding all 2^n
-    entries at n = 14..16.
+    entries at n = 14..16 (and a spectrum that carries its nonzero
+    positions reads only those).
     """
-    return _granularity(s.n, set(s.coeffs))
+    return _granularity(s.n, coefficient_values(s))
 
 
 def _granularity(n: int, values: Iterable[int]) -> int:

@@ -19,14 +19,21 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import repeat
 from operator import mul, neg, rshift
 from typing import Iterable
 
 from .addcomb import PointSet
 from .boolfunc import BooleanFunction, apply_transform, restrict_first_bit, shift
 from .errors import InputFormatError, SpectrumScopeError, TheoremViolationError
-from .fourier import Spectrum, _granularity, shift_spectrum, wht
+from .fourier import (
+    Spectrum,
+    _granularity,
+    coefficient_values,
+    nonzero_positions,
+    shift_spectrum,
+    wht,
+)
 from .gf2 import (
     AffineSubspace,
     Subspace,
@@ -69,7 +76,7 @@ class Classification:
 def classify(s: Spectrum) -> Classification:
     n = s.n
     coeffs = s.coeffs
-    values = set(coeffs)
+    values = coefficient_values(s)
     if values == {0}:
         return Classification(TAG_TRIVIAL, 0, 0)
     k = _granularity(n, values)
@@ -136,9 +143,9 @@ def _signed_masks(s: Spectrum, k: int) -> tuple[frozenset[int], frozenset[int]]:
     nonzero mask but 0 has the magnitude of F(0), and they sum to 2^n."""
     unit = 1 << (s.n - k)
     coeffs = s.coeffs
-    # one scan for the few nonzero masks, then the checks and the split
-    # run on those alone
-    nonzero = list(compress(range(len(coeffs)), coeffs))
+    # the few nonzero masks (carried, or one scan), then the checks and the
+    # split run on those alone
+    nonzero = list(nonzero_positions(s))
     values = list(map(coeffs.__getitem__, nonzero))
     f0 = coeffs[0]
     if values.count(f0) + values.count(-f0) > 1:
@@ -256,7 +263,7 @@ def reduce_to_core(
         raise SpectrumScopeError("reduction is only defined for in-scope spectra")
     n = f.n
     origin = (f.table & -f.table).bit_length() - 1
-    nonzero = list(compress(range(1 << n), spectrum.coeffs))
+    nonzero = list(nonzero_positions(spectrum))
     # n rows with distinct pivots span F_2^n, whose rref is the unit rows
     if len(_smallest_of_each_length(nonzero, n)) == n:
         sigma = tuple(1 << b for b in reversed(range(n)))
@@ -503,9 +510,11 @@ def decompose(
     fail that check, raises TheoremViolationError.
 
     f is transformed and classified here unless the caller passes its
-    spectrum (and classification); past that, only the scan for the
-    nonzero positions, one shift and a byte copy of the table for the
-    gather, and the bitmask verification touch 2^n entries.
+    spectrum (and classification); past that, only one shift and a byte
+    copy of the table for the gather, and the bitmask verification touch
+    2^n entries.  The nonzero positions come with a sparse spectrum from
+    wht, read off its packed lanes at C speed; other spectra are scanned
+    for them once.
     """
     if f.is_zero:
         raise SpectrumScopeError("the zero function has no affine decomposition")
@@ -520,7 +529,7 @@ def decompose(
     n = f.n
     if cls.m == 1:
         # the nonzero positions are U^perp for the support origin + U
-        nonzero = list(compress(range(1 << n), s.coeffs))
+        nonzero = list(nonzero_positions(s))
         origin = (f.table & -f.table).bit_length() - 1
         kernel = orthogonal_complement(Subspace(n, _smallest_of_each_length(nonzero, n)))
         pieces: tuple[AffineSubspace, ...] = (AffineSubspace(origin, kernel),)

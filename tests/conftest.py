@@ -17,6 +17,7 @@ from f2spec import structure
 from f2spec.boolfunc import BooleanFunction, apply_transform, restrict_first_bit, shift
 from f2spec.errors import SpectrumScopeError, TheoremViolationError
 from f2spec.fourier import Spectrum, shift_spectrum, wht
+from f2spec.harness import SplitMix64, random_invertible, random_vector
 from f2spec.gf2 import (
     AffineSubspace,
     GF2Matrix,
@@ -36,6 +37,13 @@ from f2spec.gf2 import (
 def dot(x: int, y: int) -> int:
     """Standard inner product: parity of the coordinates shared by x and y."""
     return (x & y).bit_count() & 1
+
+
+def image(base: BooleanFunction, seed: int) -> BooleanFunction:
+    """base pushed through a seeded random invertible transform and shift."""
+    rng = SplitMix64(seed)
+    m = random_invertible(base.n, rng)
+    return shift(apply_transform(base, m), random_vector(base.n, rng))
 
 
 def is_full_affine_subspace(n: int, points) -> bool:

@@ -289,13 +289,17 @@ def spectrum_reference_text(f, nonzero_only):
 
 def test_spectrum_output_matches_json_dumps(tmp_path, capsys):
     # n = 13 writes two full chunks of 4096 entries, --nonzero-only a ragged
-    # last one; the zero function leaves "coeffs": [] under --nonzero-only
+    # last one; the zero function leaves "coeffs": [] under --nonzero-only.
+    # The sparse spectra at n = 13 and 16 (16- and 32-bit lanes) list the
+    # positions they carry, the dense random ones scan all coefficients
     rng = random.Random(13)
     for f in (
         BooleanFunction(3, 0),
         BooleanFunction(2, 0b1110),
         BooleanFunction(13, rng.getrandbits(1 << 13)),
         two_affine(13, 3),
+        two_affine(16, 3),
+        BooleanFunction(16, rng.getrandbits(1 << 16)),
     ):
         path = write_json(tmp_path, "f.json", jsonio.function_to_obj(f))
         for flags in ((), ("--nonzero-only",)):

@@ -204,10 +204,41 @@ def test_enumerate_verify_transforms_a_bounded_chunk_per_call(monkeypatch):
     assert len(sizes) == 2 * 64
 
 
+def tables_with_kill_scan(n):
+    """The nonzero tables on n inputs whose bound k + m - 1 is below n, so
+    that the points do not meet it by themselves."""
+    tables = []
+    for table in range(1, 1 << (1 << n)):
+        cls = classify(wht(BooleanFunction(n, table)))
+        if cls.k + cls.m <= n:
+            tables.append(table)
+    return tables
+
+
 def test_enumerate_verify_kill_bound_check_is_live():
-    # with no flats to scan, no table can meet the kill-number bound
+    # with no flats to scan, no table that needs the scan meets the bound
     r = enumerate_verify_range(2, 0, 16, [[], [], []])
-    assert r.violations == [(table, "kill_bound") for table in range(1, 16)]
+    assert r.violations == [(table, "kill_bound") for table in tables_with_kill_scan(2)]
+    assert r.violations
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_kill_bound_scans_only_when_k_plus_m_is_at_most_n(monkeypatch, n):
+    # k + m > n admits the points, on which every table is constant: the
+    # scan runs on the other tables alone, and a scan that finds nothing
+    # fails exactly those
+    scanned = []
+
+    def no_constant_flat(table, masks_by_codim):
+        scanned.append(table)
+        return None
+
+    monkeypatch.setattr(harness, "first_constant_codim", no_constant_flat)
+    r = enumerate_verify_range(n, 0, 1 << (1 << n))
+    want = tables_with_kill_scan(n)
+    assert scanned == want
+    assert r.violations == [(table, "kill_bound") for table in want]
+    assert len(want) == {3: 43, 4: 1131}[n]
 
 
 def test_partial_reports_merge_to_full_run():

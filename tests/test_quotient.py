@@ -19,12 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2spec import jsonio, structure
-from f2spec.boolfunc import BooleanFunction, apply_transform, shift, tensor
+from f2spec.boolfunc import BooleanFunction, shift, tensor
 from f2spec.errors import TheoremViolationError
 from f2spec.families import affine_indicator, counterexample_padded, delta, two_affine
 from f2spec.fourier import wht
 from f2spec.gf2 import AffineSubspace, Subspace, affine_span, complement_generators, rref
-from f2spec.harness import SplitMix64, random_invertible, random_vector
+from f2spec.harness import SplitMix64, random_vector
 from f2spec.structure import (
     IN_SCOPE_TAGS,
     TAG_EXCEPTIONAL_K4,
@@ -38,6 +38,7 @@ from f2spec.structure import (
 
 from conftest import (
     dot,
+    image,
     iter_subspaces,
     oracle_dense_decompose,
     oracle_dense_reduce,
@@ -62,12 +63,6 @@ def assert_matches_dense(f, s=None, cls=None):
         assert union == {x for p in ref.pieces for x in p.points()} == f.support()
     else:
         assert jsonio.decomposition_to_obj(dec) == jsonio.decomposition_to_obj(ref), f
-
-
-def image(base, seed):
-    rng = SplitMix64(seed)
-    m = random_invertible(base.n, rng)
-    return shift(apply_transform(base, m), random_vector(base.n, rng))
 
 
 @st.composite

@@ -1,10 +1,13 @@
+import io
 import random
 from fractions import Fraction
+from itertools import compress
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from f2spec import fourier, structure
+from f2spec import fourier, jsonio, structure
 from f2spec.boolfunc import (
     BooleanFunction,
     apply_transform,
@@ -12,11 +15,21 @@ from f2spec.boolfunc import (
     shift,
     tensor,
 )
-from f2spec.families import all_ones, counterexample_core, delta, two_affine
+from f2spec.families import (
+    affine_indicator,
+    all_ones,
+    counterexample_core,
+    counterexample_padded,
+    delta,
+    two_affine,
+)
 from f2spec.fourier import (
     Spectrum,
+    coefficient_values,
     granularity,
     is_boolean_spectrum,
+    nonzero_positions,
+    shift_spectrum,
     sparsity,
     wht,
 )
@@ -25,6 +38,7 @@ from f2spec.gf2 import GF2Matrix, transform_sending_to_first
 from conftest import (
     boolean_convolution_check,
     identity_matrix,
+    image,
     naive_wht,
     oracle_granularity,
     oracle_inverse,
@@ -293,3 +307,109 @@ def test_transform_then_inverse_transform_restores():
         alpha = rng.randrange(1, 1 << n)
         m = transform_sending_to_first(n, (alpha,))
         assert apply_transform(apply_transform(f, m), oracle_inverse(m)) == f
+
+
+def inner_product_bent(n: int) -> BooleanFunction:
+    """x1 x2 + x3 x4 + ... on an even n: every coefficient is +-2^(n/2)."""
+    pairs = [(1 << i) | (1 << (i + 1)) for i in range(0, n, 2)]
+    table = sum(
+        1 << x for x in range(1 << n) if sum((x & p) == p for p in pairs) & 1
+    )
+    return BooleanFunction(n, table)
+
+
+def sparse_images():
+    """Seeded images of one flat (16 nonzero coefficients), two flats and
+    four flats at n = 13, 14 and 16, and the constant function, whose one
+    nonzero coefficient is F(0)."""
+    for n in (13, 14, 16):
+        for i, base in enumerate((affine_indicator(n, 4), two_affine(n, 3), counterexample_padded(n))):
+            yield image(base, 100 * n + i)
+        yield all_ones(n)
+
+
+@pytest.mark.parametrize("f", list(sparse_images()))
+def test_wht_carries_the_nonzero_positions_of_a_sparse_spectrum(f):
+    s = wht(f)
+    assert s.nonzero == tuple(compress(range(1 << f.n), s.coeffs))
+
+
+def test_wht_carries_nothing_below_the_size_cut_or_on_a_dense_spectrum():
+    rng = random.Random(12)
+    assert wht(image(two_affine(12, 3), 1)).nonzero is None
+    for n in (13, 14, 16):
+        assert wht(BooleanFunction(n, rng.getrandbits(1 << n))).nonzero is None
+    assert wht(inner_product_bent(14)).nonzero is None
+    # at most one lane in 16 nonzero: 2^9 of 2^13 is carried, 2^10 is not
+    assert len(wht(affine_indicator(13, 9)).nonzero) == 1 << 9
+    assert wht(affine_indicator(13, 10)).nonzero is None
+
+
+@pytest.mark.parametrize(
+    "f",
+    [image(two_affine(14, 3), 3), image(counterexample_padded(16), 4), all_ones(14),
+     inner_product_bent(14), image(affine_indicator(13, 4), 5), delta(13)],
+)
+def test_a_transform_and_its_copy_from_a_tuple_agree(f):
+    s = wht(f)
+    t = Spectrum(f.n, s.coeffs)
+    assert t.nonzero is None
+    assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
+    assert list(nonzero_positions(s)) == list(nonzero_positions(t))
+    assert coefficient_values(s) == coefficient_values(t)
+    cls = structure.classify(s)
+    assert cls == structure.classify(t)
+    assert granularity(s) == granularity(t)
+    assert sparsity(s) == sparsity(t)
+    if cls.tag in structure.IN_SCOPE_TAGS:
+        ours = jsonio.decomposition_to_obj(structure.decompose(f, s))
+        assert ours == jsonio.decomposition_to_obj(structure.decompose(f, t))
+
+
+@pytest.mark.parametrize(
+    "f", [inner_product_bent(4), OR2, delta(3), all_ones(3), BooleanFunction(3, 0)]
+)
+def test_coefficient_values_add_zero_only_when_a_coefficient_vanishes(f):
+    # the bent function and the point have no zero coefficient; the
+    # constant function has one nonzero coefficient, the zero map none
+    s = wht(f)
+    carried = Spectrum(f.n, s.coeffs, tuple(compress(range(1 << f.n), s.coeffs)))
+    assert coefficient_values(carried) == set(s.coeffs)
+    assert structure.classify(carried) == structure.classify(s)
+    assert granularity(carried) == granularity(s)
+
+
+class NoPass(tuple):
+    """Coefficients that fail any iteration over all of them."""
+
+    def __iter__(self):
+        raise AssertionError("a pass over all 2^n coefficients")
+
+
+@pytest.mark.parametrize(
+    "base", [affine_indicator(14, 4), two_affine(14, 3), counterexample_padded(14)]
+)
+def test_readers_of_carried_positions_make_no_pass_over_the_coefficients(base):
+    # one flat, two flats and four flats on a spectral quotient (s < n), so
+    # no shift of the whole spectrum is due either
+    f = image(base, 9)
+    s = wht(f)
+    guarded = Spectrum(f.n, NoPass(s.coeffs), s.nonzero)
+    assert structure.classify(guarded) == structure.classify(s)
+    assert granularity(guarded) == granularity(s)
+    assert structure.decompose(f, guarded) == structure.decompose(f, s)
+    out, ref = io.StringIO(), io.StringIO()
+    jsonio.write_spectrum(guarded, out, nonzero_only=True)
+    jsonio.write_spectrum(s, ref, nonzero_only=True)
+    assert out.getvalue() == ref.getvalue()
+
+
+def test_shift_spectrum_carries_the_positions():
+    f = image(two_affine(14, 3), 6)
+    s = wht(f)
+    assert s.nonzero is not None
+    for a in (0, 1, 12345):
+        moved = shift_spectrum(s, a)
+        assert moved.nonzero == s.nonzero == wht(shift(f, a)).nonzero
+        assert moved == wht(shift(f, a))
+    assert shift_spectrum(Spectrum(3, wht(OR2).coeffs * 2), 5).nonzero is None
