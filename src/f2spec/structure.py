@@ -238,22 +238,29 @@ def reduce_to_core(
     f is shifted once by its smallest support point.  sigma, the rref basis
     of the span of the nonzero coefficient positions (s = dim), leaves f
     constant on the cosets of its annihilator, so the shifted f is h o pi
-    for h on F_2^s, gathered with its spectrum (see _spectral_quotient).
-    Then h is restricted to the affine span of its support: the masks
+    for h on F_2^s, gathered at sigma's pivots (see _spectral_quotient).
+    For alpha = sum beta_i sigma_i (sigma_i by increasing pivot p_i), beta_i
+    is bit p_i of alpha, and H(beta) = (-1)^<alpha, origin> F(alpha) / 2^(n-s).
+    Then h is restricted to the affine span of its support.  The masks
     whose coefficient equals H(0) are exactly the annihilator W of that
-    span (none can equal -H(0), since 0 is a support point), one transform
-    L sends the rref basis of W to e_1..e_w, which confines the support to
-    x_1 = ... = x_w = 0, and w restrictions to that half leave the core, of
-    dimension s - w.  Its coordinates are those of W^perp: L's columns
-    w+1..s, complement_generators of W's rows, which the trace maps into
-    f's coordinates through sigma's pivots.  h has f's normalised
-    coefficients, and the core keeps h's integer ones on w fewer inputs,
-    so the core's k is k - w.
+    span (none can equal -H(0), since 0 is a support point), so W is read
+    off f's nonzero positions: those alpha with (-1)^<alpha, origin>
+    F(alpha) = F(0).  In increasing order, those at indices 1, 2, 4, ...,
+    read at sigma's pivots, are W's rref rows; positions that do not form
+    a subspace raise TheoremViolationError.  One transform L sends those rows
+    to e_1..e_w, which confines the support to x_1 = ... = x_w = 0, and w
+    restrictions to that half leave the core, of dimension s - w.  Its
+    coordinates are those of W^perp: L's columns w+1..s,
+    complement_generators of W's rows, which the trace maps into f's
+    coordinates through sigma's pivots.  The core keeps h's coefficients at
+    the masks with every W pivot bit clear, in increasing order, on w fewer
+    inputs, so its k is k - w.
 
     The spectrum of f (and its classification) is computed here unless the
-    caller passes it; the reduction then carries it by exact rules instead
-    of transforming again: the transform gathers through beta -> P beta,
-    and keeping the x_1 = ... = x_w = 0 part leaves G0(b) = G(b << w).
+    caller passes it.  The core's 2^(s-w) coefficients are gathered from it
+    once, by the formula for H over the sigma rows whose pivot is not W's;
+    when s = n and w = 0 that is f's spectrum shifted by the origin, which
+    keeps the nonzero positions a sparse spectrum carries.
     """
     if spectrum is None:
         spectrum = wht(f)
@@ -269,41 +276,45 @@ def reduce_to_core(
         sigma = tuple(1 << b for b in reversed(range(n)))
     else:
         sigma = rref(nonzero)
-    h, hs = _spectral_quotient(shift(f, origin), spectrum, sigma, origin)
+    s = len(sigma)
     pivots = [1 << (r.bit_length() - 1) for r in reversed(sigma)]
-    coeffs = hs.coeffs
-    f0 = coeffs[0]
-    w = coeffs.count(f0).bit_length() - 1
-    core, core_s, columns = h, hs, pivots
+    g = shift(f, origin)
+    h = g if s == n else _spectral_quotient(g, pivots)
+    coeffs = spectrum.coeffs
+    signed_f0 = (coeffs[0], -coeffs[0])
+    w_f = [a for a in nonzero if coeffs[a] == signed_f0[(a & origin).bit_count() & 1]]
+    # a subspace's members in increasing order are the sums of its rref
+    # rows in binary counting order, the rows by increasing pivot
+    w = len(w_f).bit_length() - 1
+    w_rows = [w_f[1 << j] for j in range(w)]
+    span = [0]
+    for r in w_rows:
+        span += [x ^ r for x in span]
+    if span != w_f:
+        raise TheoremViolationError("the masks with coefficient F(0) do not form a subspace")
+    w_pivots = sum(1 << (r.bit_length() - 1) for r in w_rows)
+    if s == n and not w:
+        core_s = shift_spectrum(spectrum, origin)
+    else:
+        alphas = [0]
+        signs = [1]
+        for r, p in zip(reversed(sigma), pivots):
+            if not p & w_pivots:
+                alphas += list(map(r.__xor__, alphas))
+                signs += list(map(neg, signs)) if (r & origin).bit_count() & 1 else signs
+        signed = map(mul, map(coeffs.__getitem__, alphas), signs)
+        core_s = Spectrum(s - w, tuple(map(rshift, signed, repeat(n - s))))
+    core, columns = h, pivots
     if w:
-        # W's members in increasing order come in blocks of growing
-        # highest bit, so the first member at or above 2^(bit length of
-        # the last one found) is a new basis vector: w scans find a basis.
-        # Each is the smallest member with its highest bit, so no lower
-        # pivot bit is set in it (clearing one would leave a smaller
-        # member): reversed, they are W's rref rows
-        found = [coeffs.index(f0, 1)]
-        for _ in range(1, w):
-            found.append(coeffs.index(f0, 1 << found[-1].bit_length()))
-        basis = tuple(reversed(found))
-        core = apply_transform(h, transform_sending_to_first(h.n, basis))
+        basis = [sum(1 << i for i, p in enumerate(pivots) if r & p) for r in reversed(w_rows)]
+        core = apply_transform(h, transform_sending_to_first(s, basis))
         for _ in range(w):
             core, core1 = restrict_first_bit(core)
             if core1.table != 0:
                 raise TheoremViolationError(
                     "support was not confined to the affine span of its points"
                 )
-        # the core keeps G(b << w) = H(P (b << w)), and P's columns w+1..s
-        # are the unit vectors at the non-pivot positions of W's basis, in
-        # increasing order: the core's spectrum is H at the masks with
-        # every pivot bit clear, listed in increasing order
-        pivot_bits = sum(1 << (v.bit_length() - 1) for v in basis)
-        images = [0]
-        for q in range(h.n):
-            if not (pivot_bits >> q) & 1:
-                images += list(map((1 << q).__or__, images))
-        core_s = Spectrum(core.n, tuple(map(coeffs.__getitem__, images)))
-        columns = [_combine(c, pivots) for c in complement_generators(h.n, basis)]
+        columns = [_combine(c, pivots) for c in complement_generators(s, basis)]
     kernel = tuple(complement_generators(n, sigma))
     core_cls = _in_scope(cls.k - w, cls.m)
     trace = ReductionTrace(n, core.n, origin, tuple(columns), kernel, core_s, core_cls)
@@ -433,40 +444,25 @@ def verify_decomposition(f: BooleanFunction, dec: Decomposition) -> bool:
     return union == f.table
 
 
-def _spectral_quotient(
-    g: BooleanFunction, spectrum: Spectrum, sigma: tuple[int, ...], origin: int
-) -> tuple[BooleanFunction, Spectrum]:
-    """h on F_2^s with g = h o pi, and h's spectrum, gathered from g's
-    table and the spectrum of f, where g is f shifted by origin.
+def _spectral_quotient(g: BooleanFunction, vectors: list[int]) -> BooleanFunction:
+    """h(y) = g(sum of vectors[j] over the set bits j of y), on as many
+    inputs as there are vectors, gathered from g's table.
 
-    sigma is the rref basis of the span of the nonzero coefficient
-    positions, and s its size.  Every coefficient vanishes off sigma's
-    span, so g is constant on the cosets of its annihilator, and pi(x) =
-    (<sigma_i, x>)_i (sigma_i by increasing pivot p_i) maps each coset to
-    a point.  sec(y) = sum of e_(p_i) over the set bits i of y has
-    pi(sec(y)) = y, since each pivot lies in one row only, so h(y) =
-    g(sec(y)), and for alpha = sum beta_i sigma_i
-
-        H(beta) = (-1)^<alpha, origin> F(alpha) / 2^(n - s),
-
-    the same normalised coefficients.  With origin f's smallest support
-    point, h(0) = 1.  When s = n, sec is the identity and h is g.
+    With g f shifted by its smallest support point and vectors the pivot
+    bits e_(p_i) of sigma, the rref basis of the span of the nonzero
+    coefficient positions (sigma_i by increasing pivot p_i), h is the
+    quotient of g.  Every coefficient vanishes off sigma's span, so g is
+    constant on the cosets of its annihilator, and pi(x) = (<sigma_i, x>)_i
+    maps each coset to a point.  sec(y) = sum of e_(p_i) over the set bits
+    i of y has pi(sec(y)) = y, since each pivot lies in one row only, so
+    g = h o pi, and h(0) = 1.
     """
-    n, s = g.n, len(sigma)
-    if s == n:
-        return g, shift_spectrum(spectrum, origin)
     points = [0]
-    alphas = [0]
-    signs = [1]
-    for r in reversed(sigma):
-        points += list(map((1 << (r.bit_length() - 1)).__xor__, points))
-        alphas += list(map(r.__xor__, alphas))
-        signs += list(map(neg, signs)) if (r & origin).bit_count() & 1 else signs
-    table = g.table.to_bytes(((1 << n) + 7) >> 3, "little")
+    for v in vectors:
+        points += list(map(v.__xor__, points))
+    table = g.table.to_bytes(((1 << g.n) + 7) >> 3, "little")
     h_bits = bytes(table[x >> 3] >> (x & 7) & 1 for x in points)
-    h = BooleanFunction(s, bits_to_int(h_bits))
-    signed = map(mul, map(spectrum.coeffs.__getitem__, alphas), signs)
-    return h, Spectrum(s, tuple(map(rshift, signed, repeat(n - s))))
+    return BooleanFunction(len(vectors), bits_to_int(h_bits))
 
 
 def _smallest_of_each_length(points: list[int], n: int) -> tuple[int, ...]:

@@ -74,6 +74,18 @@ def short_negative_class(monkeypatch):
     monkeypatch.setattr(structure, "_signed_masks", patched)
 
 
+def forged_w_spectrum(n: int, w_f) -> Spectrum:
+    """A spectrum no 0/1 function has: 4 at the masks w_f (0 among them),
+    2 at the top unit mask and 0 elsewhere, which classifies as m = 2 with
+    k = n - 1.  For a function with 0 in its support, w_f are the masks
+    whose coefficient equals F(0)."""
+    coeffs = [0] * (1 << n)
+    coeffs[1 << (n - 1)] = 2
+    for a in w_f:
+        coeffs[a] = 4
+    return Spectrum(n, tuple(coeffs))
+
+
 # ---- the dense decomposition ------------------------------------------
 # structure.decompose runs on the spectral quotient h (2^s entries) and
 # checks the pieces with bitmasks; this is the route it replaced, which

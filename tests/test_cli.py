@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from f2spec import cli, harness, jsonio
+from f2spec import cli, harness, jsonio, structure
 from f2spec.boolfunc import BooleanFunction
 from f2spec.errors import InputFormatError, SpectrumScopeError, TheoremViolationError
 from f2spec.families import generate, two_affine
 from f2spec.fourier import wht
 from f2spec.structure import check_kill_args
+
+from conftest import forged_w_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +134,18 @@ def test_exit_code_4_when_the_core_route_raises(tmp_path, capsys, short_negative
     path = write_json(tmp_path, "f.json", jsonio.function_to_obj(two_affine(5, 2)))
     code, out, err = run_cli(capsys, "decompose", "--in", path)
     assert code == 4 and out == "" and "VERIFICATION FAILURE" in err
+
+
+def test_exit_code_4_when_the_masks_with_coefficient_f0_are_no_subspace(
+    tmp_path, capsys, monkeypatch
+):
+    # the reduction reads W off the spectrum, and a W that is not a
+    # subspace is a violation, not a crash
+    forged = forged_w_spectrum(4, (0, 1, 5, 6))
+    monkeypatch.setattr(structure, "wht", lambda _f: forged)
+    path = write_json(tmp_path, "f.json", {"n": 4, "support": [0, 3, 9, 10]})
+    code, out, err = run_cli(capsys, "decompose", "--in", path)
+    assert code == 4 and out == "" and "subspace" in err
 
 
 def test_addcomb_subcommands(tmp_path, capsys):

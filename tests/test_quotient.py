@@ -219,14 +219,15 @@ def quotient(f):
     s = wht(f)
     sigma = rref(compress(range(1 << f.n), s.coeffs))
     origin = min(f.support())
-    h, hs = structure._spectral_quotient(shift(f, origin), s, sigma, origin)
-    return s, sigma, origin, h, hs
+    pivots = [1 << (r.bit_length() - 1) for r in reversed(sigma)]
+    h = structure._spectral_quotient(shift(f, origin), pivots)
+    return s, sigma, origin, h
 
 
 @settings(max_examples=60, deadline=None)
 @given(in_scope_images())
 def test_f_is_h_of_the_projection(f):
-    s, sigma, origin, h, hs = quotient(f)
+    s, sigma, origin, h = quotient(f)
     n = f.n
     assert h.n == len(sigma) and h.value(0) == 1
     # f is constant on the cosets of the annihilator of sigma's span
@@ -237,9 +238,11 @@ def test_f_is_h_of_the_projection(f):
     for x in range(1 << n):
         y = sum(dot(r, x ^ origin) << i for i, r in enumerate(rows))
         assert f.value(x) == h.value(y)
-    # the gathered spectrum is h's own, with the same k and m
-    assert hs == wht(h)
-    cls, h_cls = classify(s), classify(hs)
+    # the core spectrum gathered from f's is the core's own, and h has
+    # the same k and m
+    core, trace = structure.reduce_to_core(f, s)
+    assert trace.core_spectrum == wht(core)
+    cls, h_cls = classify(s), classify(wht(h))
     assert (h_cls.tag, h_cls.k, h_cls.m) == (cls.tag, cls.k, cls.m)
 
 
@@ -248,7 +251,7 @@ def test_f_is_h_of_the_projection(f):
 def test_two_affine_quotients_have_at_most_2k_minus_1_dimensions(n, data):
     k = data.draw(st.integers(min_value=2, max_value=(n + 1) // 2))
     f = image(two_affine(n, k), data.draw(st.integers(min_value=0, max_value=1 << 32)))
-    _, sigma, _, h, _ = quotient(f)
+    _, sigma, _, h = quotient(f)
     assert len(sigma) == h.n <= 2 * k - 1
 
 
@@ -271,7 +274,7 @@ def test_measured_quotient_dimensions_of_the_bench_families():
         (tensor(two_affine(14, 3), delta(2)), 7),
     )
     for base, s in cases:
-        _, sigma, _, h, _ = quotient(image(base, 3))
+        _, sigma, _, h = quotient(image(base, 3))
         assert len(sigma) == h.n == s
 
 
@@ -283,15 +286,100 @@ def test_smallest_of_each_length_reads_the_rref_rows_of_every_subspace():
                 assert structure._smallest_of_each_length(points, n) == sub.basis
 
 
+def test_rows_of_a_subspace_of_sigma_read_at_its_pivots_are_rref_rows():
+    # reduce_to_core takes W's members at indices 1, 2, 4, ... in
+    # increasing order as its rref rows, checks that their sums in binary
+    # counting order are all of W, and reads the rows at sigma's pivots to
+    # get them in h's coordinates: for every subspace W' of F_2^s, the
+    # image W of W' under beta -> sum beta_i sigma_i gives back W''s rows
+    rng = SplitMix64(71)
+    checked = 0
+    for n in range(1, 6):
+        for s in range(n + 1):
+            for _ in range(3):
+                sigma = ()
+                while len(sigma) < s:
+                    sigma = rref((*sigma, random_vector(n, rng)))
+                rows = sigma[::-1]
+                pivots = [1 << (r.bit_length() - 1) for r in rows]
+                alphas = [0]
+                for r in rows:
+                    alphas += [a ^ r for a in alphas]
+                for d in range(s + 1):
+                    for sub in iter_subspaces(s, d):
+                        w = sorted(alphas[beta] for beta in sub.points())
+                        w_rows = tuple(w[1 << j] for j in reversed(range(d)))
+                        assert w_rows == rref(w)
+                        span = [0]
+                        for r in reversed(w_rows):
+                            span += [x ^ r for x in span]
+                        assert span == w
+                        read = tuple(
+                            sum(1 << i for i, p in enumerate(pivots) if r & p) for r in w_rows
+                        )
+                        assert read == sub.basis
+                        checked += 1
+    assert checked > 1000
+
+
+def assert_w_and_core_spectrum_read_off_h(f, s=None, cls=None):
+    """W's rref rows, as reduce_to_core hands them to the transform, and
+    the core spectrum it gathers from f's, against the same read off
+    wht(h): W the masks where H equals H(0), and the core spectrum H at the
+    masks with every pivot bit of W clear, in increasing order."""
+    _, _, _, h = quotient(f)
+    hs = wht(h).coeffs
+    basis = rref(b for b in range(1, len(hs)) if hs[b] == hs[0])
+    pivot_bits = sum(1 << (r.bit_length() - 1) for r in basis)
+    kept = tuple(hs[b] for b in range(len(hs)) if not b & pivot_bits)
+    seen = []
+    send = structure.transform_sending_to_first
+
+    def recording(n, rows):
+        seen.append(tuple(rows))
+        return send(n, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "transform_sending_to_first", recording)
+        _, trace = structure.reduce_to_core(f, s, cls)
+    assert seen == ([basis] if basis else []), f
+    assert trace.core_spectrum.coeffs == kept, f
+    return len(basis)
+
+
+def test_w_and_core_spectrum_match_h_on_every_m2_table_at_n4():
+    cases = [c for c in _in_scope_tables_up_to_n4() if c[0].n == 4 and c[2].m == 2]
+    assert len(cases) == 2520
+    ws = {assert_w_and_core_spectrum_read_off_h(*case) for case in cases}
+    assert ws == {0, 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(in_scope_images())
+def test_w_and_core_spectrum_match_h_on_in_scope_images(f):
+    assert_w_and_core_spectrum_read_off_h(f)
+
+
+def test_w_and_core_spectrum_match_h_at_s_equal_n_with_w_2():
+    # two_affine(9, 5) spans F_2^9 in its spectrum, so with two inputs
+    # confined to 0 the spectrum still spans F_2^11 (s = n) and w = 2: the
+    # core spectrum is gathered from f's, not shifted
+    base = tensor(two_affine(9, 5), delta(2))
+    for f in (base, image(base, 11)):
+        _, sigma, _, h = quotient(f)
+        assert len(sigma) == h.n == 11
+        assert assert_w_and_core_spectrum_read_off_h(f) == 2
+
+
 def test_quotient_lift_keeps_the_dimension_and_lifts_every_point():
     # the one reduction is the quotient followed by the dense restriction
     # of h: the same core, and a trace that lifts through both at once
     rng = SplitMix64(61)
     for base in (tensor(two_affine(5, 3), delta(2)), counterexample_padded(8), two_affine(8, 3)):
         f = image(base, rng.below(1 << 30))
-        _, sigma, origin, h, hs = quotient(f)
+        _, sigma, origin, h = quotient(f)
         core, trace = structure.reduce_to_core(f)
-        h_core, h_trace = oracle_dense_reduce(h, hs)
+        h_core, h_trace = oracle_dense_reduce(h)
         assert core == h_core and trace.core_spectrum == h_trace.core_spectrum
         pivots = [r.bit_length() - 1 for r in reversed(sigma)]
 

@@ -45,6 +45,7 @@ from f2spec.structure import (
 
 from conftest import (
     dot,
+    forged_w_spectrum,
     indicator_spectrum,
     is_full_affine_subspace,
     oracle_is_irreducible,
@@ -424,6 +425,20 @@ def test_reduce_rejects_out_of_scope():
 def test_reduce_rejects_the_zero_function():
     with pytest.raises(SpectrumScopeError):
         reduce_to_core(BooleanFunction(3, 0))
+
+
+@pytest.mark.parametrize("w_f", [(0, 1, 2), (0, 1, 5, 6), (0, 1, 4, 6)])
+def test_masks_with_coefficient_f0_off_a_subspace_raise_a_violation(w_f):
+    # three masks are no subspace; {0, 1, 5, 6} and {0, 1, 4, 6} have four
+    # members, so a count alone passes them, and the transform refuses the
+    # rows 5, 1 of the first with ValueError
+    f = BooleanFunction.from_support(4, [0, 3, 9, 10])
+    s = forged_w_spectrum(4, w_f)
+    cls = classify(s)
+    assert (cls.tag, cls.k, cls.m) == (TAG_TWO_SUBSPACE, 3, 2)
+    for call in (reduce_to_core, decompose):
+        with pytest.raises(TheoremViolationError, match="subspace"):
+            call(f, s, cls)
 
 
 # ------------------------------------------------------------- decompose
