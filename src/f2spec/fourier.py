@@ -322,7 +322,10 @@ def _granularity(n: int, values: Iterable[int]) -> int:
 
 
 def sparsity(s: Spectrum) -> int:
-    """Number of nonzero Fourier coefficients."""
+    """Number of nonzero Fourier coefficients: the carried positions, else
+    a count of zeros over all 2^n."""
+    if s.nonzero is not None:
+        return len(s.nonzero)
     return len(s.coeffs) - s.coeffs.count(0)
 
 

@@ -16,11 +16,10 @@ decomposition emitted is verified on f itself with 2^n-bit masks.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
-from operator import mul, neg, rshift
+from operator import mul, neg, rshift, xor
 from typing import Iterable
 
 from .addcomb import PointSet
@@ -41,7 +40,6 @@ from .gf2 import (
     bits_to_int,
     complement_generators,
     iter_affine_masks,
-    linear_span,
     max_flat_through,
     orthogonal_complement,
     rref,
@@ -245,11 +243,11 @@ def reduce_to_core(
     whose coefficient equals H(0) are exactly the annihilator W of that
     span (none can equal -H(0), since 0 is a support point), so W is read
     off f's nonzero positions: those alpha with (-1)^<alpha, origin>
-    F(alpha) = F(0).  In increasing order, those at indices 1, 2, 4, ...,
-    read at sigma's pivots, are W's rref rows; positions that do not form
-    a subspace raise TheoremViolationError.  One transform L sends those rows
-    to e_1..e_w, which confines the support to x_1 = ... = x_w = 0, and w
-    restrictions to that half leave the core, of dimension s - w.  Its
+    F(alpha) = F(0).  _subspace_rows reads their rref rows (or raises
+    TheoremViolationError), and read at sigma's pivots they are W's rref
+    rows.  One transform L sends those rows to e_1..e_w, which confines
+    the support to x_1 = ... = x_w = 0, and w restrictions to that half
+    leave the core, of dimension s - w.  Its
     coordinates are those of W^perp: L's columns w+1..s,
     complement_generators of W's rows, which the trace maps into f's
     coordinates through sigma's pivots.  The core keeps h's coefficients at
@@ -271,8 +269,8 @@ def reduce_to_core(
     n = f.n
     origin = (f.table & -f.table).bit_length() - 1
     nonzero = list(nonzero_positions(spectrum))
-    # n rows with distinct pivots span F_2^n, whose rref is the unit rows
-    if len(_smallest_of_each_length(nonzero, n)) == n:
+    # 0 and a mask of each bit length 1..n: n independent rows, rref the unit rows
+    if len(set(map(int.bit_length, nonzero))) == n + 1:
         sigma = tuple(1 << b for b in reversed(range(n)))
     else:
         sigma = rref(nonzero)
@@ -283,15 +281,8 @@ def reduce_to_core(
     coeffs = spectrum.coeffs
     signed_f0 = (coeffs[0], -coeffs[0])
     w_f = [a for a in nonzero if coeffs[a] == signed_f0[(a & origin).bit_count() & 1]]
-    # a subspace's members in increasing order are the sums of its rref
-    # rows in binary counting order, the rows by increasing pivot
-    w = len(w_f).bit_length() - 1
-    w_rows = [w_f[1 << j] for j in range(w)]
-    span = [0]
-    for r in w_rows:
-        span += [x ^ r for x in span]
-    if span != w_f:
-        raise TheoremViolationError("the masks with coefficient F(0) do not form a subspace")
+    w_rows = _subspace_rows(w_f, "the masks with coefficient F(0)")
+    w = len(w_rows)
     w_pivots = sum(1 << (r.bit_length() - 1) for r in w_rows)
     if s == n and not w:
         core_s = shift_spectrum(spectrum, origin)
@@ -306,7 +297,7 @@ def reduce_to_core(
         core_s = Spectrum(s - w, tuple(map(rshift, signed, repeat(n - s))))
     core, columns = h, pivots
     if w:
-        basis = [sum(1 << i for i, p in enumerate(pivots) if r & p) for r in reversed(w_rows)]
+        basis = [sum(1 << i for i, p in enumerate(pivots) if r & p) for r in w_rows]
         core = apply_transform(h, transform_sending_to_first(s, basis))
         for _ in range(w):
             core, core1 = restrict_first_bit(core)
@@ -329,37 +320,31 @@ class Decomposition:
     classification: Classification
 
 
-def _two_flat_pieces(sets: SpectralSets) -> tuple[AffineSubspace, ...] | None:
+def _two_flat_pieces(sets: SpectralSets) -> tuple[AffineSubspace, AffineSubspace]:
     """Both pieces of a two-subspace core, read off its coefficient classes.
 
     The core is 1_U + 1_(b+V) with 0 in U, and 1_(c+U) has the coefficient
     2^(n-k) (-1)^<alpha,c> on U^perp and 0 elsewhere.  With P and B the +u
-    and -u classes, U^perp and V^perp meet in {0, gamma}, so V^perp is
-    {0, gamma} + B + (gamma + B) and U^perp is {0, gamma} + (P - (gamma + B)),
-    which P - (gamma + B) alone spans.  gamma is min(B) + p for the first p
-    of P with gamma + B inside P: for k >= 3 only the triple gap passes
-    (another would put B + B inside U^perp and V^perp, i.e. inside
-    {0, gamma}, which |B| >= 3 forbids), and for k = 2 every p passes and
-    names a valid pairing.  On V^perp, <alpha, b> is 1 exactly on
-    B + {gamma}; the rref rows of V^perp share no pivot, so the pivot bits
-    of the rows in B + {gamma} add up to a point of b + V.  None when no p
-    passes.
+    and -u classes, U^perp and V^perp meet in {0, gamma}, and B + {gamma}
+    is the odd half of V^perp, where <alpha, b> = 1: an affine subspace of
+    dimension k - 1.  For k >= 3 its members sum to 0, so gamma is the sum
+    of B (the triple gap); for k = 2 every p of P names a valid pairing,
+    and gamma is min(B) + min(P).  So V^perp is {0, gamma} + B + (gamma + B)
+    and U^perp is {0, gamma} + (P - (gamma + B)), whose rref rows
+    _subspace_rows reads (or raises TheoremViolationError).  The rows of
+    V^perp share no pivot, so the pivot bits of the rows in B + {gamma} add
+    up to a point of b + V.
     """
-    plus, minus = sets.plus.members, sets.minus.members
-    low = min(minus)
-    for p in sorted(plus):
-        gamma = low ^ p
-        if all(gamma ^ x in plus for x in minus):
-            break
-    else:
-        return None
+    n, plus, minus = sets.n, sets.plus.members, sets.minus.members
+    gamma = min(minus) ^ min(plus) if sets.k == 2 else reduce(xor, minus)
     odd = minus | {gamma}
-    v_perp = linear_span(sets.n, odd)
-    u_perp = linear_span(sets.n, plus - {gamma ^ x for x in minus})
-    b = sum(1 << (r.bit_length() - 1) for r in v_perp.basis if r in odd)
+    paired = {gamma ^ x for x in minus}
+    v_rows = _subspace_rows(sorted(odd | paired | {0}), "the masks of V^perp")
+    u_rows = _subspace_rows(sorted((plus - paired) | {0, gamma}), "the masks of U^perp")
+    b = sum(1 << (r.bit_length() - 1) for r in v_rows if r in odd)
     return (
-        AffineSubspace(b, orthogonal_complement(v_perp)),
-        AffineSubspace(0, orthogonal_complement(u_perp)),
+        AffineSubspace(b, orthogonal_complement(Subspace(n, v_rows))),
+        AffineSubspace(0, orthogonal_complement(Subspace(n, u_rows))),
     )
 
 
@@ -465,17 +450,19 @@ def _spectral_quotient(g: BooleanFunction, vectors: list[int]) -> BooleanFunctio
     return BooleanFunction(len(vectors), bits_to_int(h_bits))
 
 
-def _smallest_of_each_length(points: list[int], n: int) -> tuple[int, ...]:
-    """For each bit b from n - 1 down, the smallest of the sorted points
-    whose highest set bit is b, if any.  Distinct pivots make them
-    independent, and for a subspace they are its rref rows: a pivot bit
-    below b in the smallest member would leave a smaller one."""
-    rows = []
-    for b in reversed(range(n)):
-        i = bisect_left(points, 1 << b)
-        if i < len(points) and points[i] >> b == 1:
-            rows.append(points[i])
-    return tuple(rows)
+def _subspace_rows(members: list[int], what: str) -> tuple[int, ...]:
+    """The rref rows (by decreasing pivot, as rref gives them) of a subspace
+    listed in increasing order: its members at indices ..., 4, 2, 1.  Their
+    sums in binary counting order must give the list back; otherwise
+    TheoremViolationError says that what (the masks listed) do not form a
+    subspace."""
+    rows = tuple(members[1 << j] for j in reversed(range(len(members).bit_length() - 1)))
+    span = [0]
+    for r in reversed(rows):
+        span += [x ^ r for x in span]
+    if span != members:
+        raise TheoremViolationError(f"{what} do not form a subspace")
+    return rows
 
 
 def _combine(y: int, vectors: list[int]) -> int:
@@ -496,8 +483,10 @@ def decompose(
     """Write the support as the disjoint union of affine subspaces.
 
     - m = 1: the nonzero positions are U^perp for the support c + U, so
-      the piece is U through f's smallest support point; the rref rows of
-      U^perp are its smallest members of each bit length.
+      the piece is U through f's smallest support point.  Parseval's
+      identity forces 2^k of them (else TheoremViolationError), and
+      U^perp's rref rows are its members at indices 1, 2, 4, ...; no
+      doubling checks them, as verify_decomposition checks the piece.
     - m = 2: reduce_to_core takes f to its irreducible core through the
       spectral quotient, the pieces are recovered there from the core's
       spectrum, and the trace lifts each to f in one affine map.
@@ -525,9 +514,15 @@ def decompose(
     n = f.n
     if cls.m == 1:
         # the nonzero positions are U^perp for the support origin + U
+        # (Parseval forces 2^k of them; rows that share a pivot are no rref
+        # basis, and any other wrong rows fail verification)
         nonzero = list(nonzero_positions(s))
+        k = cls.k
+        rows = tuple(nonzero[1 << j] for j in reversed(range(len(nonzero).bit_length() - 1)))
+        if len(nonzero) != 1 << k or len(set(map(int.bit_length, rows))) != k:
+            raise TheoremViolationError(f"the nonzero positions are no subspace of dimension {k}")
         origin = (f.table & -f.table).bit_length() - 1
-        kernel = orthogonal_complement(Subspace(n, _smallest_of_each_length(nonzero, n)))
+        kernel = orthogonal_complement(Subspace(n, rows))
         pieces: tuple[AffineSubspace, ...] = (AffineSubspace(origin, kernel),)
     else:
         core, trace = reduce_to_core(f, s, cls)

@@ -74,6 +74,21 @@ def short_negative_class(monkeypatch):
     monkeypatch.setattr(structure, "_signed_masks", patched)
 
 
+@pytest.fixture
+def swapped_classes(monkeypatch):
+    """Make the core route read the smallest mask of each signed class in
+    the other class, so that the class sizes stay right but the classes no
+    longer name two flats of the core."""
+    signed = structure._signed_masks
+
+    def patched(s, k):
+        plus, minus = signed(s, k)
+        p, b = min(plus), min(minus)
+        return plus - {p} | {b}, minus - {b} | {p}
+
+    monkeypatch.setattr(structure, "_signed_masks", patched)
+
+
 def forged_w_spectrum(n: int, w_f) -> Spectrum:
     """A spectrum no 0/1 function has: 4 at the masks w_f (0 among them),
     2 at the top unit mask and 0 elsewhere, which classifies as m = 2 with

@@ -278,12 +278,27 @@ def test_measured_quotient_dimensions_of_the_bench_families():
         assert len(sigma) == h.n == s
 
 
-def test_smallest_of_each_length_reads_the_rref_rows_of_every_subspace():
+def test_subspace_rows_reads_the_rref_rows_of_every_subspace():
     for n in range(1, 6):
         for d in range(n + 1):
             for sub in iter_subspaces(n, d):
                 points = sorted(sub.points())
-                assert structure._smallest_of_each_length(points, n) == sub.basis
+                assert structure._subspace_rows(points, "the points") == sub.basis
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        [0, 1, 5, 6],  # closed under no sum of its rows 1 and 5
+        [0, 1, 4, 7],  # 1 + 4 = 5 is missing
+        [0, 1, 2],  # not a power of two
+        [1, 2, 3, 4],  # no 0
+        [],
+    ],
+)
+def test_subspace_rows_rejects_a_list_that_is_no_sorted_subspace(members):
+    with pytest.raises(TheoremViolationError, match="the points do not form a subspace"):
+        structure._subspace_rows(members, "the points")
 
 
 def test_rows_of_a_subspace_of_sigma_read_at_its_pivots_are_rref_rows():

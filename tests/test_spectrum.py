@@ -380,10 +380,13 @@ def test_coefficient_values_add_zero_only_when_a_coefficient_vanishes(f):
 
 
 class NoPass(tuple):
-    """Coefficients that fail any iteration over all of them."""
+    """Coefficients that fail any iteration or count over all of them."""
 
     def __iter__(self):
         raise AssertionError("a pass over all 2^n coefficients")
+
+    def count(self, value):
+        raise AssertionError("a count over all 2^n coefficients")
 
 
 @pytest.mark.parametrize(
@@ -397,6 +400,7 @@ def test_readers_of_carried_positions_make_no_pass_over_the_coefficients(base):
     guarded = Spectrum(f.n, NoPass(s.coeffs), s.nonzero)
     assert structure.classify(guarded) == structure.classify(s)
     assert granularity(guarded) == granularity(s)
+    assert sparsity(guarded) == sparsity(s)
     assert structure.decompose(f, guarded) == structure.decompose(f, s)
     out, ref = io.StringIO(), io.StringIO()
     jsonio.write_spectrum(guarded, out, nonzero_only=True)

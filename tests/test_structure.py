@@ -15,7 +15,7 @@ from f2spec.families import (
     delta,
     two_affine,
 )
-from f2spec.fourier import shift_spectrum, wht
+from f2spec.fourier import Spectrum, shift_spectrum, wht
 from f2spec.gf2 import (
     AffineSubspace,
     Subspace,
@@ -32,6 +32,7 @@ from f2spec.structure import (
     TAG_RVL,
     TAG_TRIVIAL,
     TAG_TWO_SUBSPACE,
+    Classification,
     Decomposition,
     classify,
     decompose,
@@ -46,6 +47,7 @@ from f2spec.structure import (
 from conftest import (
     dot,
     forged_w_spectrum,
+    image,
     indicator_spectrum,
     is_full_affine_subspace,
     oracle_is_irreducible,
@@ -624,17 +626,19 @@ def test_structural_recovery_needs_no_partition_search(monkeypatch):
 
 def _two_flat_cores():
     """(core, core spectrum, spectral sets) of the m = 2 core of every
-    in-scope table at n <= 4 and of two seeded images of two_affine(n, k)
-    for each n = 5..12 and k >= 2; none of them has the four-flat k = 4
-    profile."""
+    in-scope table at n <= 4, of two seeded images of two_affine(n, k)
+    for each n = 5..12 and k >= 2, and of one for each n = 13..19 and
+    k = 7..10, where the triple gap is the sum of a negative class of
+    63 to 511 masks; none of them has the four-flat k = 4 profile."""
     rng = SplitMix64(43)
     cases = list(_two_subspace_tables_up_to_n4())
-    for n in range(5, 13):
-        for k in range(2, (n + 1) // 2 + 1):
-            for _ in range(2):
-                m = random_invertible(n, rng)
-                f = shift(apply_transform(two_affine(n, k), m), random_vector(n, rng))
-                cases.append((f, None, None))
+    sizes = [(n, k, 2) for n in range(5, 13) for k in range(2, (n + 1) // 2 + 1)]
+    sizes += [(n, k, 1) for n in range(13, 20) for k in range(7, min(10, (n + 1) // 2) + 1)]
+    for n, k, images in sizes:
+        for _ in range(images):
+            m = random_invertible(n, rng)
+            f = shift(apply_transform(two_affine(n, k), m), random_vector(n, rng))
+            cases.append((f, None, None))
     for f, s, cls in cases:
         core, trace = reduce_to_core(f, s, cls)
         yield core, trace.core_spectrum, spectral_sets(trace.core_spectrum)
@@ -649,16 +653,15 @@ def test_two_flat_pieces_match_the_coset_split_oracle():
         # the closed-form spectra of the two pieces add up to the core's
         total = [0] * (1 << core.n)
         for piece in pieces:
-            perp = [
-                a
-                for a in range(1 << core.n)
-                if not any(dot(a, v) for v in piece.direction.basis)
-            ]
+            # the masks orthogonal to every basis vector, one vector at a time
+            perp = range(1 << core.n)
+            for v in piece.direction.basis:
+                perp = [a for a in perp if not dot(a, v)]
             indicator = indicator_spectrum(core.n, piece.shift, perp, core.n - piece.dim)
             total = list(map(add, total, indicator))
         assert tuple(total) == s.coeffs
         checked += 1
-    assert checked == 2632  # 2,576 cores from n <= 4 and 56 images
+    assert checked == 2648  # 2,576 cores from n <= 4, 56 images to n = 12, 16 beyond
 
 
 def test_decompose_raises_when_the_two_flat_route_fails(monkeypatch):
@@ -693,6 +696,36 @@ def test_decompose_raises_when_the_core_route_raises(short_negative_class):
         with pytest.raises(TheoremViolationError) as info:
             decompose(f)
         assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("base", [two_affine(3, 2), two_affine(7, 3), two_affine(11, 5)])
+def test_decompose_raises_when_the_classes_name_no_two_flats(swapped_classes, base):
+    # the class sizes are right, so spectral_sets passes them; the subspace
+    # reader or the verification refuses the pieces, never with a
+    # ValueError or an IndexError
+    for f in (base, image(base, 5), image(base, 6)):
+        with pytest.raises(TheoremViolationError):
+            decompose(f)
+
+
+def test_decompose_raises_on_a_one_flat_spectrum_with_too_few_masks():
+    # Parseval forces 2^k nonzero coefficients on an m = 1 spectrum
+    f = affine_indicator(6, 3)
+    s = wht(f)
+    coeffs = list(s.coeffs)
+    coeffs[max(a for a, c in enumerate(coeffs) if c)] = 0
+    forged = Spectrum(6, tuple(coeffs))
+    assert classify(forged) == classify(s) == Classification(TAG_RVL, 3, 1)
+    with pytest.raises(TheoremViolationError):
+        decompose(f, forged)
+
+
+def test_decompose_raises_on_one_flat_rows_that_share_a_pivot():
+    # 2^k masks whose members at indices 1 and 2, 4 and 6, have one pivot
+    forged = Spectrum(3, (2, 0, 0, 0, 2, 0, 2, -2))
+    assert classify(forged) == Classification(TAG_RVL, 2, 1)
+    with pytest.raises(TheoremViolationError):
+        decompose(affine_indicator(3, 2), forged)
 
 
 def test_decompose_of_an_irreducible_image_builds_no_matrix(monkeypatch):
@@ -794,6 +827,32 @@ def test_regular_cores_have_subspace_double_sums():
         assert span.dim == k - 1
         assert len(pair_sums) == 1 << (k - 1)
         assert linear_span(core.n, sets.minus.members).dim == k
+
+
+@pytest.mark.parametrize("weight", range(2, 7))
+def test_exceptional_cores_at_dimension_6_are_one_class(weight):
+    # every irreducible 8-point set on F_2^6 through 0 is a GL(6) image of
+    # {0, e_1, ..., e_6, p}, with p fixed up to permutation by its weight;
+    # only weight 6 is in scope: the counterexample core moved by all-ones
+    p = (1 << weight) - 1
+    f = BooleanFunction.from_support(6, [0, p] + [1 << i for i in range(6)])
+    cls = classify(wht(f))
+    if weight < 6:
+        assert cls == Classification(TAG_OUT_OF_SCOPE, 5, 4)
+        return
+    assert cls == Classification(TAG_EXCEPTIONAL_K4, 4, 2, 7)
+    assert shift(f, 0b111111) == counterexample_core()
+    # k = 4 and |B + B| = 22 choose the four-flat route
+    assert len(spectral_sets(wht(f)).double_sums) == 21
+    rng = SplitMix64(weight)
+    images = [f]
+    for _ in range(3):
+        images.append(apply_transform(f, random_invertible(6, rng)))
+        images.append(shift(f, random_vector(6, rng)))
+    for g in images:
+        dec = decompose(g)
+        assert dec.classification.tag == TAG_EXCEPTIONAL_K4
+        assert [piece.dim for piece in dec.pieces] == [1] * 4
 
 
 def test_exceptional_core_double_sums_not_a_subspace():
