@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, compress
-from operator import add, mul, neg, or_
+from operator import add, or_
 from typing import Iterable, Sequence
 
 from .boolfunc import BooleanFunction
@@ -25,10 +25,12 @@ class Spectrum:
     """Scaled Fourier transform: coeffs[enc(a)] = 2^n * f^(a).
 
     nonzero, when not None, holds the positions of the nonzero coefficients
-    in increasing order.  Only wht fills it, on a spectrum of at least 2^13
+    in increasing order.  wht fills it on a spectrum of at least 2^13
     entries (the butterfly's _STAGED_LANES) with at most one nonzero
-    coefficient in 16; equality, hashing and repr ignore it, so
-    Spectrum(n, coeffs) equals the transform it was copied from.  Read it
+    coefficient in 16, and structure.reduce_to_core on every core spectrum,
+    which it reads off f's nonzero positions.  Equality, hashing and repr
+    ignore it, so Spectrum(n, coeffs) equals the transform it was copied
+    from.  Read it
     through nonzero_positions and coefficient_values, which fall back to a
     pass over coeffs when it is None.
     """
@@ -283,17 +285,6 @@ def coefficient_values(s: Spectrum) -> set[int]:
     if len(s.nonzero) < len(s.coeffs):
         values.add(0)
     return values
-
-
-def shift_spectrum(s: Spectrum, a: int) -> Spectrum:
-    """Spectrum of x -> f(x + a) from the spectrum of f: F(beta) (-1)^<beta,a>.
-    A sign flip keeps zeros at zero, so the nonzero positions carry over."""
-    if a == 0:
-        return s
-    signs = [1]
-    for i in range(s.n):
-        signs += list(map(neg, signs)) if (a >> i) & 1 else signs
-    return Spectrum(s.n, tuple(map(mul, s.coeffs, signs)), s.nonzero)
 
 
 def granularity(s: Spectrum) -> int:

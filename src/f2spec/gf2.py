@@ -243,9 +243,6 @@ class GF2Matrix:
     def from_rows(n: int, rows: Iterable[int]) -> "GF2Matrix":
         return GF2Matrix(n, tuple(rows))
 
-    def apply(self, x: int) -> int:
-        return sum(((self.rows[i] & x).bit_count() & 1) << i for i in range(self.n))
-
     def columns(self) -> tuple[int, ...]:
         """M e_1, ..., M e_n."""
         return _transpose_rows(self.n, self.rows)

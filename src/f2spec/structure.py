@@ -8,18 +8,20 @@ spectrum and decomposes the support on its irreducible core.  f is
 constant on the cosets of the annihilator of the span of the nonzero
 coefficient positions, and one reduction takes f to the core: a shift,
 the gather of the quotient on s = dim(span) inputs, and a restriction to
-the affine span of the quotient's support.  Two pieces come in closed form
-from the core spectrum (four pieces are peeled off the core's support),
-and the reduction's trace lifts each piece to f in one affine map.  Every
-decomposition emitted is verified on f itself with 2^n-bit masks.
+the affine span of the quotient's support.  The core spectrum is read off
+f's nonzero coefficients alone, and carries its own nonzero positions.
+Two pieces come in closed form from the core spectrum (four pieces are
+peeled off the core's support), and the reduction's trace lifts each
+piece to f in one affine map.  Every decomposition emitted is verified on
+f itself with 2^n-bit masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import repeat
-from operator import mul, neg, rshift, xor
+from itertools import islice
+from operator import xor
 from typing import Iterable
 
 from .addcomb import PointSet
@@ -30,7 +32,7 @@ from .fourier import (
     _granularity,
     coefficient_values,
     nonzero_positions,
-    shift_spectrum,
+    sparsity,
     wht,
 )
 from .gf2 import (
@@ -255,10 +257,12 @@ def reduce_to_core(
     inputs, so its k is k - w.
 
     The spectrum of f (and its classification) is computed here unless the
-    caller passes it.  The core's 2^(s-w) coefficients are gathered from it
-    once, by the formula for H over the sigma rows whose pivot is not W's;
-    when s = n and w = 0 that is f's spectrum shifted by the origin, which
-    keeps the nonzero positions a sparse spectrum carries.
+    caller passes it.  The core's nonzero coefficients are read off f's
+    nonzero positions in one pass: each alpha with no W pivot bit set is
+    the core mask made of its bits at sigma's other pivots, in increasing
+    pivot order, with the coefficient H(beta) above.  That map keeps the
+    order of the alphas, so the core spectrum carries its nonzero positions
+    sorted, and no reader of it scans its 2^(s-w) coefficients.
     """
     if spectrum is None:
         spectrum = wht(f)
@@ -269,11 +273,7 @@ def reduce_to_core(
     n = f.n
     origin = (f.table & -f.table).bit_length() - 1
     nonzero = list(nonzero_positions(spectrum))
-    # 0 and a mask of each bit length 1..n: n independent rows, rref the unit rows
-    if len(set(map(int.bit_length, nonzero))) == n + 1:
-        sigma = tuple(1 << b for b in reversed(range(n)))
-    else:
-        sigma = rref(nonzero)
+    sigma = rref(nonzero)
     s = len(sigma)
     pivots = [1 << (r.bit_length() - 1) for r in reversed(sigma)]
     g = shift(f, origin)
@@ -284,20 +284,17 @@ def reduce_to_core(
     w_rows = _subspace_rows(w_f, "the masks with coefficient F(0)")
     w = len(w_rows)
     w_pivots = sum(1 << (r.bit_length() - 1) for r in w_rows)
-    if s == n and not w:
-        core_s = shift_spectrum(spectrum, origin)
-    else:
-        alphas = [0]
-        signs = [1]
-        for r, p in zip(reversed(sigma), pivots):
-            if not p & w_pivots:
-                alphas += list(map(r.__xor__, alphas))
-                signs += list(map(neg, signs)) if (r & origin).bit_count() & 1 else signs
-        signed = map(mul, map(coeffs.__getitem__, alphas), signs)
-        core_s = Spectrum(s - w, tuple(map(rshift, signed, repeat(n - s))))
+    core_pivots = [p for p in pivots if not p & w_pivots]
+    kept = [a for a in nonzero if not a & w_pivots]
+    positions = tuple(_bits_at(a, core_pivots) for a in kept)
+    core_coeffs = [0] * (1 << (s - w))
+    for beta, a in zip(positions, kept):
+        c = coeffs[a] >> (n - s)
+        core_coeffs[beta] = -c if (a & origin).bit_count() & 1 else c
+    core_s = Spectrum(s - w, tuple(core_coeffs), positions)
     core, columns = h, pivots
     if w:
-        basis = [sum(1 << i for i, p in enumerate(pivots) if r & p) for r in w_rows]
+        basis = [_bits_at(r, pivots) for r in w_rows]
         core = apply_transform(h, transform_sending_to_first(s, basis))
         for _ in range(w):
             core, core1 = restrict_first_bit(core)
@@ -348,29 +345,31 @@ def _two_flat_pieces(sets: SpectralSets) -> tuple[AffineSubspace, AffineSubspace
     )
 
 
-def _greedy_four_pieces(
-    core: BooleanFunction, dim: int
-) -> tuple[AffineSubspace, ...] | None:
+def _greedy_four_pieces(core: BooleanFunction, dim: int) -> tuple[AffineSubspace, ...]:
     """Exceptional-core extraction: repeatedly peel a maximal flat off the
-    support; every piece must come out with the mandated dimension."""
+    support; every piece must come out with the mandated dimension, and
+    there must be four (else TheoremViolationError)."""
     remaining = set(core.support())
     pieces: list[AffineSubspace] = []
     while remaining:
         flat = max_flat_through(core.n, min(remaining), remaining)
         if flat.dim != dim:
-            return None
+            raise TheoremViolationError(
+                f"the core peels into a flat of dimension {flat.dim}, not {dim}"
+            )
         pieces.append(flat)
         remaining -= set(flat.points())
     if len(pieces) != 4:
-        return None
+        raise TheoremViolationError(f"the core peels into {len(pieces)} flats, not 4")
     return tuple(pieces)
 
 
 def _decompose_core(
     core: BooleanFunction, s: Spectrum, cls: Classification
-) -> tuple[AffineSubspace, ...] | None:
+) -> tuple[AffineSubspace, ...]:
     """Pieces of an irreducible m = 2 core with spectrum s and classification
-    cls, in core coordinates; None on failure."""
+    cls, in core coordinates.  A route that fails its own checks raises
+    TheoremViolationError, or ValueError for the class sizes."""
     sets = spectral_sets(s, cls)
     if cls.k == 4 and len(sets.double_sums) == 21:  # |B + B| = 22 with 0
         return _greedy_four_pieces(core, core.n - cls.k - 1)
@@ -465,6 +464,12 @@ def _subspace_rows(members: list[int], what: str) -> tuple[int, ...]:
     return rows
 
 
+def _bits_at(x: int, positions: list[int]) -> int:
+    """The bits of x at the given one-bit positions, packed in their order:
+    bit i of the result is x's bit at positions[i]."""
+    return sum(1 << i for i, p in enumerate(positions) if x & p)
+
+
 def _combine(y: int, vectors: list[int]) -> int:
     """The sum of vectors[j] over the set bits j of y."""
     x = 0
@@ -484,9 +489,11 @@ def decompose(
 
     - m = 1: the nonzero positions are U^perp for the support c + U, so
       the piece is U through f's smallest support point.  Parseval's
-      identity forces 2^k of them (else TheoremViolationError), and
-      U^perp's rref rows are its members at indices 1, 2, 4, ...; no
-      doubling checks them, as verify_decomposition checks the piece.
+      identity forces 2^k of them, counted by sparsity (else
+      TheoremViolationError), and U^perp's rref rows are its members at
+      indices 1, 2, 4, ..., 2^(k-1), so only the first 2^(k-1) + 1 are
+      read, and none is stored; no doubling checks the rows, as
+      verify_decomposition checks the piece.
     - m = 2: reduce_to_core takes f to its irreducible core through the
       spectral quotient, the pieces are recovered there from the core's
       spectrum, and the trace lifts each to f in one affine map.
@@ -515,11 +522,15 @@ def decompose(
     if cls.m == 1:
         # the nonzero positions are U^perp for the support origin + U
         # (Parseval forces 2^k of them; rows that share a pivot are no rref
-        # basis, and any other wrong rows fail verification)
-        nonzero = list(nonzero_positions(s))
+        # basis, and any other wrong rows fail verification).  Past 0, the
+        # row at index 2^j lies 2^(j-1) - 1 positions after the one at
+        # 2^(j-1), and islice skips them at C speed, storing none.
         k = cls.k
-        rows = tuple(nonzero[1 << j] for j in reversed(range(len(nonzero).bit_length() - 1)))
-        if len(nonzero) != 1 << k or len(set(map(int.bit_length, rows))) != k:
+        if sparsity(s) != 1 << k:
+            raise TheoremViolationError(f"the nonzero positions are no subspace of dimension {k}")
+        rest = islice(nonzero_positions(s), 1, None)
+        rows = tuple(next(islice(rest, (1 << j) - 1 >> 1, None)) for j in range(k))[::-1]
+        if len(set(map(int.bit_length, rows))) != k:
             raise TheoremViolationError(f"the nonzero positions are no subspace of dimension {k}")
         origin = (f.table & -f.table).bit_length() - 1
         kernel = orthogonal_complement(Subspace(n, rows))
@@ -533,8 +544,6 @@ def decompose(
         except ValueError as exc:
             # the core failed the route's own checks (class sizes, an empty class)
             raise TheoremViolationError(f"the core recovery failed: {exc}") from exc
-        if core_pieces is None:
-            raise TheoremViolationError("the core recovery found no pieces")
         pieces = tuple(map(trace.lift, core_pieces))
     dec = Decomposition(pieces, cls)
     if not verify_decomposition(f, dec):

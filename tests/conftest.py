@@ -10,13 +10,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from operator import mul, neg
 
 import pytest
 
 from f2spec import structure
 from f2spec.boolfunc import BooleanFunction, apply_transform, restrict_first_bit, shift
 from f2spec.errors import SpectrumScopeError, TheoremViolationError
-from f2spec.fourier import Spectrum, shift_spectrum, wht
+from f2spec.fourier import Spectrum, wht
 from f2spec.harness import SplitMix64, random_invertible, random_vector
 from f2spec.gf2 import (
     AffineSubspace,
@@ -203,8 +204,6 @@ def oracle_dense_decompose(f: BooleanFunction, s=None, cls=None):
             )
         except ValueError as exc:
             raise TheoremViolationError(str(exc)) from exc
-        if core_pieces is None:
-            raise TheoremViolationError("no pieces")
         pieces = tuple(oracle_lift_flat(trace, piece) for piece in core_pieces)
     if not (
         structure._pieces_match_mandate(pieces, n, cls)
@@ -400,6 +399,22 @@ def oracle_butterfly(values: list[int]) -> None:
         h <<= 1
 
 
+def shift_spectrum(s: Spectrum, a: int) -> Spectrum:
+    """Spectrum of x -> f(x + a) from the spectrum of f: F(beta) (-1)^<beta,a>.
+    A sign flip keeps zeros at zero, so the nonzero positions carry over."""
+    if a == 0:
+        return s
+    signs = [1]
+    for i in range(s.n):
+        signs += list(map(neg, signs)) if (a >> i) & 1 else signs
+    return Spectrum(s.n, tuple(map(mul, s.coeffs, signs)), s.nonzero)
+
+
+def oracle_apply(m: GF2Matrix, x: int) -> int:
+    """Mx, one inner product per row: (Mx)_i = <rows[i], x>."""
+    return sum(dot(r, x) << i for i, r in enumerate(m.rows))
+
+
 def transform_spectrum(s: Spectrum, m: GF2Matrix) -> Spectrum:
     """Spectrum of x -> f(Mx) from the spectrum of f: G(gamma) = F(P gamma)
     with P = (M^-1)^T, a gather through the images of P of all 2^n masks.
@@ -474,7 +489,7 @@ def oracle_apply_transform(n: int, table: int, m) -> int:
     size = 1 << n
     images = [0] * size
     for i in range(n):
-        col = m.apply(1 << i)
+        col = oracle_apply(m, 1 << i)
         step = 1 << i
         for x in range(step):
             images[x | step] = images[x] ^ col

@@ -30,7 +30,6 @@ from f2spec.fourier import (
     Spectrum,
     butterfly,
     is_boolean_spectrum,
-    shift_spectrum,
     wht,
 )
 from f2spec.gf2 import (
@@ -58,6 +57,7 @@ from conftest import (
     oracle_support,
     oracle_unpack,
     reference_affine_masks,
+    shift_spectrum,
     transform_spectrum,
 )
 

@@ -45,6 +45,7 @@ from conftest import (
     oracle_lift_point,
     oracle_pieces_cover_exactly,
     oracle_shift,
+    shift_spectrum,
 )
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -358,7 +359,9 @@ def assert_w_and_core_spectrum_read_off_h(f, s=None, cls=None):
         mp.setattr(structure, "transform_sending_to_first", recording)
         _, trace = structure.reduce_to_core(f, s, cls)
     assert seen == ([basis] if basis else []), f
-    assert trace.core_spectrum.coeffs == kept, f
+    core_s = trace.core_spectrum
+    assert core_s.coeffs == kept, f
+    assert core_s.nonzero == tuple(compress(range(1 << core_s.n), core_s.coeffs)), f
     return len(basis)
 
 
@@ -378,12 +381,25 @@ def test_w_and_core_spectrum_match_h_on_in_scope_images(f):
 def test_w_and_core_spectrum_match_h_at_s_equal_n_with_w_2():
     # two_affine(9, 5) spans F_2^9 in its spectrum, so with two inputs
     # confined to 0 the spectrum still spans F_2^11 (s = n) and w = 2: the
-    # core spectrum is gathered from f's, not shifted
+    # core spectrum keeps only f's positions clear at both W pivots
     base = tensor(two_affine(9, 5), delta(2))
     for f in (base, image(base, 11)):
         _, sigma, _, h = quotient(f)
         assert len(sigma) == h.n == 11
         assert assert_w_and_core_spectrum_read_off_h(f) == 2
+
+
+def test_core_spectrum_at_s_equal_n_with_w_0_is_f_shifted():
+    # two_affine(19, 10) spans F_2^19 in its spectrum and is irreducible,
+    # so the core spectrum is f's shifted by the origin, read off f's 2,045
+    # nonzero positions alone
+    f = image(two_affine(19, 10), 5)
+    s = wht(f)
+    assert s.nonzero is not None and len(s.nonzero) == 2045
+    _, trace = structure.reduce_to_core(f, s)
+    assert (trace.core_n, trace.kernel) == (19, ())
+    assert trace.core_spectrum == shift_spectrum(s, trace.shift)
+    assert trace.core_spectrum.nonzero == s.nonzero
 
 
 def test_quotient_lift_keeps_the_dimension_and_lifts_every_point():

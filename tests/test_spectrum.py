@@ -29,7 +29,6 @@ from f2spec.fourier import (
     granularity,
     is_boolean_spectrum,
     nonzero_positions,
-    shift_spectrum,
     sparsity,
     wht,
 )
@@ -40,6 +39,7 @@ from conftest import (
     identity_matrix,
     image,
     naive_wht,
+    oracle_apply,
     oracle_granularity,
     oracle_inverse,
     transpose_matrix,
@@ -266,7 +266,7 @@ def test_transform_spectrum_permutation_rule():
         fc = wht(f).coeffs
         mt_inv = oracle_inverse(transpose_matrix(m))
         for b in range(1 << n):
-            assert gc[b] == fc[mt_inv.apply(b)]
+            assert gc[b] == fc[oracle_apply(mt_inv, b)]
         assert sorted(gc) == sorted(fc)
 
 
@@ -390,30 +390,30 @@ class NoPass(tuple):
 
 
 @pytest.mark.parametrize(
-    "base", [affine_indicator(14, 4), two_affine(14, 3), counterexample_padded(14)]
+    "base",
+    [affine_indicator(14, 4), two_affine(14, 3), counterexample_padded(14), two_affine(13, 7)],
 )
 def test_readers_of_carried_positions_make_no_pass_over_the_coefficients(base):
-    # one flat, two flats and four flats on a spectral quotient (s < n), so
-    # no shift of the whole spectrum is due either
+    # one flat, two flats and four flats on a spectral quotient (s < n),
+    # and two flats whose spectrum spans F_2^13 (s = n)
     f = image(base, 9)
     s = wht(f)
     guarded = Spectrum(f.n, NoPass(s.coeffs), s.nonzero)
-    assert structure.classify(guarded) == structure.classify(s)
+    cls = structure.classify(guarded)
+    assert cls == structure.classify(s)
     assert granularity(guarded) == granularity(s)
     assert sparsity(guarded) == sparsity(s)
     assert structure.decompose(f, guarded) == structure.decompose(f, s)
+    if cls.m == 2:
+        # the core spectrum comes with its positions, and the class split
+        # reads only those
+        _, trace = structure.reduce_to_core(f, guarded, cls)
+        core_s = trace.core_spectrum
+        core_guarded = Spectrum(core_s.n, NoPass(core_s.coeffs), core_s.nonzero)
+        core_cls = trace.core_classification
+        sets = structure.spectral_sets(core_guarded, core_cls)
+        assert sets == structure.spectral_sets(Spectrum(core_s.n, core_s.coeffs), core_cls)
     out, ref = io.StringIO(), io.StringIO()
     jsonio.write_spectrum(guarded, out, nonzero_only=True)
     jsonio.write_spectrum(s, ref, nonzero_only=True)
     assert out.getvalue() == ref.getvalue()
-
-
-def test_shift_spectrum_carries_the_positions():
-    f = image(two_affine(14, 3), 6)
-    s = wht(f)
-    assert s.nonzero is not None
-    for a in (0, 1, 12345):
-        moved = shift_spectrum(s, a)
-        assert moved.nonzero == s.nonzero == wht(shift(f, a)).nonzero
-        assert moved == wht(shift(f, a))
-    assert shift_spectrum(Spectrum(3, wht(OR2).coeffs * 2), 5).nonzero is None

@@ -15,7 +15,7 @@ from f2spec.families import (
     delta,
     two_affine,
 )
-from f2spec.fourier import Spectrum, shift_spectrum, wht
+from f2spec.fourier import Spectrum, wht
 from f2spec.gf2 import (
     AffineSubspace,
     Subspace,
@@ -55,6 +55,7 @@ from conftest import (
     oracle_lift_point,
     oracle_dense_reduce,
     oracle_two_flat_pieces,
+    shift_spectrum,
     span_points,
 )
 
@@ -682,7 +683,11 @@ def test_decompose_raises_when_the_two_flat_route_fails(monkeypatch):
         for _ in range(2):
             m = random_invertible(base.n, rng)
             images.append(shift(apply_transform(base, m), random_vector(base.n, rng)))
-    for patched in (lambda sets: None, swapped):
+    def one_piece(sets):
+        # a single flat: the pieces miss the mandated profile
+        return route(sets)[:1]
+
+    for patched in (one_piece, swapped):
         monkeypatch.setattr(structure, "_two_flat_pieces", patched)
         for f in images:
             with pytest.raises(TheoremViolationError):
@@ -696,6 +701,20 @@ def test_decompose_raises_when_the_core_route_raises(short_negative_class):
         with pytest.raises(TheoremViolationError) as info:
             decompose(f)
         assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_decompose_raises_when_the_four_flat_route_peels_a_wrong_flat(monkeypatch):
+    # _greedy_four_pieces raises on a peeled flat of the wrong dimension
+    # itself: each flat comes back with one basis vector dropped
+    peel = structure.max_flat_through
+
+    def short(n, x, points):
+        flat = peel(n, x, points)
+        return AffineSubspace(flat.shift, Subspace(n, flat.direction.basis[1:]))
+
+    monkeypatch.setattr(structure, "max_flat_through", short)
+    with pytest.raises(TheoremViolationError, match="dimension 0, not 1"):
+        decompose(image(counterexample_padded(8), 3))
 
 
 @pytest.mark.parametrize("base", [two_affine(3, 2), two_affine(7, 3), two_affine(11, 5)])
