@@ -42,6 +42,7 @@ from conftest import (
     oracle_apply,
     oracle_granularity,
     oracle_inverse,
+    shift_spectrum,
     transpose_matrix,
 )
 
@@ -417,3 +418,16 @@ def test_readers_of_carried_positions_make_no_pass_over_the_coefficients(base):
     jsonio.write_spectrum(guarded, out, nonzero_only=True)
     jsonio.write_spectrum(s, ref, nonzero_only=True)
     assert out.getvalue() == ref.getvalue()
+
+
+def test_shift_spectrum_carries_the_positions():
+    # the shift oracle that the reduction tests compare the core spectrum
+    # with: a sign flip keeps the nonzero positions of a sparse spectrum
+    f = image(two_affine(14, 3), 6)
+    s = wht(f)
+    assert s.nonzero is not None
+    for a in (0, 1, 12345):
+        moved = shift_spectrum(s, a)
+        assert moved.nonzero == s.nonzero == wht(shift(f, a)).nonzero
+        assert moved == wht(shift(f, a))
+    assert shift_spectrum(Spectrum(3, wht(OR2).coeffs * 2), 5).nonzero is None
