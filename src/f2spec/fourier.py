@@ -45,21 +45,35 @@ class Spectrum:
 
 
 def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
-    """Walsh-Hadamard transform of each consecutive block of 2^n entries.
+    """Walsh-Hadamard transform of each consecutive group of 2^n entries.
 
     Exact for any integers; applying it twice scales every entry by 2^n.
-    Every entry is one lane of a single Python int, stored with a bias of
-    half the lane's range so that a lane never goes negative.  A stage with
-    stride s pairs lane j with lane j + s for each j whose bit s is clear;
-    with M the mask of those lanes and B the bias restricted to them,
+    Every entry is one lane of a Python int, stored with a bias of half
+    the lane's range so that a lane never goes negative.  Stages commute,
+    and they run in two kinds.
+
+    Masked stages.  When 2^n is at most 2^14 (_BLOCK_LANES), the whole
+    input is one int x; past that, each block of 2^14 lanes is its own
+    int, and only the strides below 2^14 run masked.  A stage with stride s pairs
+    lane j with lane j + s for each j whose bit s is clear; with M the
+    mask of those lanes and B the bias restricted to them,
 
         a = x & M,  b = (x >> s*width) & M,
         x = (a + b - B) | ((a + B - b) << s*width)
 
     leaves the biased sum in lane j and the biased difference in lane
-    j + s.  Strides stay below 2^n, so the blocks of one call never mix.
-    They run from 2^(n-1) down to 1, so each stage's M is the previous
-    one XOR itself shifted by the new stride.
+    j + s.  Strides run from the largest down to 1, so each stage's M is
+    the previous one XOR itself shifted by the new stride, and stay below
+    2^n, so the groups of one call never mix.
+
+    Block stages.  When 2^n is past 2^14, the stages with strides 2^14 up
+    to 2^(n-1) pair block p with block p + stride / 2^14 inside each
+    group, whole ints u and v: u + v - B and u + B - v, with B here the
+    bias in every lane of a block, need no mask and no shift.  Every
+    temporary of either kind is one block, at most 128 KiB on 64-bit
+    lanes, and the allocator hands its memory back on the next stage.  Whole-table temporaries at
+    n = 20 are fresh pages: a wht call on them took about 23,000 minor
+    page faults, and about 4,200 on blocks.
 
     After i stages no entry exceeds peak * 2^i in absolute value, peak the
     largest |v| of the input.  The next stage runs on the narrowest lane of
@@ -67,16 +81,20 @@ def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
     peak * 2^(i+1) with its sign, so no lane carries into or borrows from
     its neighbour.  When that bound outgrows the lane, every lane is
     widened in one bytes pass first: a 0/1 table runs its first 6 stages
-    on 8-bit lanes, the next 8 on 16 bits and the rest on 32.  Below
-    _STAGED_LANES lanes the passes cost more than the narrower stages
-    save, and every stage runs on the lane of the last.
+    on 8-bit lanes, the next 8 on 16 bits and the rest on 32.  Each block
+    is widened once more after its masked stages, to the lane of the
+    last stage, on which every block stage runs.  Below _STAGED_LANES
+    lanes the passes cost more than the narrower stages save, and every
+    stage runs on the lane of the last.
     """
     return _unpack(*_transform(values, n))
 
 
 def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray, int]:
     """The butterfly's result as two's-complement little-endian lanes, with
-    the lane width in bits; see butterfly."""
+    the lane width in bits; see butterfly.  The input is packed once; past
+    _BLOCK_LANES lanes, the blocks' ints after their masked stages are the
+    only copy of the table until their lanes are joined."""
     size = 1 << n
     count = len(values)
     if count % size:
@@ -100,10 +118,11 @@ def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray
             del magnitudes
     last = _lane_width(peak_bits + n + 1)
     if count < _STAGED_LANES:
-        widths = [last] * n
-    else:
+        widths = [last] * (n + 1)
+    else:  # stage done runs on lanes of widths[done] bits, the output on last
         widths = [_lane_width(peak_bits + i + 2) for i in range(n)]
-    width = widths[0] if n else last
+        widths.append(last)
+    width = widths[0]
     nb = width >> 3
     if small is not None:
         lanes = small.translate(_FLIP)
@@ -114,26 +133,75 @@ def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray
         lanes[0::nb] = values
     else:
         lanes = _flip_top(_pack(values, width), nb)
-    x = int.from_bytes(lanes, "little")
-    del lanes, small
+    del small
+    if size <= _BLOCK_LANES:
+        x = int.from_bytes(lanes, "little")
+        del lanes
+        x = _masked_stages(x, count, width, widths)
+        nb = last >> 3
+        return _flip_top(x.to_bytes(count * nb, "little"), nb), last
+    # the first b stages, strides 2^(b-1) down to 1, on each block of 2^b
+    # lanes as its own int; each block comes back on the lanes of the last
+    b = _BLOCK_LANES.bit_length() - 1
+    step = _BLOCK_LANES * nb
+    blocks = [
+        _masked_stages(
+            int.from_bytes(lanes[lo : lo + step], "little"),
+            _BLOCK_LANES,
+            width,
+            [*widths[:b], last],
+        )
+        for lo in range(0, len(lanes), step)
+    ]
+    del lanes
+    # the stages with strides 2^b up to 2^(n-1) pair whole blocks, d blocks
+    # apart: the biased sum and difference of two blocks need no mask
+    nb = last >> 3
+    bias = int.from_bytes(_lane_bias(nb) * _BLOCK_LANES, "little")
+    for i in range(n - b):
+        d = 1 << i
+        for lo in range(0, len(blocks), d << 1):
+            for p in range(lo, lo + d):
+                u = blocks[p]
+                v = blocks[p + d]
+                blocks[p] = u + v - bias
+                blocks[p + d] = u + bias - v
+    # the bias is each lane's top bit, so an XOR takes it off; each block
+    # is dropped once its bytes are written
+    step = _BLOCK_LANES * nb
+    data = bytearray(count * nb)
+    blocks.reverse()
+    for lo in range(0, len(data), step):
+        data[lo : lo + step] = (blocks.pop() ^ bias).to_bytes(step, "little")
+    return data, last
+
+
+def _masked_stages(x: int, count: int, width: int, widths: list[int]) -> int:
+    """The butterfly's masked stages on x, count biased lanes of width bits:
+    k = len(widths) - 1 stages with strides 2^(k-1) down to 1, stage done on
+    lanes of widths[done] bits.  x comes back on lanes of widths[k] bits."""
+    nb = width >> 3
+    k = len(widths) - 1
     # every whole-int temporary is as large as x: the stage rebinds x and a
     # as it goes, so that at most six such ints (x, a, mask, bias and two
     # temporaries) live at once
     mask = None
-    for done, i in enumerate(range(n - 1, -1, -1)):
-        if widths[done] != width:  # this stage's bound outgrows the lane
+    for done, stage_width in enumerate(widths):
+        if stage_width != width:  # this stage's bound outgrows the lane
             data = x.to_bytes(count * nb, "little")
             del x
             mask = bias = None
-            width = widths[done]
+            width = stage_width
             x = int.from_bytes(_widen(data, nb, width >> 3), "little")
             nb = width >> 3
             del data
-        shift = width << i
+        if done == k:
+            break
+        shift = width << (k - 1 - done)
         if mask is None:
             bias = int.from_bytes(_lane_bias(nb) * count, "little")
             mask = _low_half_mask(count * width, shift)
-        else:  # lanes with bit i clear, from those with bit i + 1 clear
+        else:  # lanes clear of this stride, from those clear of the last
             mask ^= mask << shift
         a = x & mask
         x >>= shift
@@ -144,10 +212,16 @@ def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray
         a -= x  # 2a - (a + b - B) = a + B - b
         x |= a << shift
         del a
-    mask = bias = None  # release both before the output is built
-    data = _flip_top(x.to_bytes(count * nb, "little"), nb)
-    del x
-    return data, width
+    return x
+
+
+# lanes per int in the masked stages; the stages with longer strides pair
+# whole blocks.  In-process wht on counterexample-padded images (best of
+# 7), b = 12, 13 and 14 timed within noise of each other at n = 14..20;
+# b = 15 and 16 took 6.3-6.6 and 7.4 ms at n = 16 against 5.3-5.5 ms,
+# and 26-27 ms at n = 18 against 23 ms.  b = 14 keeps every group of at
+# most 2^14 lanes on one int, as before
+_BLOCK_LANES = 1 << 14
 
 
 # below this many lanes every stage runs on the lane of the last: on 0/1
@@ -257,7 +331,9 @@ def _nonzero_lanes(data: bytes | bytearray, nb: int) -> tuple[int, ...] | None:
 def wht(f: BooleanFunction) -> Spectrum:
     """Exact transform of a 0/1 truth table: the 0/1 bytes of the table
     (gf2.int_to_bits, one linear pass) go straight into the lanes of the
-    butterfly.  From _STAGED_LANES entries up, the nonzero positions are
+    butterfly, which past _BLOCK_LANES entries runs its masked stages
+    block by block and pairs whole blocks in the rest.  From _STAGED_LANES
+    entries up, the nonzero positions are
     read off the packed lanes before they are unpacked, and the spectrum
     carries them when they are sparse (see _nonzero_lanes): past the
     transform, its readers then touch only those positions."""

@@ -44,6 +44,7 @@ from f2spec.gf2 import (
 from f2spec.harness import SplitMix64, random_invertible, random_vector
 
 from conftest import (
+    image,
     iter_subspaces,
     oracle_affine_masks,
     oracle_apply_transform,
@@ -115,9 +116,15 @@ def oracle_blocks(values, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def test_butterfly_matches_loop_oracle_on_integer_vectors():
+# _BLOCK_LANES at 1, 2 and 4 lanes sends every input past it through the
+# block stages, from the first stride on; at its default, only n > 14 does
+BLOCK_LANES = (1, 2, 4, fourier._BLOCK_LANES)
+
+
+def test_butterfly_matches_loop_oracle_on_integer_vectors(monkeypatch):
     rng = random.Random(11)
-    for n in range(0, 11):
+    for block_lanes, n in product(BLOCK_LANES, range(0, 11)):
+        monkeypatch.setattr(fourier, "_BLOCK_LANES", block_lanes)
         for blocks in (1, 2, 5):
             values = [rng.randint(-50, 50) for _ in range(blocks << n)]
             expected = oracle_blocks(values, n)
@@ -134,9 +141,14 @@ def test_butterfly_is_exact_on_both_sides_of_every_lane_width(monkeypatch):
     # peak below puts that bound on one side of the 8-, 16-, 32- or 64-bit
     # lane, or far past them, after j of the n stages.  With _STAGED_LANES
     # at 1 every call widens its lanes at stage j; at its default, these
-    # short inputs run every stage on the lane of the last
+    # short inputs run every stage on the lane of the last.  With
+    # _BLOCK_LANES below 2^n, the block stages run on the lane of the last
+    # stage, 8 to 64 bits wide or, for the peak 2^70, wider
     bounds = [(1 << k) - d for k in (7, 15, 31, 63) for d in (1, 0)] + [1 << 70]
-    for staged_lanes, n in product((1, fourier._STAGED_LANES), (0, 1, 3, 6)):
+    for block_lanes, staged_lanes, n in product(
+        BLOCK_LANES, (1, fourier._STAGED_LANES), (0, 1, 3, 6)
+    ):
+        monkeypatch.setattr(fourier, "_BLOCK_LANES", block_lanes)
         monkeypatch.setattr(fourier, "_STAGED_LANES", staged_lanes)
         for peak in sorted({bound >> j for bound in bounds for j in range(n + 1)}):
             for blocks in (1, 3):
@@ -148,20 +160,47 @@ def test_butterfly_is_exact_on_both_sides_of_every_lane_width(monkeypatch):
                     [(peak, 0, peak >> 1)[i % 3] for i in range(blocks << n)],
                 ):
                     expected = oracle_blocks(values, n)
-                    assert butterfly(values, n) == expected, (n, peak)
-                    assert butterfly(tuple(values), n) == expected, (n, peak)
+                    assert butterfly(values, n) == expected, (block_lanes, n, peak)
+                    assert butterfly(tuple(values), n) == expected, (block_lanes, n, peak)
                     if min(values) >= 0 and peak < 256:  # 0/1 or arbitrary bytes
-                        assert butterfly(bytes(values), n) == expected, (n, peak)
+                        assert butterfly(bytes(values), n) == expected, (block_lanes, n, peak)
 
 
 @pytest.mark.parametrize("n", [16, 18])
 def test_butterfly_round_trip_widens_a_01_table_through_every_lane(n):
-    # a 0/1 table at n = 16 or 18 runs stages 0-5 on 8-bit lanes, 6-13 on
-    # 16 and the rest on 32; its spectrum, a tuple, comes back on 32-bit
-    # lanes that widen to 64
-    bits = bytes(random.Random(n).getrandbits(1) for _ in range(1 << n))
-    assert len(bits) >= fourier._STAGED_LANES
+    # a 0/1 table at n = 16 or 18 runs the 14 masked stages of each 2^14-lane
+    # block, 6 on 8-bit lanes and 8 on 16, then the block stages on 32; its
+    # spectrum, a tuple, runs its masked stages on 32-bit lanes and its
+    # block stages on 64
+    rng = random.Random(n)
+    bits = bytes(rng.getrandbits(1) for _ in range(1 << n))
+    assert 0 < sum(bits) < len(bits)
+    assert len(bits) > fourier._BLOCK_LANES >= fourier._STAGED_LANES
     assert butterfly(butterfly(bits, n), n) == tuple(b << n for b in bits)
+
+
+@pytest.mark.parametrize("n", [15, 17])
+def test_butterfly_block_stages_match_loop_oracle_at_real_size(n):
+    # one and two groups past the default block: 1 and 3 block stages on
+    # the 0/1 table's 32-bit lanes, and on the signed values' 64-bit lanes
+    assert 1 << n > fourier._BLOCK_LANES
+    rng = random.Random(n)
+    table = bytes(rng.getrandbits(1) for _ in range(2 << n))
+    signed = [rng.randint(-(1 << 20), 1 << 20) for _ in range(2 << n)]
+    for values in (table, signed):
+        expected = oracle_blocks(values, n)
+        assert butterfly(values, n) == expected
+        assert butterfly(values[: 1 << n], n) == expected[: 1 << n]
+
+
+def test_is_boolean_spectrum_past_the_block_stages():
+    f = image(counterexample_padded(16), 16)
+    s = wht(f)
+    assert is_boolean_spectrum(s)
+    for position, step in ((0, 2), (12345, -2), ((1 << 16) - 1, 1 << 16)):
+        coeffs = list(s.coeffs)
+        coeffs[position] += step
+        assert not is_boolean_spectrum(Spectrum(16, tuple(coeffs)))
 
 
 def test_butterfly_of_nothing_and_of_ragged_lengths():

@@ -321,9 +321,9 @@ def inner_product_bent(n: int) -> BooleanFunction:
 
 def sparse_images():
     """Seeded images of one flat (16 nonzero coefficients), two flats and
-    four flats at n = 13, 14 and 16, and the constant function, whose one
-    nonzero coefficient is F(0)."""
-    for n in (13, 14, 16):
+    four flats at n = 13, 14, 16 and 17, and the constant function, whose
+    one nonzero coefficient is F(0); the last two sizes run block stages."""
+    for n in (13, 14, 16, 17):
         for i, base in enumerate((affine_indicator(n, 4), two_affine(n, 3), counterexample_padded(n))):
             yield image(base, 100 * n + i)
         yield all_ones(n)
