@@ -220,7 +220,7 @@ def _masked_stages(x: int, count: int, width: int, widths: list[int]) -> int:
 # 7), b = 12, 13 and 14 timed within noise of each other at n = 14..20;
 # b = 15 and 16 took 6.3-6.6 and 7.4 ms at n = 16 against 5.3-5.5 ms,
 # and 26-27 ms at n = 18 against 23 ms.  b = 14 keeps every group of at
-# most 2^14 lanes on one int, as before
+# most 2^14 lanes on one int
 _BLOCK_LANES = 1 << 14
 
 
