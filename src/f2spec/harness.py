@@ -6,14 +6,19 @@ spectrum test, the kill-number bound, the granularity/sparsity relation,
 and -- for in-scope spectra -- that decompose finds a decomposition.  The
 tables go through the lane-packed butterfly a chunk at a time: each chunk
 is transformed in one call and round-tripped in a second, whose result
-must be 2^n * f(x) entry for entry.  Each table is classified once;
-decompose takes that spectrum and classification, and returns only
-decompositions that passed structure.verify_decomposition (mandated piece
-profile, exact cover), so that check runs once per table, inside
-decompose.  The kill-number bound
-uses structure.first_constant_codim, the scan behind kill_number, and runs
-it only when k + m <= n: otherwise the bound admits the points, on each of
-which every table is constant.
+must be 2^n * f(x) entry for entry.  Each check then runs as one pass over
+the chunk's tables, and each table is classified once, in one map of
+classify over the chunk's spectra; classify hands out one shared frozen
+Classification per (tag, k, m, t), so a pass over all 65,536 tables at
+n = 4 builds 21 of them rather than one per table.  decompose takes a
+table's spectrum and classification, and returns only decompositions
+that passed structure.verify_decomposition (mandated piece profile,
+exact cover), so that check runs once per table, inside decompose.  The
+kill-number bound uses structure.first_constant_codim, the scan behind
+kill_number, and runs it only when k + m <= n: otherwise the bound admits
+the points, on each of which every table is constant.  The library calls
+go through this module's globals, looked up at call time, so a replaced
+function sees every call.
 
 enumerate_verify_range covers one contiguous range of truth tables;
 merge_reports folds partial reports of one space associatively.
@@ -22,8 +27,10 @@ merge_reports folds partial reports of one space associatively.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import repeat
+from operator import attrgetter, mul
 
 from .boolfunc import BooleanFunction, apply_transform, shift
 from .errors import InputFormatError, TheoremViolationError
@@ -169,6 +176,15 @@ def enumerate_verify_range(
     k + m only when k + m <= n; a larger bound admits the points, so it
     holds without a scan (1,131 of the 65,535 nonzero tables at n = 4 need
     one).
+
+    Past the two butterfly calls, each check is one pass over the chunk:
+    Parseval on the flat coefficient tuple; the spectra, one map of
+    classify and one Counter of tags; granularity/sparsity; the kill
+    bound; decompose on the in-scope tables.  Each phase is timed once per
+    chunk.  A failure is kept as (table, rank of its check, name) and the
+    chunk's failures are sorted before they are reported, so violations
+    come table by table, and within a table in the order the checks are
+    listed above, whatever the chunk boundaries.
     """
     check_exhaustive_args(n)
     if not 0 <= start <= stop <= 1 << (1 << n):
@@ -180,9 +196,11 @@ def enumerate_verify_range(
     if masks_by_codim is None:
         masks_by_codim = [list(iter_affine_masks(n, n - c)) for c in range(n + 1)]
     timing = {"transform": 0.0, "classify": 0.0, "decompose": 0.0, "kill": 0.0}
+    counts: Counter[str] = Counter()
     t_all = time.perf_counter()
     for lo in range(start, stop, _CHUNK_TABLES):
         hi = min(lo + _CHUNK_TABLES, stop)
+        tables = range(lo, hi)
         t0 = time.perf_counter()
         # one format pass: tables hi - 1 down to lo, each written most
         # significant bit first; read backwards, that is every table's bits
@@ -191,51 +209,61 @@ def enumerate_verify_range(
         bits = digits[::-1].encode().translate(_ASCII_TO_BIT)
         coeffs = butterfly(bits, n)
         back = butterfly(coeffs, n)
-        bad_round_trip = set()
         try:
             round_trip_ok = bytes(back) == bits.translate(scale)
         except ValueError:  # an entry outside 0..255 is no 2^n * f(x)
             round_trip_ok = False
+        # (table, rank, check), ranked in the order the checks are listed
+        # for one table; sorted once the chunk is done
+        failed: list[tuple[int, int, str]] = []
         if not round_trip_ok:
-            bad_round_trip = {
-                lo + i // size for i, (u, b) in enumerate(zip(back, bits)) if u != size * b
-            }
+            bad = {lo + i // size for i, (u, b) in enumerate(zip(back, bits)) if u != size * b}
+            failed += [(table, 0, "round_trip") for table in bad]
         del back
-        timing["transform"] += time.perf_counter() - t0
-        for table, offset in zip(range(lo, hi), range(0, len(coeffs), size)):
-            report.examined += 1
-            t0 = time.perf_counter()
-            table_coeffs = coeffs[offset : offset + size]
-            if table in bad_round_trip:
-                report.violations.append((table, "round_trip"))
-            if sum(map(mul, table_coeffs, table_coeffs)) != table_coeffs[0] << n:
-                report.violations.append((table, "parseval"))
-            t1 = time.perf_counter()
-            timing["transform"] += t1 - t0
-            spectrum = Spectrum(n, table_coeffs)
-            cls = classify(spectrum)
-            report.counts[cls.tag] += 1
-            if table and not granularity_sparsity_holds(cls.k, sparsity(spectrum)):
-                report.violations.append((table, "granularity_sparsity"))
-            t2 = time.perf_counter()
-            timing["classify"] += t2 - t1
-            # f is constant on some flat of codimension at most k + m - 1;
-            # when k + m > n the points are among those flats, so only
-            # k + m <= n needs the scan
-            if (
-                table
-                and cls.k + cls.m <= n
-                and first_constant_codim(table, masks_by_codim[: cls.k + cls.m]) is None
-            ):
-                report.violations.append((table, "kill_bound"))
-            t3 = time.perf_counter()
-            timing["kill"] += t3 - t2
+        # size-tuples of the flat coefficient tuple, one per table
+        table_coeffs = list(zip(*[iter(coeffs)] * size))
+        squares = map(sum, zip(*[iter(map(mul, coeffs, coeffs))] * size))
+        failed += [
+            (table, 1, "parseval")
+            for table, square, f0 in zip(tables, squares, coeffs[::size])
+            if square != f0 << n
+        ]
+        t1 = time.perf_counter()
+        timing["transform"] += t1 - t0
+        spectra = list(map(Spectrum, repeat(n, hi - lo), table_coeffs))
+        classes = list(map(classify, spectra))
+        counts.update(map(attrgetter("tag"), classes))
+        failed += [
+            (table, 2, "granularity_sparsity")
+            for table, cls, spectrum in zip(tables, classes, spectra)
+            if table and not granularity_sparsity_holds(cls.k, sparsity(spectrum))
+        ]
+        t2 = time.perf_counter()
+        timing["classify"] += t2 - t1
+        # f is constant on some flat of codimension at most k + m - 1;
+        # when k + m > n the points are among those flats, so only
+        # k + m <= n needs the scan
+        failed += [
+            (table, 3, "kill_bound")
+            for table, cls in zip(tables, classes)
+            if table
+            and cls.k + cls.m <= n
+            and first_constant_codim(table, masks_by_codim[: cls.k + cls.m]) is None
+        ]
+        t3 = time.perf_counter()
+        timing["kill"] += t3 - t2
+        for table, spectrum, cls in zip(tables, spectra, classes):
             if cls.tag in IN_SCOPE_TAGS and table:
                 try:
                     decompose(BooleanFunction(n, table), spectrum, cls)
                 except TheoremViolationError:
-                    report.violations.append((table, "decomposition_failed"))
-            timing["decompose"] += time.perf_counter() - t3
+                    failed.append((table, 4, "decomposition_failed"))
+        timing["decompose"] += time.perf_counter() - t3
+        failed.sort()
+        report.violations += [(table, check) for table, _, check in failed]
+        report.examined += hi - lo
+    for tag, count in counts.items():
+        report.counts[tag] += count
     timing["total"] = time.perf_counter() - t_all
     report.timing_ms = {k: v * 1000.0 for k, v in timing.items()}
     return report

@@ -19,7 +19,7 @@ f itself with 2^n-bit masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import islice
 from operator import xor
 from typing import Iterable
@@ -78,7 +78,7 @@ def classify(s: Spectrum) -> Classification:
     coeffs = s.coeffs
     values = coefficient_values(s)
     if values == {0}:
-        return Classification(TAG_TRIVIAL, 0, 0)
+        return _classification(TAG_TRIVIAL, 0, 0)
     k = _granularity(n, values)
     unit = 1 << (n - k)
     # k is the granularity of a value set holding F(0), so unit divides it
@@ -88,15 +88,25 @@ def classify(s: Spectrum) -> Classification:
         allowed |= {2 * unit, -2 * unit}
     if m in (1, 2) and values <= allowed:
         return _in_scope(k, m)
-    return Classification(TAG_OUT_OF_SCOPE, k, m)
+    return _classification(TAG_OUT_OF_SCOPE, k, m)
 
 
 def _in_scope(k: int, m: int) -> Classification:
     """The classification of an in-scope spectrum with F(0) = m/2^k, m = 1 or 2."""
     if m == 1:
-        return Classification(TAG_RVL, k, 1)
+        return _classification(TAG_RVL, k, 1)
     tag = TAG_EXCEPTIONAL_K4 if k == 4 else TAG_TWO_SUBSPACE
-    return Classification(tag, k, 2, (1 << (k - 1)) - 1)
+    return _classification(tag, k, 2, (1 << (k - 1)) - 1)
+
+
+@lru_cache(maxsize=1024)
+def _classification(tag: str, k: int, m: int, t: int | None = None) -> Classification:
+    """The one Classification of each (tag, k, m, t).  It is frozen, so
+    every caller can share it; a pass over all 65,536 tables at n = 4 then
+    builds 21 of them instead of one per table, and the bound
+    keeps a long run over larger spectra, whose k and m vary more, from
+    growing the cache without limit."""
+    return Classification(tag, k, m, t)
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,28 @@ def oracle_granularity(s: Spectrum) -> int:
     )
 
 
+def oracle_classify(s: Spectrum) -> structure.Classification:
+    """classify from the definitions.  k is the granularity, u = 2^(n-k)
+    and m = F(0)/u, so that f^(0) = m/2^k.  The spectrum is in scope when
+    m = 1 and its values lie in {0, +-u}, or m = 2 and they lie in
+    {0, +-u, +-2u}; an m = 2 spectrum is the exceptional candidate when
+    k = 4, and its negative class must hold t = 2^(k-1) - 1 masks."""
+    values = set(s.coeffs)
+    if values == {0}:
+        return structure.Classification(structure.TAG_TRIVIAL, 0, 0)
+    k = oracle_granularity(s)
+    u = 2 ** (s.n - k)
+    m = Fraction(s.coeffs[0], u)
+    assert m.denominator == 1, "u divides every coefficient of granularity k"
+    m = int(m)
+    if m == 1 and values <= {0, u, -u}:
+        return structure.Classification(structure.TAG_RVL, k, 1)
+    if m == 2 and values <= {0, u, -u, 2 * u, -2 * u}:
+        tag = structure.TAG_EXCEPTIONAL_K4 if k == 4 else structure.TAG_TWO_SUBSPACE
+        return structure.Classification(tag, k, 2, 2 ** (k - 1) - 1)
+    return structure.Classification(structure.TAG_OUT_OF_SCOPE, k, m)
+
+
 def oracle_even_zohar_s(k: Fraction) -> int:
     """Count s up from 1 until the bracket [low(s), low(s + 1)) contains k,
     where low(s) = (C(s,2) + s + 1) / (s + 1); compared by cross-multiplying.

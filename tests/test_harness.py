@@ -6,7 +6,8 @@ from f2spec import fourier, harness, structure
 from f2spec.boolfunc import BooleanFunction, apply_transform, tensor
 from f2spec.errors import TheoremViolationError
 from f2spec.families import counterexample_padded, delta
-from f2spec.fourier import wht
+from f2spec.fourier import sparsity, wht
+from f2spec.gf2 import iter_affine_masks
 from f2spec.harness import (
     SplitMix64,
     enumerate_verify,
@@ -186,6 +187,105 @@ def test_round_trip_failure_names_only_the_corrupted_table(monkeypatch, corrupt)
     r = enumerate_verify_range(4, 1000, 3000)
     assert r.examined == 2000
     assert r.violations == [(1037, "round_trip")]
+
+
+# tables that a test forces to fail each check; 1290 and 2400 are 2-flats,
+# in scope with k + m = 3, whose shape (k, s) = (2, 4) is made to fail the
+# granularity/sparsity relation, so 1290 fails three checks and 2400 two
+FORCED_ROUND_TRIP = {1100, 2400}
+FORCED_SHAPE = (2, 4)
+FORCED_KILL = {1290, 2049}
+FORCED_DECOMPOSE = {1025, 1290, 2310}
+CHECK_ORDER = ["round_trip", "parseval", "granularity_sparsity", "kill_bound", "decomposition_failed"]
+
+
+def force_violations(monkeypatch):
+    """Make the forced tables fail: corrupt one lane of their round trips
+    (the butterfly's second call on a chunk, which gets coefficients, not
+    bits), and replace the three checks that the harness calls."""
+    real_butterfly = harness.butterfly
+    real_kill = harness.first_constant_codim
+    real_decompose = harness.decompose
+
+    def butterfly(values, n):
+        out = real_butterfly(values, n)
+        if isinstance(values, bytes):
+            return out
+        size = 1 << n
+        lanes = list(out)
+        for offset in range(0, len(lanes), size):
+            # the round trip gives back 2^n * f(x), so each slice names its table
+            table = sum(v // size << x for x, v in enumerate(lanes[offset : offset + size]))
+            if table in FORCED_ROUND_TRIP:
+                lanes[offset + 3] += 1
+        return tuple(lanes)
+
+    def holds(gran, s):
+        return (gran, s) != FORCED_SHAPE and granularity_sparsity_holds(gran, s)
+
+    def first_constant_codim(table, masks_by_codim):
+        return None if table in FORCED_KILL else real_kill(table, masks_by_codim)
+
+    def decompose(f, spectrum=None, cls=None):
+        if f.table in FORCED_DECOMPOSE:
+            raise TheoremViolationError("forced for the test")
+        return real_decompose(f, spectrum, cls)
+
+    monkeypatch.setattr(harness, "butterfly", butterfly)
+    monkeypatch.setattr(harness, "granularity_sparsity_holds", holds)
+    monkeypatch.setattr(harness, "first_constant_codim", first_constant_codim)
+    monkeypatch.setattr(harness, "decompose", decompose)
+
+
+def per_table_violations(n, start, stop):
+    """The violations the checks give one table at a time, in table order
+    and, within a table, in the order the checks are listed."""
+    masks = [list(iter_affine_masks(n, n - c)) for c in range(n + 1)]
+    out = []
+    for table in range(start, stop):
+        s = wht(BooleanFunction(n, table))
+        cls = classify(s)
+        if table in FORCED_ROUND_TRIP:
+            out.append((table, "round_trip"))
+        if sum(c * c for c in s.coeffs) != s.coeffs[0] << n:
+            out.append((table, "parseval"))
+        if not table:
+            continue
+        if not harness.granularity_sparsity_holds(cls.k, sparsity(s)):
+            out.append((table, "granularity_sparsity"))
+        if (
+            cls.k + cls.m <= n
+            and harness.first_constant_codim(table, masks[: cls.k + cls.m]) is None
+        ):
+            out.append((table, "kill_bound"))
+        if cls.tag in structure.IN_SCOPE_TAGS:
+            try:
+                harness.decompose(BooleanFunction(n, table), s, cls)
+            except TheoremViolationError:
+                out.append((table, "decomposition_failed"))
+    return out
+
+
+def test_violations_come_table_by_table_in_check_order(monkeypatch):
+    force_violations(monkeypatch)
+    # 1000..3047 is two chunks, 1000..2023 and 2024..3047; the halves split
+    # at 2000 and chunk differently
+    whole = enumerate_verify_range(4, 1000, 3048)
+    expected = per_table_violations(4, 1000, 3048)
+    assert whole.violations == expected
+    merged = merge_reports(
+        enumerate_verify_range(4, 1000, 2000), enumerate_verify_range(4, 2000, 3048)
+    )
+    assert merged.violations == whole.violations
+    assert merged.counts == whole.counts
+    # the forcing is live: failures in both chunks, interleaved checks, and
+    # one table that fails three of them
+    tables = [table for table, _ in expected]
+    checks = [check for _, check in expected]
+    assert tables.count(1290) == 3
+    assert set(checks) == set(CHECK_ORDER) - {"parseval"}
+    assert checks != sorted(checks, key=CHECK_ORDER.index)
+    assert min(tables) < 2024 <= max(tables)
 
 
 def test_enumerate_verify_transforms_a_bounded_chunk_per_call(monkeypatch):

@@ -1,7 +1,10 @@
+import dataclasses
 import functools
 from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f2spec import structure
 from f2spec.addcomb import sumset
@@ -54,6 +57,7 @@ from conftest import (
     oracle_lift_flat,
     oracle_lift_point,
     oracle_dense_reduce,
+    oracle_classify,
     oracle_two_flat_pieces,
     shift_spectrum,
     span_points,
@@ -88,6 +92,50 @@ def test_classify_constants():
 def test_classify_or_is_out_of_scope():
     cls = classify(wht(OR2))
     assert (cls.tag, cls.k, cls.m) == (TAG_OUT_OF_SCOPE, 2, 3)
+
+
+def test_classify_matches_the_oracle_on_every_n4_table():
+    for table in range(1 << 16):
+        s = wht(BooleanFunction(4, table))
+        assert classify(s) == oracle_classify(s), table
+
+
+@st.composite
+def classify_tables(draw):
+    """A table on 5 to 10 inputs (6 to 10 for counterexample-padded):
+    random, a few points, or a seeded image of an affine, two-affine or
+    counterexample-padded instance, so that every tag turns up."""
+    n = draw(st.integers(5, 10))
+    kind = draw(st.sampled_from(["random", "points", "affine", "two-affine", "counterexample"]))
+    if kind == "random":
+        return BooleanFunction(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+    if kind == "points":
+        points = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+        return BooleanFunction.from_support(n, points)
+    if kind == "affine":
+        base = affine_indicator(n, draw(st.integers(0, n)))
+    elif kind == "two-affine":
+        base = two_affine(n, draw(st.integers(1, (n + 1) // 2)))
+    else:
+        base = counterexample_padded(max(n, 6))
+    return image(base, draw(st.integers(0, 1 << 16)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(classify_tables())
+def test_classify_matches_the_oracle_at_larger_n(f):
+    s = wht(f)
+    assert classify(s) == oracle_classify(s)
+
+
+def test_classify_shares_one_frozen_classification_per_shape():
+    # two different lines of F_2^3 classify alike, to the same object
+    a = classify(wht(BooleanFunction.from_support(3, [1, 6])))
+    b = classify(wht(BooleanFunction.from_support(3, [0, 7])))
+    assert a == Classification(TAG_RVL, 2, 1)
+    assert a is b
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.tag = TAG_OUT_OF_SCOPE
 
 
 def test_classify_two_point_support_is_single_subspace():
