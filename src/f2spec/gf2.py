@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import or_
-from typing import Iterable, Iterator
+from operator import itemgetter, or_
+from typing import Iterable, Iterator, Sequence
 
 MAX_DIMENSION = 24
 
@@ -295,20 +295,35 @@ def _translates(mask: int, swaps: list) -> list[int]:
     return out
 
 
-def _spans(rows: list) -> Iterator[int]:
-    """Span masks of every value assignment to the RREF rows, the first
-    row fastest.  The span of the slower rows is built once per assignment;
-    its translates by each value of the first row (the pivot bit, then each
-    free bit in increasing order doubling the list) cost one masked
-    delta-swap per value."""
+@lru_cache(maxsize=64)
+def _xor_gather(size: int, t: int) -> itemgetter:
+    """Gathers entry j ^ (2^(t+1) - 1) of a sequence of `size` entries into
+    place j, for every j: one tuple of `size` indices per cached (size, t)."""
+    low = (2 << t) - 1
+    return itemgetter(*[j ^ low for j in range(size)])
+
+
+def _moved_lists(span: list[int], row: tuple) -> Iterator[Sequence[int]]:
+    """For each value e_p + t_i of the row, in order, the translates
+    span[j ^ i] + e_p over every j.  The first is one masked delta-swap per
+    entry; value i's is value i - 1's gathered through the row's steps."""
+    stride, m, steps = row
+    moved: Sequence[int] = [((x & m) << stride) | ((x >> stride) & m) for x in span]
+    yield moved
+    for step in steps:
+        moved = step(moved)
+        yield moved
+
+
+def _span_lists(span: list[int], rows: list) -> Iterator[list[int]]:
+    """The translate list of every span that adds the rows, in order, to
+    the partial span whose translate list is given; the last row counts
+    fastest.  Each child list is one OR per entry."""
     if not rows:
-        yield 1
+        yield span
         return
-    (pivot_stride, pivot_mask), free = rows[0]
-    for span in _spans(rows[1:]):
-        moved = ((span & pivot_mask) << pivot_stride) | ((span >> pivot_stride) & pivot_mask)
-        for x in _translates(moved, free):
-            yield span | x
+    for moved in _moved_lists(span, rows[0]):
+        yield from _span_lists(list(map(or_, span, moved)), rows[1:])
 
 
 def iter_affine_masks(n: int, dim: int) -> Iterator[int]:
@@ -322,40 +337,50 @@ def iter_affine_masks(n: int, dim: int) -> Iterator[int]:
     in increasing order of their smallest point.
 
     Everything is whole-mask work: translating a mask by e_q is one masked
-    delta-swap with stride 2^q.  The span S of rows 1..dim-1 is built once
-    for each value of those rows (_spans: the span of the slower rows OR
-    its translate by each value of the faster row).  With t_j the sum of
-    the free (non-pivot) coordinates picked by the bits of j, A[j] = S + t_j
-    lists S's translates by doubling over the free coordinates in
-    increasing order, and B[j] = A[j] + e_p moves each by row 0's pivot p.
-    Row 0's free bits lie below p, so they are the first free coordinates
-    and its value of index i is e_p + t_i.  The direction of that value is
-    S | (S + e_p + t_i), and its coset through t_j is A[j] | B[i ^ j]: one
-    OR per mask, after 2^(n-dim+1) delta-swaps per S that the 2^f values
-    of row 0 (f its free bits) share.  The smallest point of a coset of an
-    RREF subspace is its member with every pivot bit clear, which is t_j
-    for the coset through t_j, so the cosets come by increasing smallest
-    point.  Lazy: each row holds one translate list at a time, beside A
-    and B.
+    delta-swap with stride 2^q.  With t_j the sum of the free (non-pivot)
+    coordinates picked by the bits of j, each partial span S travels down
+    the rows, from the lowest pivot to row 0, as its list of translates
+    S + t_j over the 2^(n-dim) cosets j, which start as the points t_j
+    themselves.  A row's free bits lie below its pivot p, so they are the
+    first free coordinates, and its value of index i is e_p + t_i.  The
+    span that adds it is S | (S + e_p + t_i), whose coset through t_j is
+    S[j] | moved[j ^ i] with moved[j] = S[j] + e_p: the parent list is
+    moved by the pivot once, one delta-swap per entry, and the child list
+    is one OR per entry.  The XOR step: value i's list moved[j ^ i] is
+    value i - 1's list gathered through j -> j ^ (2^(t+1) - 1), as
+    i ^ (i - 1) = 2^(t+1) - 1 for t the lowest set bit of i, so each
+    further value costs one C-level itemgetter call.  Row 0 yields its ORs
+    straight from the map.  The smallest point of a coset of an RREF
+    subspace is its member with every pivot bit clear, which is t_j for
+    the coset through t_j, so the cosets come by increasing smallest point.
+
+    Lazy, in bounded memory: at most 2*dim lists of 2^(n-dim) masks are
+    live (the points, a moved list for each row and a child list for each
+    row but row 0), plus one while a gather runs, and the itemgetters sit
+    in a bounded cache keyed by (2^(n-dim), t), never in a table of all
+    4^(n-dim) indices.  At dim = n every row has the one value e_p, as no
+    free coordinate lies below any pivot.
     """
     check_dimension(n)
     if dim < 0 or dim > n:
         return
-    swaps = [(1 << q, m) for q, m in enumerate(swap_masks(n))]
+    swaps = swap_masks(n)
     if not dim:  # the points themselves
-        yield from _translates(1, swaps)
+        yield from _translates(1, [(1 << q, m) for q, m in enumerate(swaps)])
         return
+    size = 1 << (n - dim)
     for pivots in combinations(range(n - 1, -1, -1), dim):
         pivot_bits = sum(1 << p for p in pivots)
-        free = [swaps[q] for q in range(n) if not (pivot_bits >> q) & 1]
-        rows = [(swaps[p], [sw for sw in free if sw[0] < 1 << p]) for p in pivots]
-        (stride, m), row_free = rows[0]
-        for span in _spans(rows[1:]):
-            a = _translates(span, free)
-            b = [((x & m) << stride) | ((x >> stride) & m) for x in a]
-            cosets = range(len(a))
-            for i in range(1 << len(row_free)):
-                yield from map(or_, a, map(b.__getitem__, map(i.__xor__, cosets)))
+        free = [(1 << q, swaps[q]) for q in range(n) if not (pivot_bits >> q) & 1]
+        rows = []
+        for r, p in enumerate(reversed(pivots)):
+            # the r-th pivot from the bottom has p - r free coordinates below it
+            steps = [_xor_gather(size, (i & -i).bit_length() - 1) for i in range(1, 1 << (p - r))]
+            rows.append((1 << p, swaps[p], steps))
+        *slower, first = rows
+        for span in _span_lists(_translates(1, free), slower):
+            for moved in _moved_lists(span, first):
+                yield from map(or_, span, moved)
 
 
 def max_flat_through(n: int, point: int, points: Iterable[int]) -> AffineSubspace:

@@ -329,18 +329,22 @@ def test_subspaces_match_per_bit_oracle_up_to_n7():
 
 
 @pytest.mark.parametrize(
-    "n, dims", [(7, range(-1, 9)), (8, range(4, 9))], ids=["n7-all-dims", "n8-kill-search-dims"]
+    "n, dims",
+    [(7, range(-1, 9)), (8, [1, 2, *range(4, 9)])],
+    ids=["n7-all-dims", "n8-kill-search-dims"],
 )
 def test_affine_masks_match_subspace_reference(n, dims):
     # streamed side by side: F_2^8 has 3.2 million 4-flats; a missing or
-    # extra mask at the end shows as the sentinel
+    # extra mask at the end shows as the sentinel.  At n = 8, dim 1 has a
+    # row 0 with 7 free coordinates, the longest chain of XOR steps that a
+    # kill search meets, and dim 2 has 64 cosets per direction
     end = object()
     for dim in dims:
         new, old = iter_affine_masks(n, dim), reference_affine_masks(n, dim)
         assert all(a == b for a, b in zip_longest(new, old, fillvalue=end)), dim
 
 
-@pytest.mark.parametrize("dim", [0, 1, 4, 7])
+@pytest.mark.parametrize("dim", [0, 1, 2, 4, 7])
 def test_affine_masks_are_lazy(dim):
     # the first mask must not wait for a materialised list of directions:
     # pivots (7, 6, 5, 4) alone have 65,536 of them

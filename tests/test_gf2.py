@@ -277,10 +277,12 @@ def test_iter_subspaces_counts(n):
 
 
 def test_iter_affine_masks_counts_and_sizes():
-    masks = list(iter_affine_masks(4, 2))
-    assert len(masks) == gaussian_binomial(4, 2) * 4
-    assert all(m.bit_count() == 4 for m in masks)
-    assert len(set(masks)) == len(masks)
+    for n in range(8):
+        for dim in range(n + 1):
+            masks = list(iter_affine_masks(n, dim))
+            assert len(masks) == gaussian_binomial(n, dim) << (n - dim), (n, dim)
+            assert all(m.bit_count() == 1 << dim for m in masks), (n, dim)
+            assert len(set(masks)) == len(masks), (n, dim)
 
 
 def test_max_flat_through_finds_pair_in_counterexample_support():
