@@ -18,6 +18,7 @@ from .gf2 import (
     check_dimension,
     check_vector,
     int_to_bits,
+    span_points,
     xor_translate,
 )
 
@@ -92,12 +93,13 @@ def tensor(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
 def apply_transform(f: BooleanFunction, m: GF2Matrix) -> BooleanFunction:
     """g(x) = f(Mx).  The spectrum is the permutation beta -> (M^T)^-1 beta.
 
-    A gather of the table's bits through the list of images M x.
+    A gather of the table's bits through the list of images M x, the
+    sums of M's columns in binary counting order.
     """
     if f.n != m.n:
         raise ValueError("function and matrix dimensions differ")
     bits = format(f.table, f"0{1 << f.n}b")[::-1]
-    gathered = "".join(map(bits.__getitem__, m.images()))
+    gathered = "".join(map(bits.__getitem__, span_points(m.columns())))
     return BooleanFunction(f.n, int(gathered[::-1], 2))
 
 

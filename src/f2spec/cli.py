@@ -111,34 +111,31 @@ def _emit(obj) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     cmd = args.command
-    if cmd == "spectrum":
-        f = jsonio.load_function(args.path)
-        jsonio.write_spectrum(wht(f), sys.stdout, nonzero_only=args.nonzero_only)
-    elif cmd == "classify":
-        f = jsonio.load_function(args.path)
-        _emit(jsonio.classification_to_obj(classify(wht(f))))
-    elif cmd == "decompose":
-        f = jsonio.load_function(args.path)
-        _emit(jsonio.decomposition_to_obj(decompose(f)))
-    elif cmd == "granularity":
-        f = jsonio.load_function(args.path)
-        _emit({"granularity": granularity(wht(f))})
-    elif cmd == "sparsity":
-        f = jsonio.load_function(args.path)
-        _emit({"sparsity": sparsity(wht(f))})
-    elif cmd == "kill-number":
-        f = jsonio.load_function(args.path)
-        _emit({"kill_number": kill_number(f)})
-    elif cmd == "generate":
+    if cmd == "addcomb":
+        return _run_addcomb(args)
+    if cmd == "verify":
+        return _run_verify(args)
+    if cmd == "generate":
         try:
             f = generate(args.family, n=args.n, k=args.k)
         except ValueError as exc:
             raise InputFormatError(str(exc)) from exc
         _emit(jsonio.function_to_obj(f))
-    elif cmd == "addcomb":
-        return _run_addcomb(args)
-    elif cmd == "verify":
-        return _run_verify(args)
+        return EXIT_OK
+    # every other command reads one function from --in
+    f = jsonio.load_function(args.path)
+    if cmd == "spectrum":
+        jsonio.write_spectrum(wht(f), sys.stdout, nonzero_only=args.nonzero_only)
+    elif cmd == "classify":
+        _emit(jsonio.classification_to_obj(classify(wht(f))))
+    elif cmd == "decompose":
+        _emit(jsonio.decomposition_to_obj(decompose(f)))
+    elif cmd == "granularity":
+        _emit({"granularity": granularity(wht(f))})
+    elif cmd == "sparsity":
+        _emit({"sparsity": sparsity(wht(f))})
+    elif cmd == "kill-number":
+        _emit({"kill_number": kill_number(f)})
     return EXIT_OK
 
 

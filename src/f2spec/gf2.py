@@ -121,14 +121,6 @@ class Subspace:
     n: int
     basis: tuple[int, ...]
 
-    @staticmethod
-    def spanned_by(n: int, vectors: Iterable[int]) -> "Subspace":
-        check_dimension(n)
-        vs = list(vectors)
-        for v in vs:
-            check_vector(v, n)
-        return Subspace(n, rref(vs))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -144,20 +136,34 @@ class Subspace:
         return self.reduce_mod(v) == 0
 
     def points(self) -> list[int]:
-        pts = [0]
-        for b in self.basis:
-            pts += [p ^ b for p in pts]
-        return pts
+        return span_points(self.basis)
+
+
+def span_points(vectors: Iterable[int]) -> list[int]:
+    """The sums of every subset of the vectors in binary counting order:
+    entry y is the sum of the j-th vector over the set bits j of y.  One
+    doubling per vector: a comprehension, which beats map(v.__xor__, ...)
+    at every size, as XOR in bytecode skips the method-wrapper call."""
+    points = [0]
+    for v in vectors:
+        points += [p ^ v for p in points]
+    return points
 
 
 def linear_span(n: int, points: Iterable[int]) -> Subspace:
-    """Smallest subspace containing the points; empty input gives {0}."""
-    return Subspace.spanned_by(n, points)
+    """Smallest subspace containing the points; empty input gives {0}.
+    Raises ValueError for a dimension out of range or a point outside
+    F_2^n."""
+    check_dimension(n)
+    vs = list(points)
+    for v in vs:
+        check_vector(v, n)
+    return Subspace(n, rref(vs))
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:
     """All vectors orthogonal to every basis row; dim is n - dim(v)."""
-    return Subspace.spanned_by(v.n, complement_generators(v.n, v.basis))
+    return linear_span(v.n, complement_generators(v.n, v.basis))
 
 
 def complement_generators(n: int, rows: Iterable[int]) -> list[int]:
@@ -247,13 +253,6 @@ class GF2Matrix:
         """M e_1, ..., M e_n."""
         return _transpose_rows(self.n, self.rows)
 
-    def images(self) -> list[int]:
-        """[M x for x in range(2^n)], built by doubling over the columns."""
-        out = [0]
-        for col in self.columns():
-            out += list(map(col.__xor__, out))
-        return out
-
 
 def transform_sending_to_first(n: int, basis: Iterable[int]) -> GF2Matrix:
     """Invertible L whose spectrum action moves basis[i] to e_(i+1).
@@ -284,15 +283,6 @@ def transform_sending_to_first(n: int, basis: Iterable[int]) -> GF2Matrix:
         )
     cols = (*pivots, *complement_generators(n, basis))
     return GF2Matrix(n, _transpose_rows(n, cols))
-
-
-def _translates(mask: int, swaps: list) -> list[int]:
-    """The mask translated by every sum of the swaps' coordinates, doubling
-    over them in order: one masked delta-swap per translate."""
-    out = [mask]
-    for stride, m in swaps:
-        out += [((x & m) << stride) | ((x >> stride) & m) for x in out]
-    return out
 
 
 @lru_cache(maxsize=64)
@@ -341,8 +331,9 @@ def iter_affine_masks(n: int, dim: int) -> Iterator[int]:
     coordinates picked by the bits of j, each partial span S travels down
     the rows, from the lowest pivot to row 0, as its list of translates
     S + t_j over the 2^(n-dim) cosets j, which start as the points t_j
-    themselves.  A row's free bits lie below its pivot p, so they are the
-    first free coordinates, and its value of index i is e_p + t_i.  The
+    themselves: 1 << t_j over span_points of the free unit vectors.  A
+    row's free bits lie below its pivot p, so they are the first free
+    coordinates, and its value of index i is e_p + t_i.  The
     span that adds it is S | (S + e_p + t_i), whose coset through t_j is
     S[j] | moved[j ^ i] with moved[j] = S[j] + e_p: the parent list is
     moved by the pivot once, one delta-swap per entry, and the child list
@@ -364,21 +355,21 @@ def iter_affine_masks(n: int, dim: int) -> Iterator[int]:
     check_dimension(n)
     if dim < 0 or dim > n:
         return
-    swaps = swap_masks(n)
-    if not dim:  # the points themselves
-        yield from _translates(1, [(1 << q, m) for q, m in enumerate(swaps)])
+    if not dim:  # the points themselves, in order
+        yield from map((1).__lshift__, span_points([1 << q for q in range(n)]))
         return
+    swaps = swap_masks(n)
     size = 1 << (n - dim)
     for pivots in combinations(range(n - 1, -1, -1), dim):
         pivot_bits = sum(1 << p for p in pivots)
-        free = [(1 << q, swaps[q]) for q in range(n) if not (pivot_bits >> q) & 1]
+        free = [1 << q for q in range(n) if not (pivot_bits >> q) & 1]
         rows = []
         for r, p in enumerate(reversed(pivots)):
             # the r-th pivot from the bottom has p - r free coordinates below it
             steps = [_xor_gather(size, (i & -i).bit_length() - 1) for i in range(1, 1 << (p - r))]
             rows.append((1 << p, swaps[p], steps))
         *slower, first = rows
-        for span in _span_lists(_translates(1, free), slower):
+        for span in _span_lists([1 << t for t in span_points(free)], slower):
             for moved in _moved_lists(span, first):
                 yield from map(or_, span, moved)
 
@@ -408,5 +399,5 @@ def max_flat_through(n: int, point: int, points: Iterable[int]) -> AffineSubspac
         basis.append(cand)
         span |= xor_translate(span, cand, n)
         ok &= xor_translate(ok, cand, n)
-    return AffineSubspace(point, Subspace.spanned_by(n, basis))
+    return AffineSubspace(point, linear_span(n, basis))
 

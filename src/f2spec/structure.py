@@ -45,6 +45,7 @@ from .gf2 import (
     max_flat_through,
     orthogonal_complement,
     rref,
+    span_points,
     transform_sending_to_first,
     xor_translate,
 )
@@ -451,11 +452,8 @@ def _spectral_quotient(g: BooleanFunction, vectors: list[int]) -> BooleanFunctio
     i of y has pi(sec(y)) = y, since each pivot lies in one row only, so
     g = h o pi, and h(0) = 1.
     """
-    points = [0]
-    for v in vectors:
-        points += list(map(v.__xor__, points))
     table = g.table.to_bytes(((1 << g.n) + 7) >> 3, "little")
-    h_bits = bytes(table[x >> 3] >> (x & 7) & 1 for x in points)
+    h_bits = bytes(table[x >> 3] >> (x & 7) & 1 for x in span_points(vectors))
     return BooleanFunction(len(vectors), bits_to_int(h_bits))
 
 
@@ -466,10 +464,7 @@ def _subspace_rows(members: list[int], what: str) -> tuple[int, ...]:
     TheoremViolationError says that what (the masks listed) do not form a
     subspace."""
     rows = tuple(members[1 << j] for j in reversed(range(len(members).bit_length() - 1)))
-    span = [0]
-    for r in reversed(rows):
-        span += [x ^ r for x in span]
-    if span != members:
+    if span_points(reversed(rows)) != members:
         raise TheoremViolationError(f"{what} do not form a subspace")
     return rows
 

@@ -8,9 +8,10 @@ paths, so the two can check each other.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations, compress, product
 from math import comb
-from operator import mul, neg
+from operator import mul, neg, xor
 
 import pytest
 
@@ -30,6 +31,7 @@ from f2spec.gf2 import (
     linear_span,
     orthogonal_complement,
     rref,
+    span_points,
     transform_sending_to_first,
     xor_translate,
 )
@@ -139,7 +141,7 @@ def oracle_lift_flat(trace, flat: AffineSubspace) -> AffineSubspace:
     basis = [oracle_lift_point(trace, v) ^ c for v in flat.direction.basis]
     return AffineSubspace(
         oracle_lift_point(trace, flat.shift),
-        Subspace.spanned_by(trace.original_n, basis),
+        linear_span(trace.original_n, basis),
     )
 
 
@@ -225,11 +227,14 @@ def indicator_spectrum(n: int, shift: int, perp_points: list[int], codim: int) -
     return coeffs
 
 
-def span_points(gens: list[int]) -> list[int]:
-    pts = [0]
-    for g in gens:
-        pts += [p ^ g for p in pts]
-    return pts
+def oracle_span_points(gens) -> list[int]:
+    """Every subset sum of gens in binary counting order, one subset at a
+    time: entry y is the XOR of gens[j] over the set bits j of y."""
+    gens = list(gens)
+    return [
+        reduce(xor, compress(gens, (y >> j & 1 for j in range(len(gens)))), 0)
+        for y in range(1 << len(gens))
+    ]
 
 
 def expected_two_affine_spectrum(n: int, k: int) -> list[int]:
@@ -240,8 +245,8 @@ def expected_two_affine_spectrum(n: int, k: int) -> list[int]:
     indicator spectra is an independent route to the same coefficients.
     """
     ek = 1 << (k - 1)
-    v1_perp = span_points([1 << i for i in range(k)])
-    v2_perp = span_points([1 << i for i in range(k - 1, 2 * k - 1)])
+    v1_perp = oracle_span_points([1 << i for i in range(k)])
+    v2_perp = oracle_span_points([1 << i for i in range(k - 1, 2 * k - 1)])
     a = indicator_spectrum(n, ek, v1_perp, k)
     b = indicator_spectrum(n, 0, v2_perp, k)
     return [x + y for x, y in zip(a, b)]
@@ -441,7 +446,7 @@ def transform_spectrum(s: Spectrum, m: GF2Matrix) -> Spectrum:
     """Spectrum of x -> f(Mx) from the spectrum of f: G(gamma) = F(P gamma)
     with P = (M^-1)^T, a gather through the images of P of all 2^n masks.
     structure.reduce_to_core gathers only the images it keeps."""
-    images = transpose_matrix(oracle_inverse(m)).images()
+    images = span_points(transpose_matrix(oracle_inverse(m)).columns())
     return Spectrum(s.n, tuple(map(s.coeffs.__getitem__, images)))
 
 
@@ -610,7 +615,7 @@ def oracle_flat_partition(n: int, points, dim: int, count: int):
     for span in _subspaces_within(frozenset(x ^ p for x in pts), dim):
         rest = oracle_flat_partition(n, pts - {p ^ s for s in span}, dim, count - 1)
         if rest is not None:
-            return [AffineSubspace(p, Subspace.spanned_by(n, span)), *rest]
+            return [AffineSubspace(p, linear_span(n, span)), *rest]
     return None
 
 
@@ -707,7 +712,7 @@ def oracle_affine_masks(n: int, dim: int):
     """Coset masks of each oracle subspace, one point at a time, cosets in
     increasing order of their smallest point."""
     for sub in oracle_subspaces(n, dim):
-        pts = span_points(list(sub.basis))
+        pts = oracle_span_points(sub.basis)
         covered = 0
         for rep in range(1 << n):
             if (covered >> rep) & 1:

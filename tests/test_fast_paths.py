@@ -34,10 +34,10 @@ from f2spec.fourier import (
 )
 from f2spec.gf2 import (
     AffineSubspace,
-    Subspace,
     bits_to_int,
     int_to_bits,
     iter_affine_masks,
+    linear_span,
     max_flat_through,
     transform_sending_to_first,
 )
@@ -235,7 +235,7 @@ def test_max_flat_through_matches_set_greedy_exhaustively():
 
 
 def max_flat_through_reference(n, point, supp):
-    return AffineSubspace(point, Subspace.spanned_by(n, oracle_max_flat_basis(point, supp)))
+    return AffineSubspace(point, linear_span(n, oracle_max_flat_basis(point, supp)))
 
 
 def test_spectral_rules_match_transforms_exhaustively_up_to_n3():

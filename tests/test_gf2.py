@@ -16,6 +16,7 @@ from f2spec.gf2 import (
     max_flat_through,
     orthogonal_complement,
     rref,
+    span_points,
     swap_masks,
     transform_sending_to_first,
     xor_translate,
@@ -31,6 +32,7 @@ from conftest import (
     oracle_inverse,
     oracle_rank,
     oracle_shift,
+    oracle_span_points,
     oracle_transform_sending_to_first,
     transpose_matrix,
 )
@@ -59,6 +61,28 @@ def test_linear_span_standard_vectors():
 
 def test_linear_span_absorbs_dependent_vector():
     assert linear_span(4, [1, 2, 3]).dim == 2
+
+
+def test_linear_span_rejects_a_bad_dimension_or_vector():
+    for n in (-1, 25):
+        with pytest.raises(ValueError, match="dimension"):
+            linear_span(n, [])
+    for v in (16, -1):
+        with pytest.raises(ValueError, match="does not fit"):
+            linear_span(4, [1, v])
+    assert linear_span(4, [15]).basis == (15,)
+
+
+def test_span_points_are_the_subset_sums_in_counting_order():
+    rng = random.Random(11)
+    cases = [[], [0], [5], [1, 2, 4], [3, 3], [1, 2, 3], [6, 0, 6, 5], [7, 1, 6, 1]]
+    cases += [[rng.getrandbits(6) for _ in range(rng.randint(0, 8))] for _ in range(40)]
+    for vectors in cases:
+        assert span_points(vectors) == oracle_span_points(vectors), vectors
+    # entry y is the sum over the set bits of y, repeats and zeros included
+    assert span_points([]) == [0]
+    assert span_points([3, 3]) == [0, 3, 3, 0]
+    assert span_points(iter([4, 0, 1])) == [0, 4, 0, 4, 1, 5, 1, 5]
 
 
 def test_linear_span_idempotent_and_monotone():
@@ -285,6 +309,11 @@ def test_iter_affine_masks_counts_and_sizes():
             assert len(set(masks)) == len(masks), (n, dim)
 
 
+def test_affine_masks_of_dimension_0_are_the_points_in_order():
+    for n in range(9):
+        assert list(iter_affine_masks(n, 0)) == [1 << x for x in range(1 << n)]
+
+
 def test_max_flat_through_finds_pair_in_counterexample_support():
     supp = [0, 31, 47, 55, 59, 61, 62, 63]
     flat = max_flat_through(6, 0, supp)
@@ -347,4 +376,4 @@ def test_matrix_columns_are_the_images_of_the_unit_vectors():
             except ValueError:
                 continue
         assert m.columns() == tuple(oracle_apply(m, 1 << i) for i in range(n))
-        assert m.images() == [oracle_apply(m, x) for x in range(1 << n)]
+        assert span_points(m.columns()) == [oracle_apply(m, x) for x in range(1 << n)]

@@ -23,7 +23,14 @@ from f2spec.boolfunc import BooleanFunction, shift, tensor
 from f2spec.errors import TheoremViolationError
 from f2spec.families import affine_indicator, counterexample_padded, delta, two_affine
 from f2spec.fourier import wht
-from f2spec.gf2 import AffineSubspace, Subspace, affine_span, complement_generators, rref
+from f2spec.gf2 import (
+    AffineSubspace,
+    Subspace,
+    affine_span,
+    complement_generators,
+    linear_span,
+    rref,
+)
 from f2spec.harness import SplitMix64, random_vector
 from f2spec.structure import (
     IN_SCOPE_TAGS,
@@ -421,12 +428,12 @@ def test_quotient_lift_keeps_the_dimension_and_lifts_every_point():
         assert all(
             oracle_lift_point(trace, y) == through_h(y) for y in range(1 << core.n)
         )
-        kernel = Subspace.spanned_by(f.n, complement_generators(f.n, sigma))
-        assert Subspace.spanned_by(f.n, trace.kernel) == kernel
+        kernel = linear_span(f.n, complement_generators(f.n, sigma))
+        assert linear_span(f.n, trace.kernel) == kernel
         assert len(trace.kernel) == kernel.dim
         for _ in range(4):
             gens = [random_vector(core.n, rng) for _ in range(rng.below(core.n + 1))]
-            flat = AffineSubspace(random_vector(core.n, rng), Subspace.spanned_by(core.n, gens))
+            flat = AffineSubspace(random_vector(core.n, rng), linear_span(core.n, gens))
             lifted = trace.lift(flat)
             assert lifted.dim == flat.dim + kernel.dim
             points = {through_h(y) ^ v for y in flat.points() for v in kernel.points()}

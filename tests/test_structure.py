@@ -60,7 +60,7 @@ from conftest import (
     oracle_classify,
     oracle_two_flat_pieces,
     shift_spectrum,
-    span_points,
+    oracle_span_points,
 )
 
 OR2 = BooleanFunction(2, 0b1110)
@@ -381,7 +381,7 @@ def test_lift_flat_lifts_every_point():
             assert lifted.n == f.n and lifted.dim == flat.dim
             assert set(lifted.points()) == {oracle_lift_point(trace, x) for x in flat.points()}
             # the trace's own lift adds the directions along which f is constant
-            kernel = span_points(list(trace.kernel))
+            kernel = oracle_span_points(list(trace.kernel))
             assert set(trace.lift(flat).points()) == {
                 x ^ v for x in lifted.points() for v in kernel
             }
@@ -418,7 +418,7 @@ def test_reduce_to_core_restricts_to_the_affine_span():
         # core support plus the span of the kernel
         lifted = [oracle_lift_point(trace, y) for y in range(1 << core.n)]
         assert [core.value(y) for y in range(1 << core.n)] == list(map(f.value, lifted))
-        kernel = span_points(list(trace.kernel))
+        kernel = oracle_span_points(list(trace.kernel))
         assert {x ^ v for x in map(lifted.__getitem__, core.support()) for v in kernel} == f.support()
 
 
@@ -603,7 +603,7 @@ def _is_mandated_partition(f, dec) -> bool:
         mandated = dims == [f.n - k] * 2 or (core_k == 4 and dims == [f.n - k - 1] * 4)
     union = set()
     for piece in dec.pieces:
-        pts = {piece.shift ^ x for x in span_points(list(piece.direction.basis))}
+        pts = {piece.shift ^ x for x in oracle_span_points(list(piece.direction.basis))}
         if len(pts) != 1 << piece.dim or union & pts:
             return False
         union |= pts
@@ -667,7 +667,7 @@ def test_structural_recovery_needs_no_partition_search(monkeypatch):
             assert dec.pieces == tuple(map(trace.lift, found[0]))
             # each piece is its core flat, lifted point by point, plus the
             # span of the kernel
-            kernel = span_points(list(trace.kernel))
+            kernel = oracle_span_points(list(trace.kernel))
             for piece, flat in zip(dec.pieces, found[0]):
                 lifted = {oracle_lift_point(trace, y) ^ v for y in flat.points() for v in kernel}
                 assert set(piece.points()) == lifted
@@ -831,7 +831,7 @@ def test_four_pieces_are_rejected_unless_the_core_has_k4():
     halves = []
     for piece in dec.pieces:
         first, *rest = piece.direction.basis
-        sub = Subspace.spanned_by(6, rest)
+        sub = linear_span(6, rest)
         halves += [AffineSubspace(piece.shift, sub), AffineSubspace(piece.shift ^ first, sub)]
     assert sorted(p.dim for p in halves) == [2, 2, 2, 2]
     assert not verify_decomposition(f, Decomposition(tuple(halves), dec.classification))
