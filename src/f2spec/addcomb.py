@@ -93,11 +93,7 @@ def even_zohar_bound(k: Fraction) -> Fraction:
     2^s / (C(s,2)+s+1) below (s^2+s+1)/(2s) and 2^(s+1) / (s^2+s+1) above.
     """
     k = Fraction(k)
-    return _bound_in_bracket(k, even_zohar_s(k))
-
-
-def _bound_in_bracket(k: Fraction, s: int) -> Fraction:
-    """even_zohar_bound(k) for the s of k's bracket."""
+    s = even_zohar_s(k)
     if k < Fraction(s * s + s + 1, 2 * s):
         return Fraction(1 << s, comb(s, 2) + s + 1) * k
     return Fraction(1 << (s + 1), s * s + s + 1) * k

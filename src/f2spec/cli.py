@@ -14,8 +14,8 @@ from functools import cache
 from . import jsonio
 from .addcomb import (
     PointSet,
-    _bound_in_bracket,
     doubling_constant,
+    even_zohar_bound,
     even_zohar_s,
     is_sum_free,
     laba_check,
@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive or randomized theorem verification")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--random", type=int, default=None, metavar="COUNT")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--family", choices=FAMILIES, default=None)
     p.add_argument("--k", type=int, default=None)
 
@@ -188,11 +188,10 @@ def _run_addcomb(args: argparse.Namespace) -> int:
                 f"no subset of F_2^{MAX_DIMENSION} has a doubling constant "
                 f"above {k_max}"
             )
-        s = even_zohar_s(k)
-        bound = _bound_in_bracket(k, s)
+        bound = even_zohar_bound(k)
         _emit(
             {
-                "s": s,
+                "s": even_zohar_s(k),
                 "bound_num": bound.numerator,
                 "bound_den": bound.denominator,
             }
@@ -204,10 +203,16 @@ def _run_verify(args: argparse.Namespace) -> int:
     # the run checks its own arguments (InputFormatError); any other error
     # it raises keeps its own exit code
     if args.random is None:
+        given = [
+            f"--{name}" for name in ("family", "k", "seed") if getattr(args, name) is not None
+        ]
+        if given:
+            raise InputFormatError(f"{', '.join(given)}: allowed only with --random")
         report = enumerate_verify(args.n)
     else:
+        seed = 0 if args.seed is None else args.seed
         report = random_verify(
-            args.n, args.random, args.seed, family=args.family, k=args.k
+            args.n, args.random, seed, family=args.family, k=args.k
         )
     _emit(jsonio.report_to_obj(report))
     return EXIT_OK if report.ok() else EXIT_VIOLATION

@@ -236,6 +236,18 @@ def test_verify_bad_n(capsys):
         assert code == 2
 
 
+def test_verify_random_flags_need_random(capsys, monkeypatch):
+    # refused before any work: the exhaustive run is never started
+    def never(_n):
+        raise AssertionError("enumerate_verify ran")
+
+    monkeypatch.setattr(cli, "enumerate_verify", never)
+    for flags in (["--family", "affine", "--k", "2", "--seed", "9"], ["--seed", "0"], ["--k", "2"]):
+        code, out, err = run_cli(capsys, "verify", "--n", "4", *flags)
+        assert code == 2 and out == ""
+        assert "only with --random" in err and flags[0] in err
+
+
 def test_argument_checks_raise_input_format_error():
     cases = (
         lambda: harness.check_exhaustive_args(5),

@@ -321,7 +321,7 @@ def test_max_flat_through_finds_pair_in_counterexample_support():
     assert set(flat.points()) <= set(supp)
 
 
-def test_find_flat_partition_on_full_space():
+def test_oracle_flat_partition_on_full_space():
     # F_2^2 splits into two parallel lines
     parts = oracle_flat_partition(2, [0, 1, 2, 3], 1, 2)
     assert parts is not None
@@ -330,11 +330,11 @@ def test_find_flat_partition_on_full_space():
     assert union == [0, 1, 2, 3]
 
 
-def test_find_flat_partition_counts_mismatch():
+def test_oracle_flat_partition_counts_mismatch():
     assert oracle_flat_partition(3, [0, 1, 2], 1, 2) is None
 
 
-def test_find_flat_partition_impossible_shape():
+def test_oracle_flat_partition_impossible_shape():
     # three collinear-free points plus one cannot form a 2-flat unless they
     # XOR to zero
     assert oracle_flat_partition(3, [0, 1, 2, 4], 2, 1) is None
