@@ -7,9 +7,11 @@ decomposable families, 4 verification failure (a falsified postcondition).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from functools import cache
+from typing import Callable, TextIO
 
 from . import jsonio
 from .addcomb import (
@@ -106,7 +108,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(obj) -> None:
-    print(jsonio.dumps(obj))
+    _write(lambda out: print(jsonio.dumps(obj), file=out))
+
+
+def _write(write: Callable[[TextIO], None]) -> None:
+    """write(sys.stdout), then a flush.  A reader that closes the pipe early
+    has read all it wants, so the command keeps its exit code; fd 1 then
+    points at os.devnull, so that the interpreter's exit flush of what is
+    left in the buffer raises nothing."""
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -125,7 +141,8 @@ def _run(args: argparse.Namespace) -> int:
     # every other command reads one function from --in
     f = jsonio.load_function(args.path)
     if cmd == "spectrum":
-        jsonio.write_spectrum(wht(f), sys.stdout, nonzero_only=args.nonzero_only)
+        s = wht(f)
+        _write(lambda out: jsonio.write_spectrum(s, out, nonzero_only=args.nonzero_only))
     elif cmd == "classify":
         _emit(jsonio.classification_to_obj(classify(wht(f))))
     elif cmd == "decompose":

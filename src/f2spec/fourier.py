@@ -48,15 +48,21 @@ def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
     """Walsh-Hadamard transform of each consecutive group of 2^n entries.
 
     Exact for any integers; applying it twice scales every entry by 2^n.
-    Every entry is one lane of a Python int, stored with a bias of half
-    the lane's range so that a lane never goes negative.  Stages commute,
-    and they run in two kinds.
+    Every input, whether a 0/1 table, a run of tables or a spectrum, takes
+    one pipeline.  It is packed once into lanes, each entry stored with a
+    bias of half the lane's range so that a lane never goes negative:
+    entries that fit a signed byte on 8-bit lanes, any other input on the
+    lane of the first stage.  The lanes are cut into blocks, each one
+    Python int: the whole input when a group has at most 2^14
+    (_BLOCK_LANES) entries, else each 2^14 lanes.  Each block runs the
+    masked stages, the blocks together run the block stages, and one join
+    writes the blocks' lanes out.  Stages commute, and they run in two
+    kinds.
 
-    Masked stages.  When 2^n is at most 2^14 (_BLOCK_LANES), the whole
-    input is one int x; past that, each block of 2^14 lanes is its own
-    int, and only the strides below 2^14 run masked.  A stage with stride s pairs
-    lane j with lane j + s for each j whose bit s is clear; with M the
-    mask of those lanes and B the bias restricted to them,
+    Masked stages.  The stages with strides below 2^14 run on each block
+    x.  A stage with stride s pairs lane j with lane j + s for each j whose
+    bit s is clear; with M the mask of those lanes and B the bias
+    restricted to them,
 
         a = x & M,  b = (x >> s*width) & M,
         x = (a + b - B) | ((a + B - b) << s*width)
@@ -70,43 +76,46 @@ def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
     to 2^(n-1) pair block p with block p + stride / 2^14 inside each
     group, whole ints u and v: u + v - B and u + B - v, with B here the
     bias in every lane of a block, need no mask and no shift.  Every
-    temporary of either kind is one block, at most 128 KiB on 64-bit
-    lanes, and the allocator hands its memory back on the next stage.  Whole-table temporaries at
-    n = 20 are fresh pages: a wht call on them took about 23,000 minor
-    page faults, and about 4,200 on blocks.
+    temporary of either kind is then one block, at most 128 KiB on 64-bit
+    lanes, and the allocator hands its memory back on the next stage.
+    Whole-table temporaries at n = 20 are fresh pages: a wht call on them
+    took about 23,000 minor page faults, and about 4,200 on blocks.
 
     After i stages no entry exceeds peak * 2^i in absolute value, peak the
     largest |v| of the input.  The next stage runs on the narrowest lane of
     8, 16, 32 or 64 bits (or a whole number of bytes beyond) that holds
     peak * 2^(i+1) with its sign, so no lane carries into or borrows from
-    its neighbour.  When that bound outgrows the lane, every lane is
-    widened in one bytes pass first: a 0/1 table runs its first 6 stages
-    on 8-bit lanes, the next 8 on 16 bits and the rest on 32.  Each block
-    is widened once more after its masked stages, to the lane of the
-    last stage, on which every block stage runs.  Below _STAGED_LANES
-    lanes the passes cost more than the narrower stages save, and every
-    stage runs on the lane of the last.
+    its neighbour.  Whenever that lane is wider than a block's, the block
+    is widened in one bytes pass before the stage: a 0/1 table runs its
+    first 6 stages on 8-bit lanes, the next 8 on 16 bits and the rest on
+    32.  After its masked stages, each block is on the lane of the last
+    stage, on which every block stage runs.  Below _STAGED_LANES lanes
+    the passes cost more than the narrower stages save, and every stage
+    runs on the lane of the last, so a block is widened at most once,
+    before its first stage.
     """
     return _unpack(*_transform(values, n))
 
 
 def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray, int]:
     """The butterfly's result as two's-complement little-endian lanes, with
-    the lane width in bits; see butterfly.  The input is packed once; past
-    _BLOCK_LANES lanes, the blocks' ints after their masked stages are the
-    only copy of the table until their lanes are joined."""
+    the lane width in bits; see butterfly.  The input is packed once, and
+    the blocks' ints after their masked stages are the only copy of the
+    table until their lanes are joined."""
     size = 1 << n
     count = len(values)
     if count % size:
         raise ValueError(f"length {count} is not a multiple of 2^{n}")
     if not count:
         return b"", 8
-    raw = isinstance(values, (bytes, bytearray))
     small = None  # the entries as signed bytes, where each fits in one
-    if raw:  # a truth table's bytes are all 0/1: delete those at C speed
+    if isinstance(values, (bytes, bytearray)):
+        # a truth table's bytes are all 0/1: delete those at C speed
         peak_bits = max(values.translate(None, b"\x00\x01") or b"\x01").bit_length()
         if peak_bits < 8:
             small = values
+        else:  # a byte of 128 or more is no signed byte: pack it as an int
+            values = list(values)
     else:
         try:  # a Struct's pack takes a tuple as its argument tuple, uncopied
             small = struct.Struct(f"<{count}b").pack(*values)
@@ -122,32 +131,25 @@ def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray
     else:  # stage done runs on lanes of widths[done] bits, the output on last
         widths = [_lane_width(peak_bits + i + 2) for i in range(n)]
         widths.append(last)
-    width = widths[0]
-    nb = width >> 3
-    if small is not None:
+    if small is None:  # biased by flipping the top bit of each lane
+        width = widths[0]
+        nb = width >> 3
+        lanes = bytearray(_pack(values, width))
+        lanes[nb - 1 :: nb] = lanes[nb - 1 :: nb].translate(_FLIP)
+    else:  # on 8-bit lanes, which the first stage widens to widths[0]
+        width = 8
         lanes = small.translate(_FLIP)
-        if nb > 1:
-            lanes = _widen(lanes, 1, nb)
-    elif raw:
-        lanes = bytearray(_lane_bias(nb) * count)
-        lanes[0::nb] = values
-    else:
-        lanes = _flip_top(_pack(values, width), nb)
     del small
-    if size <= _BLOCK_LANES:
-        x = int.from_bytes(lanes, "little")
-        del lanes
-        x = _masked_stages(x, count, width, widths)
-        nb = last >> 3
-        return _flip_top(x.to_bytes(count * nb, "little"), nb), last
-    # the first b stages, strides 2^(b-1) down to 1, on each block of 2^b
-    # lanes as its own int; each block comes back on the lanes of the last
-    b = _BLOCK_LANES.bit_length() - 1
-    step = _BLOCK_LANES * nb
+    # the first b stages, strides 2^(b-1) down to 1, on each block of lanes
+    # as its own int: the whole input when its groups fit in _BLOCK_LANES,
+    # else each 2^b lanes; each block comes back on the lanes of the last
+    b = min(n, _BLOCK_LANES.bit_length() - 1)
+    block = count if size <= _BLOCK_LANES else _BLOCK_LANES
+    step = block * (width >> 3)
     blocks = [
         _masked_stages(
             int.from_bytes(lanes[lo : lo + step], "little"),
-            _BLOCK_LANES,
+            block,
             width,
             [*widths[:b], last],
         )
@@ -156,8 +158,7 @@ def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray
     del lanes
     # the stages with strides 2^b up to 2^(n-1) pair whole blocks, d blocks
     # apart: the biased sum and difference of two blocks need no mask
-    nb = last >> 3
-    bias = int.from_bytes(_lane_bias(nb) * _BLOCK_LANES, "little")
+    bias = int.from_bytes(_lane_bias(last >> 3) * block, "little")
     for i in range(n - b):
         d = 1 << i
         for lo in range(0, len(blocks), d << 1):
@@ -166,14 +167,14 @@ def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray
                 v = blocks[p + d]
                 blocks[p] = u + v - bias
                 blocks[p + d] = u + bias - v
-    # the bias is each lane's top bit, so an XOR takes it off; each block
-    # is dropped once its bytes are written
-    step = _BLOCK_LANES * nb
-    data = bytearray(count * nb)
-    blocks.reverse()
-    for lo in range(0, len(data), step):
-        data[lo : lo + step] = (blocks.pop() ^ bias).to_bytes(step, "little")
-    return data, last
+    # the bias is each lane's top bit, so an XOR takes it off; each block's
+    # bytes replace its int.  They are joined into a bytearray: wht's
+    # _nonzero_lanes, which slices them by stride, read a 2^16-lane
+    # spectrum in 0.48 ms from one, against 0.56 ms from bytes (best of 200)
+    step = block * (last >> 3)
+    for p, u in enumerate(blocks):
+        blocks[p] = (u ^ bias).to_bytes(step, "little")
+    return bytearray().join(blocks), last
 
 
 def _masked_stages(x: int, count: int, width: int, widths: list[int]) -> int:
@@ -215,8 +216,9 @@ def _masked_stages(x: int, count: int, width: int, widths: list[int]) -> int:
     return x
 
 
-# lanes per int in the masked stages; the stages with longer strides pair
-# whole blocks.  In-process wht on counterexample-padded images (best of
+# lanes per int in the masked stages of groups longer than this; the
+# stages with longer strides pair whole blocks, and an input of shorter
+# groups is one int.  In-process wht on counterexample-padded images (best of
 # 7), b = 12, 13 and 14 timed within noise of each other at n = 14..20;
 # b = 15 and 16 took 6.3-6.6 and 7.4 ms at n = 16 against 5.3-5.5 ms,
 # and 26-27 ms at n = 18 against 23 ms.  b = 14 keeps every group of at
@@ -251,16 +253,6 @@ def _lane_width(need: int) -> int:
 def _lane_bias(nb: int) -> bytes:
     """The bias of one nb-byte lane, little-endian: 2^(8nb - 1)."""
     return bytes(nb - 1) + b"\x80"
-
-
-def _flip_top(data: bytes | array, nb: int) -> bytes | bytearray:
-    """Lanes of nb bytes with the top bit of each flipped: adds the bias to
-    two's-complement lanes, or takes it off biased ones."""
-    if nb == 1:
-        return data.translate(_FLIP)
-    data = bytearray(data)
-    data[nb - 1 :: nb] = data[nb - 1 :: nb].translate(_FLIP)
-    return data
 
 
 def _widen(data: bytes | bytearray, nb: int, wide: int) -> bytearray:

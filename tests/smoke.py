@@ -4,6 +4,8 @@ Run `python tests/smoke.py` after `pip install .`.  Every row runs through
 the installed `f2spec` executable; the script prints each failing row with
 its actual exit code and digest, and exits 1 if any row failed.
 tests/test_smoke.py runs the same rows in process through `cli.main`.
+After the rows, the script closes a pipe on `f2spec spectrum` after 100
+bytes and checks for exit 0 and an empty stderr, once.
 
 A row holds:
 - how its input file is built: the argv of an `f2spec generate` call, or a
@@ -306,13 +308,37 @@ def _installed(argv: list[str]) -> tuple[int, str]:
     return done.returncode, done.stdout
 
 
+def _closed_pipe(workdir: str) -> str | None:
+    """A reader that closes stdout after 100 bytes of a 2 MB spectrum: the
+    installed f2spec must exit 0 and write nothing to stderr.  None when it
+    does, else the failure line.  Not a row: the in-process runner cannot
+    close a pipe."""
+    path = os.path.join(workdir, "closed-pipe-input.json")
+    with open(path, "w") as fp:
+        code = subprocess.run(["f2spec", "generate", *CE_16], stdout=fp).returncode
+    if code:
+        return f"closed-pipe: its input's generate exited {code}"
+    proc = subprocess.Popen(
+        ["f2spec", "spectrum", "--in", path], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    if proc.returncode or err:
+        return f"closed-pipe: exit {proc.returncode}, stderr {err.decode(errors='replace')!r}"
+    return None
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         failures = run(_installed, workdir)
+        pipe_failure = _closed_pipe(workdir)
     for line in failures:
         print(line)
     print(f"{len(CASES) - len(failures)} of {len(CASES)} smoke rows pass")
-    return 1 if failures else 0
+    if pipe_failure is not None:
+        print(pipe_failure)
+    return 1 if failures or pipe_failure is not None else 0
 
 
 if __name__ == "__main__":

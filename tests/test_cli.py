@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -332,6 +335,27 @@ def test_spectrum_output_matches_json_dumps(tmp_path, capsys):
             code, out, _ = run_cli(capsys, "spectrum", "--in", path, *flags)
             assert code == 0
             assert out == spectrum_reference_text(f, bool(flags))
+
+
+def test_a_reader_that_closes_stdout_early_leaves_exit_0_and_no_traceback(tmp_path):
+    # the spectrum at n = 16 is about 2 MB, far past a pipe's buffer, so the
+    # command is still writing when the pipe closes
+    path = write_json(
+        tmp_path, "ce-16.json", jsonio.function_to_obj(generate("counterexample-padded", 16))
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "f2spec.cli", "spectrum", "--in", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def without_timing(report_obj):

@@ -116,16 +116,20 @@ def oracle_blocks(values, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# _BLOCK_LANES at 1, 2 and 4 lanes sends every input past it through the
-# block stages, from the first stride on; at its default, only n > 14 does
+# _BLOCK_LANES at 1, 2 and 4 lanes cuts every input whose groups are longer
+# into blocks of that many lanes, and runs the block stages from that
+# stride on; at its default, only groups of n > 14 are cut, and an input
+# of shorter groups is one block, however many lanes it holds
 BLOCK_LANES = (1, 2, 4, fourier._BLOCK_LANES)
 
 
 def test_butterfly_matches_loop_oracle_on_integer_vectors(monkeypatch):
+    # 1,500 groups at n = 4 are 24,000 lanes, one block past the default
+    # _BLOCK_LANES; each table's spectrum is transformed back as well
     rng = random.Random(11)
     for block_lanes, n in product(BLOCK_LANES, range(0, 11)):
         monkeypatch.setattr(fourier, "_BLOCK_LANES", block_lanes)
-        for blocks in (1, 2, 5):
+        for blocks in (1, 2, 5, 1500) if n == 4 else (1, 2, 5):
             values = [rng.randint(-50, 50) for _ in range(blocks << n)]
             expected = oracle_blocks(values, n)
             assert butterfly(values, n) == expected
@@ -133,7 +137,9 @@ def test_butterfly_matches_loop_oracle_on_integer_vectors(monkeypatch):
             raw = bytes(rng.randrange(256) for _ in range(blocks << n))
             assert butterfly(raw, n) == oracle_blocks(raw, n)
             table = bytes(rng.randrange(2) for _ in range(blocks << n))
-            assert butterfly(table, n) == oracle_blocks(table, n)
+            spectrum = butterfly(table, n)
+            assert spectrum == oracle_blocks(table, n)
+            assert butterfly(spectrum, n) == oracle_blocks(spectrum, n)
 
 
 def test_butterfly_is_exact_on_both_sides_of_every_lane_width(monkeypatch):
@@ -182,12 +188,14 @@ def test_butterfly_round_trip_widens_a_01_table_through_every_lane(n):
 @pytest.mark.parametrize("n", [15, 17])
 def test_butterfly_block_stages_match_loop_oracle_at_real_size(n):
     # one and two groups past the default block: 1 and 3 block stages on
-    # the 0/1 table's 32-bit lanes, and on the signed values' 64-bit lanes
+    # the 0/1 table's 32-bit lanes, on bytes of up to 255, packed as ints,
+    # and on the signed values' 64-bit lanes
     assert 1 << n > fourier._BLOCK_LANES
     rng = random.Random(n)
     table = bytes(rng.getrandbits(1) for _ in range(2 << n))
+    raw = bytes(rng.randrange(256) for _ in range(2 << n))
     signed = [rng.randint(-(1 << 20), 1 << 20) for _ in range(2 << n)]
-    for values in (table, signed):
+    for values in (table, raw, signed):
         expected = oracle_blocks(values, n)
         assert butterfly(values, n) == expected
         assert butterfly(values[: 1 << n], n) == expected[: 1 << n]
