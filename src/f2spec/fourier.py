@@ -10,9 +10,9 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, field
+from bisect import bisect_left
 from functools import reduce
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from operator import add, or_
 from typing import Iterable, Sequence
 
@@ -20,28 +20,76 @@ from .boolfunc import BooleanFunction
 from .gf2 import _low_half_mask, int_to_bits
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """Scaled Fourier transform: coeffs[enc(a)] = 2^n * f^(a).
 
-    nonzero, when not None, holds the positions of the nonzero coefficients
-    in increasing order.  wht fills it on a spectrum of at least 2^13
-    entries (the butterfly's _STAGED_LANES) with at most one nonzero
-    coefficient in 16, and structure.reduce_to_core on every core spectrum,
-    which it reads off f's nonzero positions.  Equality, hashing and repr
-    ignore it, so Spectrum(n, coeffs) equals the transform it was copied
-    from.  Read it
-    through nonzero_positions and coefficient_values, which fall back to a
-    pass over coeffs when it is None.
+    A spectrum is held in one of two forms.  The dense form is the tuple
+    of all 2^n coefficients, from Spectrum(n, coeffs).  The sparse form,
+    from Spectrum.sparse(n, positions, values), is the positions of the
+    nonzero coefficients in increasing order and the coefficients there:
+    wht returns it on a spectrum of at least 2^13 entries (the butterfly's
+    _STAGED_LANES) with at most one nonzero coefficient in 16, read off the
+    packed lanes, which it then never unpacks, and reduce_to_core returns
+    it for every core spectrum.  coeffs of a sparse spectrum is built on
+    first read.  nonzero, when not None, holds the positions; a dense
+    spectrum may carry them too, as Spectrum(n, coeffs, nonzero).
+
+    Equality, hashing and repr are those of (n, coeffs), whatever the
+    form, so a sparse transform equals its dense copy.  The readers of
+    this module (nonzero_positions, nonzero_items, coefficient,
+    coefficient_values, sparsity, granularity, iter_coefficients) touch
+    only the positions of a spectrum that carries them, and never build
+    coeffs of a sparse one.  A spectrum is a value: past construction,
+    only the cached coeffs tuple is ever filled in.
     """
 
-    n: int
-    coeffs: tuple[int, ...]
-    nonzero: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("n", "nonzero", "_coeffs", "_values")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != 1 << self.n:
+    def __init__(
+        self, n: int, coeffs: Sequence[int], nonzero: tuple[int, ...] | None = None
+    ) -> None:
+        if len(coeffs) != 1 << n:
             raise ValueError("coefficient array must have 2^n entries")
+        self.n = n
+        self.nonzero = nonzero
+        self._coeffs = coeffs
+        self._values: tuple[int, ...] | None = None
+
+    @classmethod
+    def sparse(cls, n: int, positions: tuple[int, ...], values: tuple[int, ...]) -> Spectrum:
+        """The spectrum on n inputs that is values[i] at positions[i] and 0
+        elsewhere; the positions must increase and the values be nonzero."""
+        s = cls.__new__(cls)
+        s.n = n
+        s.nonzero = positions
+        s._coeffs = None
+        s._values = values
+        return s
+
+    @property
+    def coeffs(self) -> Sequence[int]:
+        """All 2^n coefficients; a sparse spectrum builds the tuple once."""
+        if self._coeffs is None:
+            coeffs = [0] * (1 << self.n)
+            for a, v in zip(self.nonzero, self._values):
+                coeffs[a] = v
+            self._coeffs = tuple(coeffs)
+        return self._coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        if self.n != other.n:
+            return False
+        if self._coeffs is None and other._coeffs is None:
+            return self.nonzero == other.nonzero and self._values == other._values
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"Spectrum(n={self.n!r}, coeffs={self.coeffs!r})"
 
 
 def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
@@ -55,9 +103,9 @@ def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
     lane of the first stage.  The lanes are cut into blocks, each one
     Python int: the whole input when a group has at most 2^14
     (_BLOCK_LANES) entries, else each 2^14 lanes.  Each block runs the
-    masked stages, the blocks together run the block stages, and one join
-    writes the blocks' lanes out.  Stages commute, and they run in two
-    kinds.
+    masked stages, the blocks together run the block stages, and each
+    block's lanes are then written out as bytes, which are unpacked in one
+    pass.  Stages commute, and they run in two kinds.
 
     Masked stages.  The stages with strides below 2^14 run on each block
     x.  A stage with stride s pairs lane j with lane j + s for each j whose
@@ -94,20 +142,27 @@ def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
     runs on the lane of the last, so a block is widened at most once,
     before its first stage.
     """
-    return _unpack(*_transform(values, n))
+    blocks, width, _ = _transform(values, n)
+    return _unpack(blocks, width)
 
 
-def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray, int]:
-    """The butterfly's result as two's-complement little-endian lanes, with
+def _transform(
+    values: bytes | Sequence[int], n: int, scan: bool = False
+) -> tuple[list[bytearray], int, tuple[int, ...] | None]:
+    """The butterfly's result as blocks of two's-complement little-endian
+    lanes, each block as long as the others and all of them in order, with
     the lane width in bits; see butterfly.  The input is packed once, and
     the blocks' ints after their masked stages are the only copy of the
-    table until their lanes are joined."""
+    table until each becomes its bytes.  With scan, the third item is the
+    positions of the nonzero lanes, in increasing order, when at most one
+    lane in 16 is nonzero, read block by block as its bytes are made (see
+    _nonzero_lanes); it is None otherwise."""
     size = 1 << n
     count = len(values)
     if count % size:
         raise ValueError(f"length {count} is not a multiple of 2^{n}")
     if not count:
-        return b"", 8
+        return [], 8, None
     small = None  # the entries as signed bytes, where each fits in one
     if isinstance(values, (bytes, bytearray)):
         # a truth table's bytes are all 0/1: delete those at C speed
@@ -136,21 +191,22 @@ def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray
         nb = width >> 3
         lanes = bytearray(_pack(values, width))
         lanes[nb - 1 :: nb] = lanes[nb - 1 :: nb].translate(_FLIP)
-    else:  # on 8-bit lanes, which the first stage widens to widths[0]
-        width = 8
+    else:  # on 8-bit lanes, which each block widens to widths[0]
+        nb = 1
         lanes = small.translate(_FLIP)
     del small
     # the first b stages, strides 2^(b-1) down to 1, on each block of lanes
     # as its own int: the whole input when its groups fit in _BLOCK_LANES,
-    # else each 2^b lanes; each block comes back on the lanes of the last
+    # else each 2^b lanes.  A block is widened to the first stage's lanes
+    # while it is still bytes, and comes back on the lanes of the last
     b = min(n, _BLOCK_LANES.bit_length() - 1)
     block = count if size <= _BLOCK_LANES else _BLOCK_LANES
-    step = block * (width >> 3)
+    step = block * nb
     blocks = [
         _masked_stages(
-            int.from_bytes(lanes[lo : lo + step], "little"),
+            int.from_bytes(_widen(lanes[lo : lo + step], nb, widths[0] >> 3), "little"),
             block,
-            width,
+            widths[0],
             [*widths[:b], last],
         )
         for lo in range(0, len(lanes), step)
@@ -158,7 +214,8 @@ def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray
     del lanes
     # the stages with strides 2^b up to 2^(n-1) pair whole blocks, d blocks
     # apart: the biased sum and difference of two blocks need no mask
-    bias = int.from_bytes(_lane_bias(last >> 3) * block, "little")
+    if n > b:
+        bias = int.from_bytes(_lane_bias(last >> 3) * block, "little")
     for i in range(n - b):
         d = 1 << i
         for lo in range(0, len(blocks), d << 1):
@@ -167,14 +224,30 @@ def _transform(values: bytes | Sequence[int], n: int) -> tuple[bytes | bytearray
                 v = blocks[p + d]
                 blocks[p] = u + v - bias
                 blocks[p + d] = u + bias - v
-    # the bias is each lane's top bit, so an XOR takes it off; each block's
-    # bytes replace its int.  They are joined into a bytearray: wht's
-    # _nonzero_lanes, which slices them by stride, read a 2^16-lane
-    # spectrum in 0.48 ms from one, against 0.56 ms from bytes (best of 200)
-    step = block * (last >> 3)
+    # each block's bytes replace its int, and flipping the top byte of each
+    # lane takes the bias off.  With scan, a block of nonzero bytes has its
+    # lanes flagged zero or nonzero while its bytes are fresh, and the
+    # positions of the nonzero ones collected, until more than one lane in
+    # 16 is nonzero.  The blocks are not joined: at n = 24 that would add
+    # 64 MiB to the peak memory of a sparse transform, which reads a few
+    # lanes from them
+    nb = last >> 3
+    step = block * nb
+    nonzero: list[int] | None = [] if scan else None
+    zeros = bytes(step) if scan else b""
     for p, u in enumerate(blocks):
-        blocks[p] = (u ^ bias).to_bytes(step, "little")
-    return bytearray().join(blocks), last
+        data = bytearray(u.to_bytes(step, "little"))
+        del u
+        data[nb - 1 :: nb] = top = data[nb - 1 :: nb].translate(_FLIP)
+        blocks[p] = data
+        if nonzero is not None and data != zeros:
+            found = _nonzero_lanes(data, nb, top, p * block, (count >> 4) - len(nonzero))
+            if found is None:
+                nonzero = None
+            else:
+                nonzero += found
+    del data
+    return blocks, last, None if nonzero is None else tuple(nonzero)
 
 
 def _masked_stages(x: int, count: int, width: int, widths: list[int]) -> int:
@@ -258,7 +331,10 @@ def _lane_bias(nb: int) -> bytes:
 def _widen(data: bytes | bytearray, nb: int, wide: int) -> bytearray:
     """Biased lanes of nb bytes as biased lanes of wide > nb bytes, at C
     speed: the low bytes are copied, and the old top byte becomes the
-    value's byte, the sign fill and the new top byte by three translations."""
+    value's byte, the sign fill and the new top byte by three translations.
+    Lanes that are already wide come back as they are."""
+    if wide == nb:
+        return data
     top = data[nb - 1 :: nb]
     out = bytearray(len(top) * wide)
     for k in range(nb - 1):
@@ -285,8 +361,10 @@ def _pack(values: Sequence[int], width: int) -> bytes | array:
     return lanes
 
 
-def _unpack(data: bytes, width: int) -> tuple[int, ...]:
-    """Inverse of _pack, straight into a tuple."""
+def _unpack(blocks: list[bytearray], width: int) -> tuple[int, ...]:
+    """Inverse of _pack on the blocks' lanes in order, straight into one
+    tuple."""
+    data = blocks[0] if len(blocks) == 1 else b"".join(blocks)
     nb = width >> 3
     code = _LANE_CODES.get(width)
     if code is None:
@@ -297,27 +375,29 @@ def _unpack(data: bytes, width: int) -> tuple[int, ...]:
     return struct.unpack(f"<{len(data) // nb}{code}", data)
 
 
-def _nonzero_lanes(data: bytes | bytearray, nb: int) -> tuple[int, ...] | None:
-    """The positions of the nonzero lanes of nb bytes, in increasing order,
-    or None when more than one lane in 16 is nonzero.
+def _nonzero_lanes(
+    data: bytes | bytearray, nb: int, top: bytes, start: int, room: int
+) -> list[int] | None:
+    """The positions, from start up, of the nonzero lanes of nb bytes of
+    data, whose top bytes are top, in increasing order, or None when there
+    are more than room of them.
 
     The strided slices of the lanes' bytes are ORed together as ints, and
     one translate turns each lane's OR into a 0/1 flag; all of that runs at
     C speed.  The runs of zero flags between the ones give the positions,
-    one step per nonzero lane.  On denser lanes those steps cost more than
-    one compress over the unpacked coefficients (4 times more on a random
-    table), so nothing is returned.
+    one step per nonzero lane; past room, those steps would cost more
+    than one compress over the unpacked coefficients (4 times more on a
+    random table at one lane in 16), so they are not taken.
     """
-    count = len(data) // nb
-    lanes = int.from_bytes(data[0::nb], "little")
-    for k in range(1, nb):
+    lanes = int.from_bytes(top, "little")
+    for k in range(nb - 1):
         lanes |= int.from_bytes(data[k::nb], "little")
-    flags = lanes.to_bytes(count, "little").translate(_NONZERO)
+    flags = lanes.to_bytes(len(top), "little").translate(_NONZERO)
     nonzero = flags.count(1)
-    if nonzero > count >> 4:
+    if nonzero > room:
         return None
     zeros_before = accumulate(map(len, flags.split(b"\x01")))
-    return tuple(map(add, zeros_before, range(nonzero)))
+    return list(map(add, zeros_before, range(start, start + nonzero)))
 
 
 def wht(f: BooleanFunction) -> Spectrum:
@@ -325,14 +405,22 @@ def wht(f: BooleanFunction) -> Spectrum:
     (gf2.int_to_bits, one linear pass) go straight into the lanes of the
     butterfly, which past _BLOCK_LANES entries runs its masked stages
     block by block and pairs whole blocks in the rest.  From _STAGED_LANES
-    entries up, the nonzero positions are
-    read off the packed lanes before they are unpacked, and the spectrum
-    carries them when they are sparse (see _nonzero_lanes): past the
-    transform, its readers then touch only those positions."""
+    entries up, the nonzero positions are read off the packed lanes, and
+    when at most one lane in 16 is nonzero (see _nonzero_lanes) the
+    spectrum comes back in its sparse form: those positions and the lanes'
+    values there, read from the lane buffer, which is never unpacked.
+    Past the transform, its readers then touch only those positions."""
     n = f.n
-    data, width = _transform(int_to_bits(f.table, 1 << n), n)
-    nonzero = _nonzero_lanes(data, width >> 3) if 1 << n >= _STAGED_LANES else None
-    return Spectrum(n, _unpack(data, width), nonzero)
+    blocks, width, nonzero = _transform(int_to_bits(f.table, 1 << n), n, 1 << n >= _STAGED_LANES)
+    if nonzero is None:
+        return Spectrum(n, _unpack(blocks, width))
+    nb = width >> 3
+    block = len(blocks[0]) // nb
+    lanes = (divmod(a, block) for a in nonzero)
+    values = tuple(
+        int.from_bytes(blocks[p][j * nb : j * nb + nb], "little", signed=True) for p, j in lanes
+    )
+    return Spectrum.sparse(n, nonzero, values)
 
 
 def nonzero_positions(s: Spectrum) -> Iterable[int]:
@@ -341,16 +429,59 @@ def nonzero_positions(s: Spectrum) -> Iterable[int]:
     which is an iterator and can be read once."""
     if s.nonzero is not None:
         return s.nonzero
-    return compress(range(len(s.coeffs)), s.coeffs)
+    return compress(range(len(s._coeffs)), s._coeffs)
+
+
+def nonzero_items(s: Spectrum) -> tuple[Iterable[int], Iterable[int]]:
+    """The positions of the nonzero coefficients, in increasing order, and
+    the coefficients there, in the same order: those of the sparse form,
+    or the carried positions and the coefficients read at them, else a
+    compress and a filter over all 2^n coefficients, iterators that can
+    be read once."""
+    if s._values is not None:
+        return s.nonzero, s._values
+    coeffs = s._coeffs
+    if s.nonzero is not None:
+        return s.nonzero, map(coeffs.__getitem__, s.nonzero)
+    return compress(range(len(coeffs)), coeffs), filter(None, coeffs)
+
+
+def coefficient(s: Spectrum, a: int) -> int:
+    """F(a): read from coeffs when the spectrum holds them, else found by
+    bisecting the carried positions."""
+    if s._coeffs is not None:
+        return s._coeffs[a]
+    i = bisect_left(s.nonzero, a)
+    return s._values[i] if i < len(s.nonzero) and s.nonzero[i] == a else 0
+
+
+def iter_coefficients(s: Spectrum) -> Iterable[int]:
+    """All 2^n coefficients in order: coeffs when the spectrum holds them,
+    else the values of the sparse form with runs of zeros streamed between
+    them, so that no tuple of 2^n entries is built."""
+    if s._coeffs is not None:
+        return s._coeffs
+    return _with_zeros(s.nonzero, s._values, 1 << s.n)
+
+
+def _with_zeros(positions: Iterable[int], values: Iterable[int], size: int) -> Iterable[int]:
+    """size entries: each value at its position, zeros elsewhere."""
+    done = 0
+    for a, v in zip(positions, values):
+        yield from repeat(0, a - done)
+        yield v
+        done = a + 1
+    yield from repeat(0, size - done)
 
 
 def coefficient_values(s: Spectrum) -> set[int]:
-    """The distinct coefficient values: those at the carried positions, with
-    0 when some coefficient vanishes, else the set of all 2^n coefficients."""
+    """The distinct coefficient values: the nonzero values of a spectrum
+    that carries its positions, with 0 when some coefficient vanishes,
+    else the set of all 2^n coefficients."""
     if s.nonzero is None:
-        return set(s.coeffs)
-    values = set(map(s.coeffs.__getitem__, s.nonzero))
-    if len(s.nonzero) < len(s.coeffs):
+        return set(s._coeffs)
+    values = set(nonzero_items(s)[1])
+    if len(s.nonzero) < 1 << s.n:
         values.add(0)
     return values
 
@@ -385,7 +516,7 @@ def sparsity(s: Spectrum) -> int:
     a count of zeros over all 2^n."""
     if s.nonzero is not None:
         return len(s.nonzero)
-    return len(s.coeffs) - s.coeffs.count(0)
+    return len(s._coeffs) - s._coeffs.count(0)
 
 
 def is_boolean_spectrum(s: Spectrum) -> bool:

@@ -85,6 +85,25 @@ def xor_translate(bits: int, a: int, n: int) -> int:
     return bits
 
 
+def coset_mask(shift: int, rows: Iterable[int], n: int) -> int:
+    """The x in F_2^n with <r, x> = <r, shift> for every r in rows (all of
+    F_2^n), as a 2^n-bit mask: the AND of one parity mask per row.  swap_masks(n)[i]
+    holds the x with bit i clear, so the XOR of those over the bits of r
+    holds the x with <r, x> = |r| + 1 (mod 2), and its complement the
+    other half; no 2^n-entry loop runs."""
+    swaps = swap_masks(n)
+    full = (1 << (1 << n)) - 1
+    mask = full
+    for r in rows:
+        half = 0 if ((r & shift).bit_count() + r.bit_count()) & 1 else full
+        while r:
+            low = r & -r
+            half ^= swaps[low.bit_length() - 1]
+            r ^= low
+        mask &= half
+    return mask
+
+
 def _echelon(vectors: Iterable[int]) -> dict[int, int]:
     """Row-echelon basis keyed by pivot (= highest set bit of the row)."""
     by_pivot: dict[int, int] = {}
@@ -112,6 +131,24 @@ def rref(vectors: Iterable[int]) -> tuple[int, ...]:
             if (rows[j] >> p) & 1:
                 rows[j] ^= r
     return tuple(sorted(rows, reverse=True))
+
+
+def is_rref(rows: Sequence[int], n: int) -> bool:
+    """Whether rows are a reduced row-echelon basis in F_2^n, as rref gives
+    it: nonzero rows below 2^n, by strictly decreasing pivot (highest set
+    bit), each pivot set in no other row.  Such rows are independent.
+
+    A row lies below the pivots of the rows before it, so it is enough
+    that no row holds the pivot of a row after it."""
+    later = 0  # the pivots of the rows after this one
+    pivot = 0  # the pivot of the row after this one, 0 past the last
+    for r in reversed(rows):
+        top = 1 << r.bit_length() >> 1  # r's pivot, 0 for r = 0
+        if top <= pivot or r & later:
+            return False
+        pivot = top
+        later |= top
+    return pivot < 1 << n
 
 
 @dataclass(frozen=True)

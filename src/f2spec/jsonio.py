@@ -15,7 +15,7 @@ from typing import Any, TextIO
 from .addcomb import PointSet
 from .boolfunc import BooleanFunction
 from .errors import InputFormatError
-from .fourier import Spectrum, nonzero_positions
+from .fourier import Spectrum, iter_coefficients, nonzero_items
 from .gf2 import MAX_DIMENSION, bits_to_int
 from .harness import VerificationReport
 from .structure import Classification, Decomposition
@@ -108,15 +108,15 @@ def write_spectrum(s: Spectrum, fp: TextIO, nonzero_only: bool = False) -> None:
     The text is byte for byte what dumps() of that object plus a newline
     would be, but it is formatted and written about 4,096 coefficients at
     a time, so memory does not grow with one object per coefficient.  With
-    nonzero_only, the entries come from the nonzero positions, which a
-    sparse transform carries.
+    nonzero_only, the entries come from the nonzero positions and values,
+    which a sparse transform holds; without it, a sparse spectrum streams
+    zeros between them instead of building all 2^n coefficients.
     """
     fp.write(f'{{\n  "n": {s.n},\n  "den_log2": {s.n},\n  "coeffs": [')
-    coeffs = s.coeffs
     if nonzero_only:
-        entries = ((a, coeffs[a]) for a in nonzero_positions(s))
+        entries = zip(*nonzero_items(s))
     else:
-        entries = enumerate(coeffs)
+        entries = enumerate(iter_coefficients(s))
     sep = "\n"
     while chunk := list(islice(entries, _CHUNK)):
         fp.write(sep + ",\n".join(_COEFF_ENTRY.format(a, c) for a, c in chunk))

@@ -11,6 +11,8 @@ from f2spec.gf2 import (
     Subspace,
     affine_span,
     complement_generators,
+    coset_mask,
+    is_rref,
     iter_affine_masks,
     linear_span,
     max_flat_through,
@@ -347,6 +349,29 @@ def test_swap_masks_hold_the_points_with_the_stride_bit_clear():
         assert len(masks) == n
         for q, m in enumerate(masks):
             assert m == sum(1 << x for x in range(1 << n) if not (x >> q) & 1)
+
+
+@given(st.integers(min_value=1, max_value=7), st.data())
+def test_coset_mask_holds_the_points_that_meet_every_parity(n, data):
+    shift = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    rows = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=n + 1))
+    expected = sum(
+        1 << x for x in range(1 << n) if all(dot(r, x) == dot(r, shift) for r in rows)
+    )
+    assert coset_mask(shift, rows, n) == expected
+
+
+def test_is_rref_accepts_exactly_what_rref_gives():
+    rng = random.Random(29)
+    for _ in range(3000):
+        n = rng.randrange(1, 8)
+        rows = tuple(rng.getrandbits(n + rng.randrange(2)) for _ in range(rng.randrange(5)))
+        if rng.random() < 0.5:
+            rows = rref(rows)
+        expected = rref(rows) == rows and all(0 < r < 1 << n for r in rows)
+        assert is_rref(rows, n) == expected, (rows, n)
+        if len(rows) > 1 and expected:
+            assert not is_rref(rows[::-1], n)
 
 
 @given(st.integers(min_value=1, max_value=9), st.data())

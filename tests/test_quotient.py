@@ -28,6 +28,7 @@ from f2spec.gf2 import (
     Subspace,
     affine_span,
     complement_generators,
+    coset_mask,
     linear_span,
     rref,
 )
@@ -532,3 +533,102 @@ def test_verification_rejects_a_dependent_basis():
     dec = Decomposition((claimed,), structure.Classification(structure.TAG_RVL, 1, 1))
     assert not verify_decomposition(f, dec)
     assert not oracle_verify(f, dec)
+
+
+# ---------------------------------------- the two ways to build a piece mask
+
+def point_mask(piece):
+    return sum(1 << x for x in piece.points())
+
+
+def verdicts_both_ways(mp, f, dec):
+    """verify_decomposition with every mask built by doubling, then with
+    every mask built from the constraints."""
+    verdicts = []
+    for way in (False, True):
+        mp.setattr(structure, "_by_constraints", lambda shift, basis, n: way)
+        verdicts.append(verify_decomposition(f, dec))
+    mp.undo()
+    return verdicts
+
+
+def assert_both_ways_agree(mp, f, dec, forgeries):
+    for p in dec.pieces:
+        basis = p.direction.basis
+        by_translates = structure._mask_by_translates(p.shift, basis, f.n)
+        by_constraints = coset_mask(p.shift, complement_generators(f.n, basis), f.n)
+        assert by_translates == by_constraints == point_mask(p)
+    assert verdicts_both_ways(mp, f, dec) == [True, True]
+    for bad in forgeries:
+        verdict = oracle_verify(f, bad)
+        assert verdicts_both_ways(mp, f, bad) == [verdict, verdict], (f, bad)
+
+
+def test_both_ways_agree_on_every_piece_up_to_n4():
+    # every piece of every in-scope table at n <= 4, where the doubling is
+    # always the cheaper way; forgeries of every fifth table
+    with pytest.MonkeyPatch.context() as mp:
+        for i, (f, s, cls) in enumerate(_in_scope_tables_up_to_n4()):
+            dec = decompose(f, s, cls)
+            for p in dec.pieces:
+                assert not structure._by_constraints(p.shift, p.direction.basis, f.n)
+            assert_both_ways_agree(mp, f, dec, _corrupted(dec) if i % 5 == 0 else ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(in_scope_images(), two_flat_images()))
+def test_both_ways_agree_on_images_up_to_n10(f):
+    dec = decompose(f)
+    with pytest.MonkeyPatch.context() as mp:
+        assert_both_ways_agree(mp, f, dec, _corrupted(dec))
+
+
+@pytest.mark.parametrize("way", [False, True], ids=["translates", "constraints"])
+@pytest.mark.parametrize("n", [6, 14])
+def test_forged_pieces_fail_both_ways(monkeypatch, way, n):
+    monkeypatch.setattr(structure, "_by_constraints", lambda shift, basis, n: way)
+    f = image(two_affine(n, 3), n)
+    dec = decompose(f)
+    assert verify_decomposition(f, dec)
+    a, b = dec.pieces
+    rows = a.direction.basis
+    top, second, *rest = rows
+
+    def rejected(*pieces, g=f):
+        return not verify_decomposition(g, Decomposition(pieces, dec.classification))
+
+    # a dependent basis: a repeated row, and one dimension too few
+    assert rejected(AffineSubspace(a.shift, Subspace(n, (top, top, *rest))), b)
+    assert structure._mask_by_translates(a.shift, (top, top), n) is None
+    # the same flat, on a basis not in rref form: the top row holds the
+    # second one's pivot, or the rows come by increasing pivot
+    skewed = AffineSubspace(a.shift, Subspace(n, (top ^ second, second, *rest)))
+    assert point_mask(skewed) == point_mask(a)
+    assert rejected(skewed, b)
+    assert rejected(AffineSubspace(a.shift, Subspace(n, rows[::-1])), b)
+    # a basis row outside F_2^n
+    assert rejected(AffineSubspace(a.shift, Subspace(n, (top | 1 << n, second, *rest))), b)
+    # overlapping pieces: one twice, or a translate of one meeting the other
+    assert rejected(a, a)
+    assert rejected(a, AffineSubspace(a.shift ^ top, b.direction))
+    # a missing point: the support has one point the pieces leave out
+    zeros = ~f.table & ((1 << (1 << n)) - 1)
+    assert rejected(a, b, g=BooleanFunction(n, f.table | (zeros & -zeros)))
+    # a wrong profile: each piece halved, four flats where k = 3
+    halves = []
+    for p in (a, b):
+        first, *others = p.direction.basis
+        sub = linear_span(n, others)
+        halves += [AffineSubspace(p.shift, sub), AffineSubspace(p.shift ^ first, sub)]
+    assert rejected(*halves)
+
+
+def test_the_cheaper_way_is_chosen_from_the_basis():
+    # the benchmark's kinds of pieces at n = 14 and 16 take the constraints;
+    # a point, or a line whose points lie low, takes the doubling
+    for n in (14, 16):
+        for base in (two_affine(n, 3), counterexample_padded(n), tensor(two_affine(n - 2, 3), delta(2))):
+            for p in decompose(image(base, n)).pieces:
+                assert structure._by_constraints(p.shift, p.direction.basis, n)
+    assert not structure._by_constraints(12345, (), 16)
+    assert not structure._by_constraints(3, (1 << 15 | 1,), 16)

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from fractions import Fraction
 from itertools import compress
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from f2spec import fourier, jsonio, structure
+from f2spec import cli, fourier, jsonio, structure
 from f2spec.boolfunc import (
     BooleanFunction,
     apply_transform,
@@ -25,6 +26,7 @@ from f2spec.families import (
 )
 from f2spec.fourier import (
     Spectrum,
+    butterfly,
     coefficient_values,
     granularity,
     is_boolean_spectrum,
@@ -32,7 +34,7 @@ from f2spec.fourier import (
     sparsity,
     wht,
 )
-from f2spec.gf2 import GF2Matrix, transform_sending_to_first
+from f2spec.gf2 import GF2Matrix, int_to_bits, transform_sending_to_first
 
 from conftest import (
     boolean_convolution_check,
@@ -431,3 +433,68 @@ def test_shift_spectrum_carries_the_positions():
         assert moved.nonzero == s.nonzero == wht(shift(f, a)).nonzero
         assert moved == wht(shift(f, a))
     assert shift_spectrum(Spectrum(3, wht(OR2).coeffs * 2), 5).nonzero is None
+
+
+def dense_transform(f):
+    """f's spectrum in the dense form, straight from the butterfly."""
+    return Spectrum(f.n, butterfly(int_to_bits(f.table, 1 << f.n), f.n))
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_a_sparse_transform_has_the_coeffs_equality_and_hash_of_the_dense_one(n):
+    # 2^(n-4) nonzero coefficients is one in 16, the most the sparse form
+    # takes; 2^(n-3) is dense
+    for k, sparse in ((n - 4, True), (n - 3, False)):
+        f = image(affine_indicator(n, k), n + k)
+        s, dense = wht(f), dense_transform(f)
+        assert (s.nonzero is not None) == sparse
+        assert wht(f) == s  # two sparse forms compare without building coeffs
+        assert s == dense and dense == s and hash(wht(f)) == hash(dense)
+        assert s.coeffs == dense.coeffs and repr(s) == repr(dense)
+        fresh = wht(f)
+        assert list(fourier.iter_coefficients(fresh)) == list(dense.coeffs)
+        assert all(fourier.coefficient(fresh, a) == c for a, c in enumerate(dense.coeffs))
+        other = wht(image(affine_indicator(n, k), n + k + 1))
+        assert other != s and s != other
+        # a shift off the support's directions flips signs at the same positions
+        moved = wht(next(g for g in (shift(f, 1 << j) for j in range(n)) if g != f))
+        assert moved.nonzero == fresh.nonzero and moved != fresh and fresh != moved
+
+
+def test_no_command_on_a_sparse_input_unpacks_the_lanes(tmp_path, monkeypatch, capsys):
+    f = image(counterexample_padded(16), 16)
+    path = tmp_path / "f.json"
+    table = f.table.to_bytes(1 << 13, "little").hex()
+    path.write_text(json.dumps({"n": 16, "truth_table_hex": table}))
+    dense = dense_transform(f)
+    ref = io.StringIO()
+    jsonio.write_spectrum(dense, ref, nonzero_only=True)
+    expected = {
+        "decompose": jsonio.dumps(jsonio.decomposition_to_obj(structure.decompose(f, dense))),
+        "classify": jsonio.dumps(jsonio.classification_to_obj(structure.classify(dense))),
+        "granularity": jsonio.dumps({"granularity": granularity(dense)}),
+        "sparsity": jsonio.dumps({"sparsity": sparsity(dense)}),
+    }
+
+    def unpack(*args):
+        raise AssertionError("the lanes of a sparse spectrum were unpacked")
+
+    monkeypatch.setattr(fourier, "_unpack", unpack)
+    for command, out in expected.items():
+        assert cli.main([command, "--in", str(path)]) == 0
+        assert capsys.readouterr().out == out + "\n"
+    assert cli.main(["spectrum", "--nonzero-only", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == ref.getvalue()
+
+
+@pytest.mark.parametrize("f", [image(counterexample_padded(14), 3), all_ones(13), delta(14)])
+def test_the_full_spectrum_of_a_sparse_transform_streams_its_zeros(f):
+    # the constant function's one coefficient is F(0), and the point's
+    # spectrum has no zero, so it is dense
+    s = wht(f)
+    out, ref = io.StringIO(), io.StringIO()
+    jsonio.write_spectrum(s, out)
+    jsonio.write_spectrum(dense_transform(f), ref)
+    assert out.getvalue() == ref.getvalue()
+    assert (s.nonzero is None) == (f == delta(14))
+    assert s.nonzero is None or s._coeffs is None  # no tuple of 2^n entries
