@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .gf2 import (
     GF2Matrix,
@@ -93,14 +93,33 @@ def tensor(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
 def apply_transform(f: BooleanFunction, m: GF2Matrix) -> BooleanFunction:
     """g(x) = f(Mx).  The spectrum is the permutation beta -> (M^T)^-1 beta.
 
-    A gather of the table's bits through the list of images M x, the
-    sums of M's columns in binary counting order.
+    The gather of f at the sums of M's columns.
     """
     if f.n != m.n:
         raise ValueError("function and matrix dimensions differ")
-    bits = format(f.table, f"0{1 << f.n}b")[::-1]
-    gathered = "".join(map(bits.__getitem__, span_points(m.columns())))
-    return BooleanFunction(f.n, int(gathered[::-1], 2))
+    return gather(f, m.columns())
+
+
+def gather(f: BooleanFunction, vectors: Sequence[int]) -> BooleanFunction:
+    """h(y) = f(sum of vectors[j] over the set bits j of y), on as many
+    inputs as there are vectors: f read at span_points of the vectors, in
+    binary counting order.
+
+    From one point in 16 of the table up, the points index the table's
+    binary string, built in one pass over all 2^n bits; below that, each
+    point's bit is read from the table's bytes, which costs up to 1.5
+    times more per point but builds no string of 2^n bits.  On random
+    tables at n = 14, 18 and 24 (best of 3 to 200), the string was the
+    faster way from one point in 16 up and the bytes below.
+    """
+    points = span_points(vectors)
+    if len(points) << 4 >= 1 << f.n:
+        bits = format(f.table, f"0{1 << f.n}b")[::-1]
+        gathered = "".join(map(bits.__getitem__, points))
+        return BooleanFunction(len(vectors), int(gathered[::-1], 2))
+    table = f.table.to_bytes(((1 << f.n) + 7) >> 3, "little")
+    gathered = bytes(table[x >> 3] >> (x & 7) & 1 for x in points)
+    return BooleanFunction(len(vectors), bits_to_int(gathered))
 
 
 def shift(f: BooleanFunction, a: int) -> BooleanFunction:

@@ -16,8 +16,16 @@ from itertools import accumulate, compress, repeat
 from operator import add, or_
 from typing import Iterable, Sequence
 
-from .boolfunc import BooleanFunction
-from .gf2 import _low_half_mask, int_to_bits
+from .boolfunc import BooleanFunction, gather
+from .gf2 import (
+    _low_half_mask,
+    complement_generators,
+    int_to_bits,
+    rref,
+    span_points,
+    swap_masks,
+    xor_translate,
+)
 
 
 class Spectrum:
@@ -28,11 +36,13 @@ class Spectrum:
     from Spectrum.sparse(n, positions, values), is the positions of the
     nonzero coefficients in increasing order and the coefficients there:
     wht returns it on a spectrum of at least 2^13 entries (the butterfly's
-    _STAGED_LANES) with at most one nonzero coefficient in 16, read off the
-    packed lanes, which it then never unpacks, and reduce_to_core returns
-    it for every core spectrum.  coeffs of a sparse spectrum is built on
-    first read.  nonzero, when not None, holds the positions; a dense
-    spectrum may carry them too, as Spectrum(n, coeffs, nonzero).
+    _STAGED_LANES) with at most one nonzero coefficient in 16: read off the
+    packed lanes, which it then never unpacks, or, when it finds d >= 4
+    directions along which f is invariant, read off the transform of f's
+    quotient on n - d inputs.  reduce_to_core returns it for every core
+    spectrum.  coeffs of a sparse spectrum is built on first read.
+    nonzero, when not None, holds the positions; a dense spectrum may
+    carry them too, as Spectrum(n, coeffs, nonzero).
 
     Equality, hashing and repr are those of (n, coeffs), whatever the
     form, so a sparse transform equals its dense copy.  The readers of
@@ -304,6 +314,19 @@ _BLOCK_LANES = 1 << 14
 # lanes and made the transform up to 45% slower at n = 9
 _STAGED_LANES = 1 << 13
 
+# the least dimension of K' that takes the quotient route: a spectrum on at
+# most one mask in 16 is sparse, so the route returns the form that the
+# full transform would
+_QUOTIENT_DIM = 4
+
+# failed tries after which the search for invariant directions stops.  On
+# seeded images of two-affine (k = 3, 5), counterexample-padded and
+# embedded two-affine tables at n = 14..20, every search failed exactly
+# twice before it found all of K.  With 4, the search costs 3-5% of the
+# transform on random tables of weight 0 mod 16 at n = 13 and 14, where it
+# finds nothing, and 1.4-2.7% at n = 16..20 (best of 9, in process)
+_SEARCH_FAILURES = 4
+
 # array and struct codes of the signed lanes of each standard width
 _LANE_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 
@@ -409,9 +432,27 @@ def wht(f: BooleanFunction) -> Spectrum:
     when at most one lane in 16 is nonzero (see _nonzero_lanes) the
     spectrum comes back in its sparse form: those positions and the lanes'
     values there, read from the lane buffer, which is never unpacked.
-    Past the transform, its readers then touch only those positions."""
+    Past the transform, its readers then touch only those positions.
+
+    From _STAGED_LANES entries up, a table whose weight is a multiple of
+    16 is first searched for directions c with f(x + c) = f(x) for every
+    x (see _invariant_rows).  When they span d >= 4 dimensions, the
+    butterfly runs on f's quotient of 2^(n-d) entries instead, and the
+    spectrum comes back sparse (see _quotient_spectrum): it vanishes off
+    those directions' annihilator, which holds at most one mask in 16."""
     n = f.n
-    blocks, width, nonzero = _transform(int_to_bits(f.table, 1 << n), n, 1 << n >= _STAGED_LANES)
+    if 1 << n >= _STAGED_LANES:
+        rows = _invariant_rows(f.table, n)
+        if len(rows) >= _QUOTIENT_DIM:
+            return _quotient_spectrum(f, rows)
+    return _lane_spectrum(int_to_bits(f.table, 1 << n), n)
+
+
+def _lane_spectrum(bits: bytes, n: int) -> Spectrum:
+    """The spectrum of the 0/1 table bits on n inputs, straight from the
+    butterfly's lanes: sparse from _STAGED_LANES entries up when at most
+    one lane in 16 is nonzero, else dense."""
+    blocks, width, nonzero = _transform(bits, n, 1 << n >= _STAGED_LANES)
     if nonzero is None:
         return Spectrum(n, _unpack(blocks, width))
     nb = width >> 3
@@ -421,6 +462,73 @@ def wht(f: BooleanFunction) -> Spectrum:
         int.from_bytes(blocks[p][j * nb : j * nb + nb], "little", signed=True) for p, j in lanes
     )
     return Spectrum.sparse(n, nonzero, values)
+
+
+def _invariant_rows(table: int, n: int) -> tuple[int, ...]:
+    """The rref rows of K', a subspace of K, the directions c with
+    f(x + c) = f(x) for every x, f the table on n inputs.  f is constant
+    on the cosets of K, so its weight is a multiple of 2^dim K; the rows
+    are () when f is zero or its weight is no multiple of 2^_QUOTIENT_DIM.
+
+    Every c in K maps the support onto itself, so for each support point
+    x, c lies in the support moved by x.  The candidates start as the
+    support moved by x0, the smallest support point, and hold only masks
+    with every pivot bit of K' clear: each coset of K' that meets K has
+    one such member, and 0 stands for K' itself.  The smallest candidate
+    c past 0 is tried: when moving the table by c leaves it as it is, c
+    joins K', and the candidates drop the masks with its pivot bit set.
+    Otherwise some support point x has x + c off the support, and the
+    candidates keep only the support moved by x, which drops c.  When
+    no candidate is left, K' = K; the search also stops after
+    _SEARCH_FAILURES failed tries.  Each member of K' is checked before
+    it joins, so K' lies in K whenever the search stops."""
+    weight = table.bit_count()
+    if not weight or weight & ((1 << _QUOTIENT_DIM) - 1):
+        return ()
+    masks = swap_masks(n)
+    candidates = xor_translate(table, (table & -table).bit_length() - 1, n)
+    kept = []
+    failures = 0
+    while failures < _SEARCH_FAILURES:
+        rest = candidates ^ 1  # 0 is always a candidate
+        if not rest:
+            break
+        c = (rest & -rest).bit_length() - 1
+        moved = xor_translate(table, c, n)
+        if moved == table:
+            kept.append(c)
+            candidates &= masks[c.bit_length() - 1]
+        else:
+            failures += 1
+            off = table & ~moved  # the x with x + c off the support
+            candidates &= xor_translate(table, (off & -off).bit_length() - 1, n)
+    return rref(kept)
+
+
+def _quotient_spectrum(f: BooleanFunction, rows: tuple[int, ...]) -> Spectrum:
+    """f's spectrum in sparse form, from the transform of its quotient by
+    K', the span of the rref rows, along which f is invariant.
+
+    Each x of F_2^n is u + k for one u with every pivot bit of the rows
+    clear and one k in K', and f(u + k) = f(u).  So F(alpha) is 2^d times
+    the sum of f(u) (-1)^<alpha,u> when alpha is orthogonal to K', and 0
+    otherwise.  Let h(y) = f(u) for u the bits of y spread over the n - d
+    positions that are no pivot, in increasing order (boolfunc.gather at
+    those unit vectors).  Then F(alpha) = 2^d H(y) for the alpha of
+    K'^perp whose bits at those positions are y: the sum of
+    complement_generators of the rows over the set bits of y, read from
+    the spans of their low and high halves."""
+    n, d = f.n, len(rows)
+    pivots = reduce(or_, (1 << (r.bit_length() - 1) for r in rows))
+    h = gather(f, [1 << c for c in range(n) if not pivots >> c & 1])
+    ys, hs = nonzero_items(_lane_spectrum(int_to_bits(h.table, 1 << h.n), h.n))
+    gens = complement_generators(n, rows)
+    half = len(gens) >> 1
+    low, high = span_points(gens[:half]), span_points(gens[half:])
+    low_bits = len(low) - 1
+    items = sorted((low[y & low_bits] ^ high[y >> half], v << d) for y, v in zip(ys, hs))
+    positions, values = zip(*items)
+    return Spectrum.sparse(n, positions, values)
 
 
 def nonzero_positions(s: Spectrum) -> Iterable[int]:

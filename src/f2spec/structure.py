@@ -25,7 +25,7 @@ from operator import xor
 from typing import Iterable
 
 from .addcomb import PointSet
-from .boolfunc import BooleanFunction, apply_transform, restrict_first_bit, shift
+from .boolfunc import BooleanFunction, apply_transform, gather, restrict_first_bit, shift
 from .errors import InputFormatError, SpectrumScopeError, TheoremViolationError
 from .fourier import (
     Spectrum,
@@ -41,7 +41,6 @@ from .gf2 import (
     AffineSubspace,
     Subspace,
     affine_span,
-    bits_to_int,
     complement_generators,
     coset_mask,
     is_rref,
@@ -249,8 +248,10 @@ def reduce_to_core(
 
     f is shifted once by its smallest support point.  sigma, the rref basis
     of the span of the nonzero coefficient positions (s = dim), leaves f
-    constant on the cosets of its annihilator, so the shifted f is h o pi
-    for h on F_2^s, gathered at sigma's pivots (see _spectral_quotient).
+    constant on the cosets of its annihilator, so the shifted f is h o pi,
+    pi(x) = (<sigma_i, x>)_i, for h on F_2^s gathered at sigma's pivot
+    bits e_(p_i) (boolfunc.gather): the sum of e_(p_i) over the set bits
+    i of y maps to y under pi, as each pivot lies in one row only.
     For alpha = sum beta_i sigma_i (sigma_i by increasing pivot p_i), beta_i
     is bit p_i of alpha, and H(beta) = (-1)^<alpha, origin> F(alpha) / 2^(n-s).
     Then h is restricted to the affine span of its support.  The masks
@@ -289,7 +290,7 @@ def reduce_to_core(
     s = len(sigma)
     pivots = [1 << (r.bit_length() - 1) for r in reversed(sigma)]
     g = shift(f, origin)
-    h = g if s == n else _spectral_quotient(g, pivots)
+    h = g if s == n else gather(g, pivots)
     f0 = coefficient(spectrum, 0)
     signed_f0 = (f0, -f0)
     w_f = [a for a, c in zip(nonzero, values) if c == signed_f0[(a & origin).bit_count() & 1]]
@@ -487,24 +488,6 @@ def _mask_by_translates(shift: int, basis: tuple[int, ...], n: int) -> int | Non
             return None
         mask |= moved
     return mask
-
-
-def _spectral_quotient(g: BooleanFunction, vectors: list[int]) -> BooleanFunction:
-    """h(y) = g(sum of vectors[j] over the set bits j of y), on as many
-    inputs as there are vectors, gathered from g's table.
-
-    With g f shifted by its smallest support point and vectors the pivot
-    bits e_(p_i) of sigma, the rref basis of the span of the nonzero
-    coefficient positions (sigma_i by increasing pivot p_i), h is the
-    quotient of g.  Every coefficient vanishes off sigma's span, so g is
-    constant on the cosets of its annihilator, and pi(x) = (<sigma_i, x>)_i
-    maps each coset to a point.  sec(y) = sum of e_(p_i) over the set bits
-    i of y has pi(sec(y)) = y, since each pivot lies in one row only, so
-    g = h o pi, and h(0) = 1.
-    """
-    table = g.table.to_bytes(((1 << g.n) + 7) >> 3, "little")
-    h_bits = bytes(table[x >> 3] >> (x & 7) & 1 for x in span_points(vectors))
-    return BooleanFunction(len(vectors), bits_to_int(h_bits))
 
 
 def _subspace_rows(members: list[int], what: str) -> tuple[int, ...]:

@@ -35,8 +35,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from f2spec import jsonio
-from f2spec.boolfunc import tensor
+from f2spec.boolfunc import BooleanFunction, apply_transform, shift, tensor
 from f2spec.families import delta, two_affine
+from f2spec.harness import SplitMix64, random_invertible, random_vector
 
 IN = "IN"
 
@@ -51,6 +52,19 @@ def _embedded_12_3() -> str:
 
 def _embedded_9_5() -> str:
     return jsonio.dumps(jsonio.function_to_obj(tensor(two_affine(9, 5), delta(2))))
+
+
+def _image(f: BooleanFunction, seed: int) -> BooleanFunction:
+    rng = SplitMix64(seed)
+    return shift(apply_transform(f, random_invertible(f.n, rng)), random_vector(f.n, rng))
+
+
+def _k3_14() -> str:
+    return jsonio.dumps(jsonio.function_to_obj(_image(tensor(two_affine(12, 5), delta(2)), 14)))
+
+
+def _k4_14() -> str:
+    return jsonio.dumps(jsonio.function_to_obj(_image(tensor(two_affine(11, 4), delta(3)), 14)))
 
 
 def _random_8() -> str:
@@ -221,6 +235,14 @@ CASES = (
          "80be9556af92b8456c80f6cda332512865ef9e249bf7179f061f88baef9470a5",
          "the full spectrum with its zero entries dropped is the nonzero list",
          _nonzero_list_is_full_without_zeros),
+    Case("spectrum-nonzero-k3-14", _k3_14, ("spectrum", "--in", IN, "--nonzero-only"), 0,
+         "5c3fa49ab8530c19880fa407599fc8bf8d72ed13264785d1568eeb639aaf5d9c",
+         "an image of two_affine(12, 5) ⊗ δ₂: its weight, 256, is a multiple of 16, but dim K "
+         "= 3, so wht searches for invariant directions and then transforms all 2^14 lanes"),
+    Case("classify-k4-14", _k4_14, ("classify", "--in", IN), 0,
+         "1e142425e97fe93ef0ad744064f79ef7e1a5dbf5fa39b3310c770c22b2775bbe",
+         "an image of two_affine(11, 4) ⊗ δ₃: dim K = 4, the least that wht transforms as a "
+         "quotient, here on 2^10 entries"),
     Case("addcomb-sumset", CORE, ("addcomb", "sumset", "--a", IN, "--b", IN), 0,
          "dfc50092f8be24c80345c09f3f9187600ef1b9c56da9a261f508620c1b483994",
          "A + A of the counterexample core: 8 points, no 4 on a 2-flat, so 1 + 28 sums"),

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2spec import jsonio, structure
-from f2spec.boolfunc import BooleanFunction, shift, tensor
+from f2spec.boolfunc import BooleanFunction, gather, shift, tensor
 from f2spec.errors import TheoremViolationError
 from f2spec.families import affine_indicator, counterexample_padded, delta, two_affine
 from f2spec.fourier import wht
@@ -229,7 +229,7 @@ def quotient(f):
     sigma = rref(compress(range(1 << f.n), s.coeffs))
     origin = min(f.support())
     pivots = [1 << (r.bit_length() - 1) for r in reversed(sigma)]
-    h = structure._spectral_quotient(shift(f, origin), pivots)
+    h = gather(shift(f, origin), pivots)
     return s, sigma, origin, h
 
 

@@ -2,10 +2,12 @@ import io
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
+from operator import or_
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f2spec import cli, fourier, jsonio, structure
@@ -34,7 +36,7 @@ from f2spec.fourier import (
     sparsity,
     wht,
 )
-from f2spec.gf2 import GF2Matrix, int_to_bits, transform_sending_to_first
+from f2spec.gf2 import GF2Matrix, int_to_bits, rref, transform_sending_to_first
 
 from conftest import (
     boolean_convolution_check,
@@ -476,8 +478,14 @@ def test_no_command_on_a_sparse_input_unpacks_the_lanes(tmp_path, monkeypatch, c
         "sparsity": jsonio.dumps({"sparsity": sparsity(dense)}),
     }
 
-    def unpack(*args):
-        raise AssertionError("the lanes of a sparse spectrum were unpacked")
+    unpack_lanes = fourier._unpack
+
+    def unpack(blocks, width):
+        # wht runs the butterfly on f's quotient, whose 2^(16 - d) lanes
+        # it may unpack; f's own 2^16 lanes are never unpacked
+        if sum(map(len, blocks)) * 8 // width >= 1 << 16:
+            raise AssertionError("the lanes of a sparse spectrum were unpacked")
+        return unpack_lanes(blocks, width)
 
     monkeypatch.setattr(fourier, "_unpack", unpack)
     for command, out in expected.items():
@@ -498,3 +506,174 @@ def test_the_full_spectrum_of_a_sparse_transform_streams_its_zeros(f):
     assert out.getvalue() == ref.getvalue()
     assert (s.nonzero is None) == (f == delta(14))
     assert s.nonzero is None or s._coeffs is None  # no tuple of 2^n entries
+
+
+# wht's quotient route: the search for invariant directions and the
+# transform of f's quotient, against the dense butterfly and against the
+# full transform's lanes, which wht read before the search existed
+
+
+def full_lanes_transform(f):
+    """f's spectrum from the butterfly on all 2^n lanes, in the form wht
+    gives when it runs no search."""
+    return fourier._lane_spectrum(int_to_bits(f.table, 1 << f.n), f.n)
+
+
+def planted(g: BooleanFunction, d: int) -> BooleanFunction:
+    """f(x) = g(x's first g.n coordinates) on g.n + d inputs: f is invariant
+    along the last d unit vectors."""
+    table = g.table
+    for i in range(d):
+        table |= table << (1 << (g.n + i))
+    return BooleanFunction(g.n + d, table)
+
+
+def counted_translates(monkeypatch):
+    """A list that xor_translate, as the search calls it, appends to."""
+    calls = []
+    translate = fourier.xor_translate
+
+    def counting(bits, a, n):
+        calls.append(a)
+        return translate(bits, a, n)
+
+    monkeypatch.setattr(fourier, "xor_translate", counting)
+    return calls
+
+
+def assert_matches_the_full_transform(f):
+    s, dense, full = wht(f), dense_transform(f), full_lanes_transform(f)
+    assert s.nonzero is None or s._coeffs is None  # no tuple of 2^n entries
+    assert s.coeffs == dense.coeffs and hash(s) == hash(dense)
+    assert s == full and (s.nonzero is None) == (full.nonzero is None)
+    return s
+
+
+def invariant_dim(f) -> int:
+    """dim K: n minus the rank of the nonzero coefficient positions."""
+    return f.n - len(rref(nonzero_positions(dense_transform(f))))
+
+
+def check_planted(n: int, d: int, points: int | None, seed: int) -> BooleanFunction:
+    """g on n - d inputs, with points support points or (None) a random
+    table, its weight cut to a multiple of 2^(4 - d) so that f's is one of
+    16 and the search runs; f is g planted on d more inputs, then pushed
+    through a random invertible map and shift.  wht(f) must match the dense
+    butterfly and the full transform, and every row it finds must leave f
+    as it is.  Returns f."""
+    rng = random.Random(seed)
+    size = 1 << (n - d)
+    if points is None:
+        table = rng.getrandbits(size)
+    else:
+        table = reduce(or_, (1 << rng.randrange(size) for _ in range(points)))
+    while table.bit_count() % (1 << max(0, 4 - d)):
+        table &= table - 1
+    f = image(planted(BooleanFunction(n - d, table), d), seed)
+    s = assert_matches_the_full_transform(f)
+    rows = fourier._invariant_rows(f.table, n)
+    assert len(rows) <= invariant_dim(f)
+    assert all(shift(f, r) == f for r in rows)
+    if len(rows) >= 4:
+        assert s.nonzero is not None
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(13, 16),
+    d=st.integers(0, 16),
+    points=st.one_of(st.none(), st.integers(1, 40)),
+    seed=st.integers(0, 2**32),
+)
+@example(n=16, d=3, points=None, seed=3)
+@example(n=16, d=3, points=24, seed=3)
+@example(n=16, d=4, points=None, seed=4)
+@example(n=16, d=4, points=24, seed=4)
+@example(n=17, d=4, points=32, seed=17)
+def test_the_quotient_transform_matches_the_dense_butterfly(n, d, points, seed):
+    # the n = 17 example takes the quotient route on 2^13 entries, whose own
+    # transform scans its lanes and finds its spectrum dense
+    check_planted(n, min(d, n), points, seed)
+
+
+@pytest.mark.parametrize("d", range(14))
+def test_a_planted_subspace_of_each_dimension_at_n_13(d):
+    # a sparse g, whose support moved by x0 holds few candidates besides
+    # K, so the search finds all of K, on either side of dim K = 4
+    f = check_planted(13, d, max(1, min(32, (1 << 11) >> d)), d)
+    assert len(fourier._invariant_rows(f.table, 13)) == invariant_dim(f)
+
+
+QUOTIENT_FAMILIES = [
+    ("two-affine-3", lambda n: two_affine(n, 3)),
+    ("two-affine-5", lambda n: two_affine(n, 5)),
+    ("counterexample-padded", counterexample_padded),
+    ("two-affine-embedded-3", lambda n: tensor(two_affine(n - 2, 3), delta(2))),
+]
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+@pytest.mark.parametrize("name,family", QUOTIENT_FAMILIES, ids=[q[0] for q in QUOTIENT_FAMILIES])
+def test_every_decompose_large_family_takes_the_quotient_route_with_all_of_k(n, name, family):
+    for seed in (n, n + 100):
+        f = image(family(n), seed)
+        s = assert_matches_the_full_transform(f)
+        assert len(fourier._invariant_rows(f.table, n)) == invariant_dim(f) >= 4
+        assert s.nonzero is not None
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_the_zero_and_all_ones_tables(n):
+    zero = assert_matches_the_full_transform(BooleanFunction(n, 0))
+    assert zero.nonzero == () and fourier._invariant_rows(0, n) == ()
+    ones = assert_matches_the_full_transform(all_ones(n))
+    assert ones.nonzero == (0,) and ones._values == (1 << n,)
+    assert len(fourier._invariant_rows(all_ones(n).table, n)) == n
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_random_tables_of_weight_0_mod_16_use_up_the_budget_and_fall_back(n, monkeypatch):
+    rng = random.Random(n)
+    calls = counted_translates(monkeypatch)
+    for _ in range(3):
+        table = rng.getrandbits(1 << n)
+        while table.bit_count() % 16:
+            table &= table - 1
+        f = BooleanFunction(n, table)
+        calls.clear()
+        assert fourier._invariant_rows(table, n) == ()
+        assert len(calls) == 1 + 2 * fourier._SEARCH_FAILURES
+        assert assert_matches_the_full_transform(f).nonzero is None
+
+
+def test_a_table_with_k_of_dim_4_that_uses_up_the_budget_is_transformed_whole(monkeypatch):
+    # a random g on 12 inputs planted on 4 more: dim K = 4, but the search
+    # tries non-members of K first, and stops after its failures
+    f = image(planted(BooleanFunction(12, random.Random(4).getrandbits(1 << 12)), 4), 4)
+    assert invariant_dim(f) == 4
+    calls = counted_translates(monkeypatch)
+    rows = fourier._invariant_rows(f.table, 16)
+    assert len(rows) < 4
+    assert len(calls) == 1 + len(rows) + 2 * fourier._SEARCH_FAILURES
+    s = assert_matches_the_full_transform(f)
+    assert s.nonzero is not None and len(s.nonzero) <= 1 << 12
+
+
+@pytest.mark.parametrize("n", [13, 16])
+def test_the_search_moves_the_table_a_bounded_number_of_times(n, monkeypatch):
+    # one move by x0, one per kept direction (at most n), and two per
+    # failed try
+    bound = 1 + n + 2 * fourier._SEARCH_FAILURES
+    tables = [
+        all_ones(n),
+        image(counterexample_padded(n), n),
+        image(tensor(two_affine(n - 3, 4), delta(3)), n),
+        image(planted(BooleanFunction(n - 4, random.Random(n).getrandbits(1 << (n - 4))), 4), n),
+        BooleanFunction(n, random.Random(n).getrandbits(1 << n) & -16),
+    ]
+    calls = counted_translates(monkeypatch)
+    for f in tables:
+        calls.clear()
+        wht(f)
+        assert len(calls) <= bound
