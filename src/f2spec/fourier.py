@@ -29,39 +29,36 @@ from .gf2 import (
 
 
 class Spectrum:
-    """Scaled Fourier transform: coeffs[enc(a)] = 2^n * f^(a).
+    """Scaled Fourier transform: F(a) = 2^n * f^(a) at each mask a.
 
-    A spectrum is held in one of two forms.  The dense form is the tuple
-    of all 2^n coefficients, from Spectrum(n, coeffs).  The sparse form,
-    from Spectrum.sparse(n, positions, values), is the positions of the
-    nonzero coefficients in increasing order and the coefficients there:
-    wht returns it on a spectrum of at least 2^13 entries (the butterfly's
-    _STAGED_LANES) with at most one nonzero coefficient in 16: read off the
-    packed lanes, which it then never unpacks, or, when it finds d >= 4
-    directions along which f is invariant, read off the transform of f's
-    quotient on n - d inputs.  reduce_to_core returns it for every core
-    spectrum.  coeffs of a sparse spectrum is built on first read.
-    nonzero, when not None, holds the positions; a dense spectrum may
-    carry them too, as Spectrum(n, coeffs, nonzero).
+    A spectrum has one of two forms.  Spectrum(n, coeffs) is dense: the
+    sequence of all 2^n coefficients, with nonzero None.
+    Spectrum.sparse(n, positions, values) is sparse: nonzero holds the
+    positions of the nonzero coefficients in increasing order, and the
+    coefficients there are the values.  wht returns the sparse form on a
+    spectrum of at least 2^13 entries (the butterfly's _STAGED_LANES)
+    with at most one nonzero coefficient in 16: read off the packed lanes,
+    which it then never unpacks, or, when it finds d >= 4 directions
+    along which f is invariant, read off the transform of f's quotient on
+    n - d inputs.  reduce_to_core returns it for every core spectrum.
 
-    Equality, hashing and repr are those of (n, coeffs), whatever the
-    form, so a sparse transform equals its dense copy.  The readers of
-    this module (nonzero_positions, nonzero_items, coefficient,
-    coefficient_values, sparsity, granularity, iter_coefficients) touch
-    only the positions of a spectrum that carries them, and never build
-    coeffs of a sparse one.  A spectrum is a value: past construction,
-    only the cached coeffs tuple is ever filled in.
+    A spectrum is the value (n, positions, values) in either form:
+    equality, hashing and repr read it through nonzero_items, so a sparse
+    spectrum equals, hashes and prints as its dense copy.  coeffs of a
+    sparse spectrum is a fresh tuple of 2^n entries on each read, never
+    stored.  The readers of this module (nonzero_items, coefficient,
+    coefficient_values, sparsity, granularity, iter_coefficients) branch
+    once on the form and touch only the positions and values of a sparse
+    one.  A spectrum is a value: nothing changes it past construction.
     """
 
     __slots__ = ("n", "nonzero", "_coeffs", "_values")
 
-    def __init__(
-        self, n: int, coeffs: Sequence[int], nonzero: tuple[int, ...] | None = None
-    ) -> None:
+    def __init__(self, n: int, coeffs: Sequence[int]) -> None:
         if len(coeffs) != 1 << n:
             raise ValueError("coefficient array must have 2^n entries")
         self.n = n
-        self.nonzero = nonzero
+        self.nonzero = None
         self._coeffs = coeffs
         self._values: tuple[int, ...] | None = None
 
@@ -78,28 +75,30 @@ class Spectrum:
 
     @property
     def coeffs(self) -> Sequence[int]:
-        """All 2^n coefficients; a sparse spectrum builds the tuple once."""
-        if self._coeffs is None:
-            coeffs = [0] * (1 << self.n)
-            for a, v in zip(self.nonzero, self._values):
-                coeffs[a] = v
-            self._coeffs = tuple(coeffs)
-        return self._coeffs
+        """All 2^n coefficients: those of the dense form, or a fresh tuple
+        built from the sparse form."""
+        if self.nonzero is None:
+            return self._coeffs
+        coeffs = [0] * (1 << self.n)
+        for a, v in zip(self.nonzero, self._values):
+            coeffs[a] = v
+        return tuple(coeffs)
+
+    def _key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        positions, values = nonzero_items(self)
+        return self.n, tuple(positions), tuple(values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        if self._coeffs is None and other._coeffs is None:
-            return self.nonzero == other.nonzero and self._values == other._values
-        return self.coeffs == other.coeffs
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"Spectrum(n={self.n!r}, coeffs={self.coeffs!r})"
+        n, positions, values = self._key()
+        return f"Spectrum.sparse({n}, {positions}, {values})"
 
 
 def butterfly(values: bytes | Sequence[int], n: int) -> tuple[int, ...]:
@@ -165,8 +164,8 @@ def _transform(
     the blocks' ints after their masked stages are the only copy of the
     table until each becomes its bytes.  With scan, the third item is the
     positions of the nonzero lanes, in increasing order, when at most one
-    lane in 16 is nonzero, read block by block as its bytes are made (see
-    _nonzero_lanes); it is None otherwise."""
+    lane in 2^_SPARSE_BITS is nonzero, read block by block as its bytes are
+    made (see _nonzero_lanes); it is None otherwise."""
     size = 1 << n
     count = len(values)
     if count % size:
@@ -238,9 +237,9 @@ def _transform(
     # lane takes the bias off.  With scan, a block of nonzero bytes has its
     # lanes flagged zero or nonzero while its bytes are fresh, and the
     # positions of the nonzero ones collected, until more than one lane in
-    # 16 is nonzero.  The blocks are not joined: at n = 24 that would add
-    # 64 MiB to the peak memory of a sparse transform, which reads a few
-    # lanes from them
+    # 2^_SPARSE_BITS is nonzero.  The blocks are not joined: at n = 24 that
+    # would add 64 MiB to the peak memory of a sparse transform, which reads
+    # a few lanes from them
     nb = last >> 3
     step = block * nb
     nonzero: list[int] | None = [] if scan else None
@@ -251,7 +250,8 @@ def _transform(
         data[nb - 1 :: nb] = top = data[nb - 1 :: nb].translate(_FLIP)
         blocks[p] = data
         if nonzero is not None and data != zeros:
-            found = _nonzero_lanes(data, nb, top, p * block, (count >> 4) - len(nonzero))
+            room = (count >> _SPARSE_BITS) - len(nonzero)
+            found = _nonzero_lanes(data, nb, top, p * block, room)
             if found is None:
                 nonzero = None
             else:
@@ -314,10 +314,11 @@ _BLOCK_LANES = 1 << 14
 # lanes and made the transform up to 45% slower at n = 9
 _STAGED_LANES = 1 << 13
 
-# the least dimension of K' that takes the quotient route: a spectrum on at
-# most one mask in 16 is sparse, so the route returns the form that the
-# full transform would
-_QUOTIENT_DIM = 4
+# a spectrum with at most one nonzero coefficient in 2^_SPARSE_BITS takes
+# the sparse form.  It is also the least dimension of K' that takes the
+# quotient route, whose spectrum vanishes off K'^perp, so the route returns
+# the form that the full transform would
+_SPARSE_BITS = 4
 
 # failed tries after which the search for invariant directions stops.  On
 # seeded images of two-affine (k = 3, 5), counterexample-padded and
@@ -443,7 +444,7 @@ def wht(f: BooleanFunction) -> Spectrum:
     n = f.n
     if 1 << n >= _STAGED_LANES:
         rows = _invariant_rows(f.table, n)
-        if len(rows) >= _QUOTIENT_DIM:
+        if len(rows) >= _SPARSE_BITS:
             return _quotient_spectrum(f, rows)
     return _lane_spectrum(int_to_bits(f.table, 1 << n), n)
 
@@ -468,7 +469,7 @@ def _invariant_rows(table: int, n: int) -> tuple[int, ...]:
     """The rref rows of K', a subspace of K, the directions c with
     f(x + c) = f(x) for every x, f the table on n inputs.  f is constant
     on the cosets of K, so its weight is a multiple of 2^dim K; the rows
-    are () when f is zero or its weight is no multiple of 2^_QUOTIENT_DIM.
+    are () when f is zero or its weight is no multiple of 2^_SPARSE_BITS.
 
     Every c in K maps the support onto itself, so for each support point
     x, c lies in the support moved by x.  The candidates start as the
@@ -483,7 +484,7 @@ def _invariant_rows(table: int, n: int) -> tuple[int, ...]:
     _SEARCH_FAILURES failed tries.  Each member of K' is checked before
     it joins, so K' lies in K whenever the search stops."""
     weight = table.bit_count()
-    if not weight or weight & ((1 << _QUOTIENT_DIM) - 1):
+    if not weight or weight & ((1 << _SPARSE_BITS) - 1):
         return ()
     masks = swap_masks(n)
     candidates = xor_translate(table, (table & -table).bit_length() - 1, n)
@@ -531,43 +532,31 @@ def _quotient_spectrum(f: BooleanFunction, rows: tuple[int, ...]) -> Spectrum:
     return Spectrum.sparse(n, positions, values)
 
 
-def nonzero_positions(s: Spectrum) -> Iterable[int]:
-    """The positions of the nonzero coefficients, in increasing order: the
-    ones the spectrum carries, else a compress over all 2^n coefficients,
-    which is an iterator and can be read once."""
-    if s.nonzero is not None:
-        return s.nonzero
-    return compress(range(len(s._coeffs)), s._coeffs)
-
-
 def nonzero_items(s: Spectrum) -> tuple[Iterable[int], Iterable[int]]:
     """The positions of the nonzero coefficients, in increasing order, and
     the coefficients there, in the same order: those of the sparse form,
-    or the carried positions and the coefficients read at them, else a
-    compress and a filter over all 2^n coefficients, iterators that can
-    be read once."""
-    if s._values is not None:
+    else a compress and a filter over all 2^n coefficients, iterators that
+    can be read once."""
+    if s.nonzero is not None:
         return s.nonzero, s._values
     coeffs = s._coeffs
-    if s.nonzero is not None:
-        return s.nonzero, map(coeffs.__getitem__, s.nonzero)
     return compress(range(len(coeffs)), coeffs), filter(None, coeffs)
 
 
 def coefficient(s: Spectrum, a: int) -> int:
-    """F(a): read from coeffs when the spectrum holds them, else found by
-    bisecting the carried positions."""
-    if s._coeffs is not None:
+    """F(a): read from the dense coefficients, else found by bisecting the
+    positions of the sparse form."""
+    if s.nonzero is None:
         return s._coeffs[a]
     i = bisect_left(s.nonzero, a)
     return s._values[i] if i < len(s.nonzero) and s.nonzero[i] == a else 0
 
 
 def iter_coefficients(s: Spectrum) -> Iterable[int]:
-    """All 2^n coefficients in order: coeffs when the spectrum holds them,
-    else the values of the sparse form with runs of zeros streamed between
-    them, so that no tuple of 2^n entries is built."""
-    if s._coeffs is not None:
+    """All 2^n coefficients in order: the dense coefficients, else the
+    values of the sparse form with runs of zeros streamed between them, so
+    that no tuple of 2^n entries is built."""
+    if s.nonzero is None:
         return s._coeffs
     return _with_zeros(s.nonzero, s._values, 1 << s.n)
 
@@ -583,12 +572,12 @@ def _with_zeros(positions: Iterable[int], values: Iterable[int], size: int) -> I
 
 
 def coefficient_values(s: Spectrum) -> set[int]:
-    """The distinct coefficient values: the nonzero values of a spectrum
-    that carries its positions, with 0 when some coefficient vanishes,
-    else the set of all 2^n coefficients."""
+    """The distinct coefficient values: the set of all 2^n dense
+    coefficients, else the values of the sparse form, with 0 when some
+    coefficient vanishes."""
     if s.nonzero is None:
         return set(s._coeffs)
-    values = set(nonzero_items(s)[1])
+    values = set(s._values)
     if len(s.nonzero) < 1 << s.n:
         values.add(0)
     return values
@@ -599,8 +588,7 @@ def granularity(s: Spectrum) -> int:
 
     The fold runs over the distinct values: an in-scope spectrum has at
     most five, and building the set costs about half of folding all 2^n
-    entries at n = 14..16 (and a spectrum that carries its nonzero
-    positions reads only those).
+    entries at n = 14..16 (and a sparse spectrum reads only its values).
     """
     return _granularity(s.n, coefficient_values(s))
 
@@ -620,11 +608,11 @@ def _granularity(n: int, values: Iterable[int]) -> int:
 
 
 def sparsity(s: Spectrum) -> int:
-    """Number of nonzero Fourier coefficients: the carried positions, else
-    a count of zeros over all 2^n."""
-    if s.nonzero is not None:
-        return len(s.nonzero)
-    return len(s._coeffs) - s._coeffs.count(0)
+    """Number of nonzero Fourier coefficients: a count of zeros over all 2^n
+    dense coefficients, else the positions of the sparse form."""
+    if s.nonzero is None:
+        return len(s._coeffs) - s._coeffs.count(0)
+    return len(s.nonzero)
 
 
 def is_boolean_spectrum(s: Spectrum) -> bool:

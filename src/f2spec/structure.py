@@ -9,7 +9,7 @@ constant on the cosets of the annihilator of the span of the nonzero
 coefficient positions, and one reduction takes f to the core: a shift,
 the gather of the quotient on s = dim(span) inputs, and a restriction to
 the affine span of the quotient's support.  The core spectrum is read off
-f's nonzero coefficients alone, and carries its own nonzero positions.
+f's nonzero coefficients alone, in the sparse form.
 Two pieces come in closed form from the core spectrum (four pieces are
 peeled off the core's support), and the reduction's trace lifts each
 piece to f in one affine map.  Every decomposition emitted is verified on
@@ -33,7 +33,6 @@ from .fourier import (
     coefficient,
     coefficient_values,
     nonzero_items,
-    nonzero_positions,
     sparsity,
     wht,
 )
@@ -155,8 +154,8 @@ def _signed_masks(s: Spectrum, k: int) -> tuple[frozenset[int], frozenset[int]]:
     coefficients show s to be a core spectrum with 0 in its support: no
     nonzero mask but 0 has the magnitude of F(0), and they sum to 2^n."""
     unit = 1 << (s.n - k)
-    # the few nonzero masks and their values (carried, or one scan each),
-    # then the checks and the split run on those alone
+    # the few nonzero masks and their values (the sparse form's, or one
+    # scan each), then the checks and the split run on those alone
     nonzero, values = map(list, nonzero_items(s))
     f0 = coefficient(s, 0)
     if values.count(f0) + values.count(-f0) > 1:
@@ -566,7 +565,7 @@ def decompose(
         k = cls.k
         if sparsity(s) != 1 << k:
             raise TheoremViolationError(f"the nonzero positions are no subspace of dimension {k}")
-        rest = islice(nonzero_positions(s), 1, None)
+        rest = islice(nonzero_items(s)[0], 1, None)
         rows = tuple(next(islice(rest, (1 << j) - 1 >> 1, None)) for j in range(k))[::-1]
         if len(set(map(int.bit_length, rows))) != k:
             raise TheoremViolationError(f"the nonzero positions are no subspace of dimension {k}")

@@ -160,8 +160,8 @@ def oracle_dense_reduce(f: BooleanFunction, s=None, cls=None):
     origin = min(f.support())
     g = shift(f, origin)
     shifted = shift_spectrum(s, origin)
-    f0 = shifted.coeffs[0]
-    basis = tuple(rref(a for a in range(1, 1 << n) if shifted.coeffs[a] == f0))
+    coeffs = shifted.coeffs  # a sparse spectrum builds a fresh tuple on each read
+    basis = tuple(rref(a for a in range(1, 1 << n) if coeffs[a] == coeffs[0]))
     w = len(basis)
     m = transform_sending_to_first(n, basis)
     g = apply_transform(g, m)
@@ -428,13 +428,17 @@ def oracle_butterfly(values: list[int]) -> None:
 
 def shift_spectrum(s: Spectrum, a: int) -> Spectrum:
     """Spectrum of x -> f(x + a) from the spectrum of f: F(beta) (-1)^<beta,a>.
-    A sign flip keeps zeros at zero, so the nonzero positions carry over."""
+    A sign flip keeps zeros at zero, so a sparse spectrum stays sparse on
+    the same positions."""
     if a == 0:
         return s
     signs = [1]
     for i in range(s.n):
         signs += list(map(neg, signs)) if (a >> i) & 1 else signs
-    return Spectrum(s.n, tuple(map(mul, s.coeffs, signs)), s.nonzero)
+    if s.nonzero is None:
+        return Spectrum(s.n, tuple(map(mul, s.coeffs, signs)))
+    flipped = map(mul, s._values, map(signs.__getitem__, s.nonzero))
+    return Spectrum.sparse(s.n, s.nonzero, tuple(flipped))
 
 
 def oracle_apply(m: GF2Matrix, x: int) -> int:

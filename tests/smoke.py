@@ -205,16 +205,16 @@ CASES = (
          "masked stages and to 32 bits before its 6 block stages"),
     Case("spectrum-nonzero-ce-20", CE_20, ("spectrum", "--in", IN, "--nonzero-only"), 0,
          "ac6e3052cf11949ffccec622c7356930eb693cb413b726dc512fc11bbcb814f5",
-         "the nonzero positions that the transform carries on a sparse spectrum at n = 20"),
+         "the positions and values of the sparse form that the transform returns at n = 20"),
     Case("classify-ce-20", CE_20, ("classify", "--in", IN), 0,
          "2fe972d100947c3d95fca1ffee731a4209474e053799444861419271f41727f4",
-         "classify reads the carried nonzero positions at n = 20"),
+         "classify reads only the sparse form at n = 20"),
     Case("granularity-ce-20", CE_20, ("granularity", "--in", IN), 0,
          "8de29b1da2289bccff6baa82d47aaefb1f00c76a9a88d1e77310c0482a8623e8",
-         "granularity reads the carried nonzero positions at n = 20"),
+         "granularity reads only the sparse form at n = 20"),
     Case("sparsity-ce-20", CE_20, ("sparsity", "--in", IN), 0,
          "a4548037cff6fd304ebc91e679b2043b66c4c003d576c6e60d3904173d5c04ba",
-         "sparsity reads the carried nonzero positions at n = 20"),
+         "sparsity reads only the sparse form at n = 20"),
     Case("decompose-ce-22", CE_22, DECOMPOSE, 0,
          "b226542523e9f1da588eaf4b57291d9a733dbded03aa8d2830bd8393aa3a3d2e",
          "at n = 22 the butterfly runs 8 block stages"),

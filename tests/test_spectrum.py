@@ -32,7 +32,7 @@ from f2spec.fourier import (
     coefficient_values,
     granularity,
     is_boolean_spectrum,
-    nonzero_positions,
+    nonzero_items,
     sparsity,
     wht,
 )
@@ -345,7 +345,7 @@ def test_wht_carries_nothing_below_the_size_cut_or_on_a_dense_spectrum():
     for n in (13, 14, 16):
         assert wht(BooleanFunction(n, rng.getrandbits(1 << n))).nonzero is None
     assert wht(inner_product_bent(14)).nonzero is None
-    # at most one lane in 16 nonzero: 2^9 of 2^13 is carried, 2^10 is not
+    # at most one lane in 16 nonzero: 2^9 of 2^13 is sparse, 2^10 is not
     assert len(wht(affine_indicator(13, 9)).nonzero) == 1 << 9
     assert wht(affine_indicator(13, 10)).nonzero is None
 
@@ -360,7 +360,7 @@ def test_a_transform_and_its_copy_from_a_tuple_agree(f):
     t = Spectrum(f.n, s.coeffs)
     assert t.nonzero is None
     assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
-    assert list(nonzero_positions(s)) == list(nonzero_positions(t))
+    assert list(nonzero_items(s)[0]) == list(nonzero_items(t)[0])
     assert coefficient_values(s) == coefficient_values(t)
     cls = structure.classify(s)
     assert cls == structure.classify(t)
@@ -378,50 +378,58 @@ def test_coefficient_values_add_zero_only_when_a_coefficient_vanishes(f):
     # the bent function and the point have no zero coefficient; the
     # constant function has one nonzero coefficient, the zero map none
     s = wht(f)
-    carried = Spectrum(f.n, s.coeffs, tuple(compress(range(1 << f.n), s.coeffs)))
-    assert coefficient_values(carried) == set(s.coeffs)
-    assert structure.classify(carried) == structure.classify(s)
-    assert granularity(carried) == granularity(s)
+    sparse = Spectrum.sparse(f.n, *map(tuple, nonzero_items(s)))
+    assert coefficient_values(sparse) == set(s.coeffs)
+    assert structure.classify(sparse) == structure.classify(s)
+    assert granularity(sparse) == granularity(s)
 
 
-class NoPass(tuple):
-    """Coefficients that fail any iteration or count over all of them."""
+class NoPass(Spectrum):
+    """A sparse spectrum that fails any read of all its 2^n coefficients."""
 
-    def __iter__(self):
+    __slots__ = ()
+
+    @property
+    def coeffs(self):
         raise AssertionError("a pass over all 2^n coefficients")
 
-    def count(self, value):
-        raise AssertionError("a count over all 2^n coefficients")
+
+def no_stream(positions, values, size):
+    raise AssertionError("a stream of all 2^n coefficients")
 
 
 @pytest.mark.parametrize(
     "base",
     [affine_indicator(14, 4), two_affine(14, 3), counterexample_padded(14), two_affine(13, 7)],
 )
-def test_readers_of_carried_positions_make_no_pass_over_the_coefficients(base):
+def test_readers_of_carried_positions_make_no_pass_over_the_coefficients(base, monkeypatch):
     # one flat, two flats and four flats on a spectral quotient (s < n),
     # and two flats whose spectrum spans F_2^13 (s = n)
     f = image(base, 9)
     s = wht(f)
-    guarded = Spectrum(f.n, NoPass(s.coeffs), s.nonzero)
+    guarded = NoPass.sparse(f.n, s.nonzero, s._values)
+    # nor does any reader stream the zeros between its values
+    monkeypatch.setattr(fourier, "_with_zeros", no_stream)
     cls = structure.classify(guarded)
     assert cls == structure.classify(s)
     assert granularity(guarded) == granularity(s)
     assert sparsity(guarded) == sparsity(s)
     assert structure.decompose(f, guarded) == structure.decompose(f, s)
     if cls.m == 2:
-        # the core spectrum comes with its positions, and the class split
-        # reads only those
+        # the core spectrum is sparse, and the class split reads only its
+        # positions and values
         _, trace = structure.reduce_to_core(f, guarded, cls)
         core_s = trace.core_spectrum
-        core_guarded = Spectrum(core_s.n, NoPass(core_s.coeffs), core_s.nonzero)
+        core_guarded = NoPass.sparse(core_s.n, core_s.nonzero, core_s._values)
         core_cls = trace.core_classification
         sets = structure.spectral_sets(core_guarded, core_cls)
         assert sets == structure.spectral_sets(Spectrum(core_s.n, core_s.coeffs), core_cls)
+        assert core_guarded._coeffs is None
     out, ref = io.StringIO(), io.StringIO()
     jsonio.write_spectrum(guarded, out, nonzero_only=True)
     jsonio.write_spectrum(s, ref, nonzero_only=True)
     assert out.getvalue() == ref.getvalue()
+    assert guarded._coeffs is None
 
 
 def test_shift_spectrum_carries_the_positions():
@@ -549,9 +557,41 @@ def assert_matches_the_full_transform(f):
     return s
 
 
+@pytest.mark.parametrize("n", [12, 13, 14, 15, 16])
+def test_a_spectrum_has_two_forms_and_a_sparse_one_never_builds_its_coefficients(n):
+    # every producer: wht below the size cut, wht's dense lane read (a
+    # random table), its sparse lane read and its quotient route, and the
+    # core spectrum of reduce_to_core
+    f = image(two_affine(n, 3), n)
+    s = wht(f)
+    core, trace = structure.reduce_to_core(f, s)
+    spectra = [(f, s, n == 12), (core, trace.core_spectrum, False)]
+    if n > 12:
+        assert len(fourier._invariant_rows(f.table, n)) >= fourier._SPARSE_BITS
+        g = BooleanFunction(n, random.Random(n).getrandbits(1 << n))
+        spectra += [(f, full_lanes_transform(f), False), (g, wht(g), True)]
+    for g, s, dense in spectra:
+        assert (s.nonzero is None) == dense
+        if dense:
+            continue
+        copy = Spectrum(s.n, tuple(fourier.iter_coefficients(s)))
+        assert s == copy and copy == s
+        assert hash(s) == hash(copy) and repr(s) == repr(copy)
+        assert eval(repr(s), {"Spectrum": Spectrum}) == s
+        assert all(fourier.coefficient(s, a) == c for a, c in enumerate(copy.coeffs))
+        assert structure.classify(s) == structure.classify(copy)
+        assert structure.decompose(g, s) == structure.decompose(g, copy)
+        for nonzero_only in (False, True):
+            out, ref = io.StringIO(), io.StringIO()
+            jsonio.write_spectrum(s, out, nonzero_only)
+            jsonio.write_spectrum(copy, ref, nonzero_only)
+            assert out.getvalue() == ref.getvalue()
+        assert s._coeffs is None
+
+
 def invariant_dim(f) -> int:
     """dim K: n minus the rank of the nonzero coefficient positions."""
-    return f.n - len(rref(nonzero_positions(dense_transform(f))))
+    return f.n - len(rref(nonzero_items(dense_transform(f))[0]))
 
 
 def check_planted(n: int, d: int, points: int | None, seed: int) -> BooleanFunction:

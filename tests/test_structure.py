@@ -457,9 +457,8 @@ def test_core_spectrum_gathers_only_the_kept_coefficients():
         reducible += 1
         # L from W's rref rows, found by a scan of every mask: its last
         # n - w columns are the dense lift columns
-        shifted = shift_spectrum(s, trace.shift)
-        f0 = shifted.coeffs[0]
-        basis = rref(a for a in range(1, 1 << f.n) if shifted.coeffs[a] == f0)
+        coeffs = shift_spectrum(s, trace.shift).coeffs
+        basis = rref(a for a in range(1, 1 << f.n) if coeffs[a] == coeffs[0])
         m = transform_sending_to_first(f.n, basis)
         assert m.columns()[w:] == dense.columns
         assert dense.core_spectrum == wht(dense_core)
