@@ -103,7 +103,10 @@ def apply_transform(f: BooleanFunction, m: GF2Matrix) -> BooleanFunction:
 def gather(f: BooleanFunction, vectors: Sequence[int]) -> BooleanFunction:
     """h(y) = f(sum of vectors[j] over the set bits j of y), on as many
     inputs as there are vectors: f read at span_points of the vectors, in
-    binary counting order.
+    binary counting order.  apply_transform reads f at a matrix's
+    columns, and structure.reduce_to_core reads f's quotient at the pivot
+    bits of its spectrum's span; fourier._invariant_rows folds a table
+    without it, and the tests check those folds against it.
 
     From one point in 16 of the table up, the points index the table's
     binary string, built in one pass over all 2^n bits; below that, each

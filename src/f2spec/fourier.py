@@ -16,14 +16,13 @@ from itertools import accumulate, compress, repeat
 from operator import add, or_
 from typing import Iterable, Sequence
 
-from .boolfunc import BooleanFunction, gather
+from .boolfunc import BooleanFunction
 from .gf2 import (
     _low_half_mask,
     complement_generators,
     int_to_bits,
     rref,
     span_points,
-    swap_masks,
     xor_translate,
 )
 
@@ -323,10 +322,14 @@ _SPARSE_BITS = 4
 # failed tries after which the search for invariant directions stops.  On
 # seeded images of two-affine (k = 3, 5), counterexample-padded and
 # embedded two-affine tables at n = 14..20, every search failed exactly
-# twice before it found all of K.  With 4, the search costs 3-5% of the
-# transform on random tables of weight 0 mod 16 at n = 13 and 14, where it
-# finds nothing, and 1.4-2.7% at n = 16..20 (best of 9, in process)
-_SEARCH_FAILURES = 4
+# twice before it found all of K.  On random tables of weight 0 mod 16 at
+# n = 13..20, where it finds nothing, the search costs 1.9-5.1% of the
+# transform with 4, 2.4-5.9% with 5 and 2.8-7.2% with 6 (best of 5 to 9,
+# in process); tried smallest candidate first with 4, it cost 1.8-6.4%.
+# With 5 it keeps d >= 4 directions on 212 of test_spectrum's 400
+# planted tables of dim K >= 4, against 192 with 4 and 192 smallest
+# first
+_SEARCH_FAILURES = 5
 
 # array and struct codes of the signed lanes of each standard width
 _LANE_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
@@ -437,15 +440,16 @@ def wht(f: BooleanFunction) -> Spectrum:
 
     From _STAGED_LANES entries up, a table whose weight is a multiple of
     16 is first searched for directions c with f(x + c) = f(x) for every
-    x (see _invariant_rows).  When they span d >= 4 dimensions, the
-    butterfly runs on f's quotient of 2^(n-d) entries instead, and the
-    spectrum comes back sparse (see _quotient_spectrum): it vanishes off
-    those directions' annihilator, which holds at most one mask in 16."""
+    x (see _invariant_rows), which folds the table by each direction it
+    keeps.  When they span d >= 4 dimensions, the butterfly runs on the
+    last fold, f's quotient of 2^(n-d) entries, instead, and the spectrum
+    comes back sparse (see _quotient_spectrum): it vanishes off those
+    directions' annihilator, which holds at most one mask in 16."""
     n = f.n
     if 1 << n >= _STAGED_LANES:
-        rows = _invariant_rows(f.table, n)
+        rows, quotient = _invariant_rows(f.table, n)
         if len(rows) >= _SPARSE_BITS:
-            return _quotient_spectrum(f, rows)
+            return _quotient_spectrum(n, rows, quotient)
     return _lane_spectrum(int_to_bits(f.table, 1 << n), n)
 
 
@@ -465,64 +469,119 @@ def _lane_spectrum(bits: bytes, n: int) -> Spectrum:
     return Spectrum.sparse(n, nonzero, values)
 
 
-def _invariant_rows(table: int, n: int) -> tuple[int, ...]:
+def _invariant_rows(table: int, n: int) -> tuple[tuple[int, ...], int]:
     """The rref rows of K', a subspace of K, the directions c with
-    f(x + c) = f(x) for every x, f the table on n inputs.  f is constant
-    on the cosets of K, so its weight is a multiple of 2^dim K; the rows
-    are () when f is zero or its weight is no multiple of 2^_SPARSE_BITS.
+    f(x + c) = f(x) for every x, f the table on n inputs, and f's quotient
+    by K': f at the points with every pivot bit of K' clear, as a table on
+    the n - d other coordinates in increasing order (boolfunc.gather at
+    their unit vectors).  f is constant on the cosets of K, so its weight
+    is a multiple of 2^dim K; the rows are (), and the quotient is f, when
+    f is zero or its weight is no multiple of 2^_SPARSE_BITS.
 
-    Every c in K maps the support onto itself, so for each support point
-    x, c lies in the support moved by x.  The candidates start as the
-    support moved by x0, the smallest support point, and hold only masks
-    with every pivot bit of K' clear: each coset of K' that meets K has
-    one such member, and 0 stands for K' itself.  The smallest candidate
-    c past 0 is tried: when moving the table by c leaves it as it is, c
-    joins K', and the candidates drop the masks with its pivot bit set.
-    Otherwise some support point x has x + c off the support, and the
-    candidates keep only the support moved by x, which drops c.  When
-    no candidate is left, K' = K; the search also stops after
-    _SEARCH_FAILURES failed tries.  Each member of K' is checked before
-    it joins, so K' lies in K whenever the search stops."""
+    The search holds g, the quotient by the directions kept so far, on m
+    inputs.  The points with every kept pivot bit clear meet each coset of
+    K' once and f is K'-invariant, so for such a c, f is c-invariant
+    exactly when g is.  Every such c of K maps g's support onto itself, so
+    for each support point x of g it lies in the support moved by x.  The
+    candidates start as f's support moved by its smallest point, with 0
+    standing for K' itself.  Let p be the top bit of the largest
+    candidate: the smallest candidate c with top bit p is tried.  When
+    moving g by c leaves it as it is, c joins K', and g and the candidates
+    are folded at p (see _fold): the points with bit p clear meet each
+    coset of K' + <c> once.  When p = m - 1, as it is while the candidates
+    reach g's top coordinate, the fold is a truncation to the low half.
+    Otherwise some support point x of g has x + c off the support, and the
+    candidates keep only the support of g moved by x, which drops c.  When
+    no candidate is left but 0, K' = K; the search also stops after
+    _SEARCH_FAILURES failed tries.  Each member of K' is checked before it
+    joins, so K' lies in K whenever the search stops, and each check moves
+    the table of the last fold: after j keeps, 2^(n - j) entries."""
     weight = table.bit_count()
     if not weight or weight & ((1 << _SPARSE_BITS) - 1):
-        return ()
-    masks = swap_masks(n)
+        return (), table
     candidates = xor_translate(table, (table & -table).bit_length() - 1, n)
+    coords = list(range(n))  # f's coordinate of each coordinate of g
     kept = []
     failures = 0
-    while failures < _SEARCH_FAILURES:
-        rest = candidates ^ 1  # 0 is always a candidate
-        if not rest:
-            break
-        c = (rest & -rest).bit_length() - 1
+    while failures < _SEARCH_FAILURES and candidates != 1:  # 0 is always a candidate
+        p = (candidates.bit_length() - 1).bit_length() - 1
+        above = candidates >> (1 << p)  # the candidates with top bit p, less 2^p
+        c = (above & -above).bit_length() - 1 | 1 << p
+        # n's swap masks are those of g's 2^m bits, and more bits above them
         moved = xor_translate(table, c, n)
         if moved == table:
-            kept.append(c)
-            candidates &= masks[c.bit_length() - 1]
+            kept.append(sum(1 << coords[i] for i in range(p + 1) if c >> i & 1))
+            m = len(coords)
+            del coords[p]
+            table = _fold(table, p, m)
+            candidates = _fold(candidates, p, m)
         else:
             failures += 1
             off = table & ~moved  # the x with x + c off the support
             candidates &= xor_translate(table, (off & -off).bit_length() - 1, n)
-    return rref(kept)
+    return rref(kept), table
 
 
-def _quotient_spectrum(f: BooleanFunction, rows: tuple[int, ...]) -> Spectrum:
-    """f's spectrum in sparse form, from the transform of its quotient by
-    K', the span of the rref rows, along which f is invariant.
+def _fold(bits: int, p: int, m: int) -> int:
+    """The points of the 2^m-bit mask bits with bit p clear, as a mask of
+    2^(m - 1) bits: each point with bit p dropped (boolfunc.gather at the
+    unit vectors other than e_p).  The mask is 2^(m - 1 - p) blocks of
+    2^(p + 1) bits, and the low half of each block is kept, at C speed: a
+    truncation when p = m - 1; below p = 3, the kept 4 bits of each byte
+    by one translation into a nibble, two bytes to one; else the kept runs
+    of whole bytes, by one strided copy per lane of up to 8 bytes in a
+    run, or one slice per run when a run has more lanes than there are
+    blocks."""
+    if p == m - 1:
+        return bits & ((1 << (1 << p)) - 1)
+    data = bits.to_bytes(max(1, (1 << m) >> 3), "little")
+    if p < 3:
+        low = int.from_bytes(data[0::2].translate(_LOW_NIBBLE[p]), "little")
+        return low | int.from_bytes(data[1::2].translate(_HIGH_NIBBLE[p]), "little")
+    run = 1 << (p - 3)  # bytes kept of each block of 2 run
+    lane = min(run, 8)
+    lanes = run // lane
+    if lanes > len(data) // (run << 1):  # more lanes in a run than blocks
+        kept = b"".join(data[lo : lo + run] for lo in range(0, len(data), run << 1))
+        return int.from_bytes(kept, "little")
+    code = _LANE_CODES[lane << 3]
+    source = memoryview(data).cast(code)
+    kept = bytearray(len(data) >> 1)
+    target = memoryview(kept).cast(code)
+    for k in range(lanes):
+        target[k::lanes] = source[k :: lanes << 1]
+    return int.from_bytes(kept, "little")
+
+
+# for bit p < 3 of a point, each byte's 4 points with bit p clear, in
+# increasing order, as the low and as the high nibble of a byte
+_LOW_NIBBLE = tuple(
+    bytes(
+        sum((b >> x & 1) << i for i, x in enumerate(x for x in range(8) if not x >> p & 1))
+        for b in range(256)
+    )
+    for p in range(3)
+)
+_HIGH_NIBBLE = tuple(bytes(v << 4 for v in t) for t in _LOW_NIBBLE)
+
+
+def _quotient_spectrum(n: int, rows: tuple[int, ...], table: int) -> Spectrum:
+    """The spectrum of f on n inputs in sparse form, from the transform of
+    its quotient by K', the span of the rref rows, along which f is
+    invariant: table, f read at the points with every pivot bit of the
+    rows clear, on the n - d other coordinates in increasing order (as
+    _invariant_rows folds it).
 
     Each x of F_2^n is u + k for one u with every pivot bit of the rows
     clear and one k in K', and f(u + k) = f(u).  So F(alpha) is 2^d times
     the sum of f(u) (-1)^<alpha,u> when alpha is orthogonal to K', and 0
     otherwise.  Let h(y) = f(u) for u the bits of y spread over the n - d
-    positions that are no pivot, in increasing order (boolfunc.gather at
-    those unit vectors).  Then F(alpha) = 2^d H(y) for the alpha of
-    K'^perp whose bits at those positions are y: the sum of
-    complement_generators of the rows over the set bits of y, read from
-    the spans of their low and high halves."""
-    n, d = f.n, len(rows)
-    pivots = reduce(or_, (1 << (r.bit_length() - 1) for r in rows))
-    h = gather(f, [1 << c for c in range(n) if not pivots >> c & 1])
-    ys, hs = nonzero_items(_lane_spectrum(int_to_bits(h.table, 1 << h.n), h.n))
+    positions that are no pivot, in increasing order: h is the table.
+    Then F(alpha) = 2^d H(y) for the alpha of K'^perp whose bits at those
+    positions are y: the sum of complement_generators of the rows over the
+    set bits of y, read from the spans of their low and high halves."""
+    d = len(rows)
+    ys, hs = nonzero_items(_lane_spectrum(int_to_bits(table, 1 << (n - d)), n - d))
     gens = complement_generators(n, rows)
     half = len(gens) >> 1
     low, high = span_points(gens[:half]), span_points(gens[half:])

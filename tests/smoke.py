@@ -50,6 +50,10 @@ def _embedded_12_3() -> str:
     return jsonio.dumps(jsonio.function_to_obj(tensor(two_affine(12, 3), delta(2))))
 
 
+def _embedded_10_3() -> str:
+    return jsonio.dumps(jsonio.function_to_obj(tensor(two_affine(10, 3), delta(4))))
+
+
 def _embedded_9_5() -> str:
     return jsonio.dumps(jsonio.function_to_obj(tensor(two_affine(9, 5), delta(2))))
 
@@ -181,6 +185,10 @@ CASES = (
          "fefc5f7c094fc21b0b99442d37279ed8f3acb6f6e98bb76561423fea82c4c047",
          "two_affine(12, 3) ⊗ δ₂, which no family builds: s = 7 < n = 14 and w = 2, so "
          "the reduction both quotients and restricts, and each piece lifts through both"),
+    Case("decompose-codim4-14", _embedded_10_3, DECOMPOSE, 0,
+         "253d1fa9141750bd83d3181f66ceb7aab8cd6ec36005d48b419403f90a014f34",
+         "two_affine(10, 3) ⊗ δ₄, unimaged: every direction of K lies in the low 10 "
+         "coordinates, so each fold of wht's search squeezes 16 blocks instead of truncating"),
     Case("decompose-embedded-11", _embedded_9_5, DECOMPOSE, 0,
          "f7a4f435ef79598505817ced34d33cb5499dc2be6710f70457431c77b9d634c9",
          "two_affine(9, 5) ⊗ δ₂: s = n = 11 and w = 2, so W is read off f's nonzero "

@@ -14,6 +14,7 @@ from f2spec import cli, fourier, jsonio, structure
 from f2spec.boolfunc import (
     BooleanFunction,
     apply_transform,
+    gather,
     restrict_first_bit,
     shift,
     tensor,
@@ -537,12 +538,13 @@ def planted(g: BooleanFunction, d: int) -> BooleanFunction:
 
 
 def counted_translates(monkeypatch):
-    """A list that xor_translate, as the search calls it, appends to."""
+    """A list that xor_translate, as the search calls it, appends to: the
+    translate a, and the bit length of the int it moves."""
     calls = []
     translate = fourier.xor_translate
 
     def counting(bits, a, n):
-        calls.append(a)
+        calls.append((a, bits.bit_length()))
         return translate(bits, a, n)
 
     monkeypatch.setattr(fourier, "xor_translate", counting)
@@ -567,7 +569,7 @@ def test_a_spectrum_has_two_forms_and_a_sparse_one_never_builds_its_coefficients
     core, trace = structure.reduce_to_core(f, s)
     spectra = [(f, s, n == 12), (core, trace.core_spectrum, False)]
     if n > 12:
-        assert len(fourier._invariant_rows(f.table, n)) >= fourier._SPARSE_BITS
+        assert len(fourier._invariant_rows(f.table, n)[0]) >= fourier._SPARSE_BITS
         g = BooleanFunction(n, random.Random(n).getrandbits(1 << n))
         spectra += [(f, full_lanes_transform(f), False), (g, wht(g), True)]
     for g, s, dense in spectra:
@@ -589,18 +591,26 @@ def test_a_spectrum_has_two_forms_and_a_sparse_one_never_builds_its_coefficients
         assert s._coeffs is None
 
 
+def searched(f) -> tuple[int, ...]:
+    """The rows _invariant_rows keeps on f, once the quotient it returns
+    with them is checked against boolfunc.gather at the unit vectors off
+    their pivots."""
+    rows, quotient = fourier._invariant_rows(f.table, f.n)
+    pivots = sum(1 << (r.bit_length() - 1) for r in rows)
+    assert quotient == gather(f, [1 << c for c in range(f.n) if not pivots >> c & 1]).table, f
+    return rows
+
+
 def invariant_dim(f) -> int:
     """dim K: n minus the rank of the nonzero coefficient positions."""
     return f.n - len(rref(nonzero_items(dense_transform(f))[0]))
 
 
-def check_planted(n: int, d: int, points: int | None, seed: int) -> BooleanFunction:
+def planted_image(n: int, d: int, points: int | None, seed: int) -> BooleanFunction:
     """g on n - d inputs, with points support points or (None) a random
     table, its weight cut to a multiple of 2^(4 - d) so that f's is one of
     16 and the search runs; f is g planted on d more inputs, then pushed
-    through a random invertible map and shift.  wht(f) must match the dense
-    butterfly and the full transform, and every row it finds must leave f
-    as it is.  Returns f."""
+    through a random invertible map and shift."""
     rng = random.Random(seed)
     size = 1 << (n - d)
     if points is None:
@@ -609,9 +619,16 @@ def check_planted(n: int, d: int, points: int | None, seed: int) -> BooleanFunct
         table = reduce(or_, (1 << rng.randrange(size) for _ in range(points)))
     while table.bit_count() % (1 << max(0, 4 - d)):
         table &= table - 1
-    f = image(planted(BooleanFunction(n - d, table), d), seed)
+    return image(planted(BooleanFunction(n - d, table), d), seed)
+
+
+def check_planted(n: int, d: int, points: int | None, seed: int) -> BooleanFunction:
+    """planted_image(n, d, points, seed): wht(f) must match the dense
+    butterfly and the full transform, and every row it finds must leave f
+    as it is.  Returns f."""
+    f = planted_image(n, d, points, seed)
     s = assert_matches_the_full_transform(f)
-    rows = fourier._invariant_rows(f.table, n)
+    rows = searched(f)
     assert len(rows) <= invariant_dim(f)
     assert all(shift(f, r) == f for r in rows)
     if len(rows) >= 4:
@@ -642,7 +659,7 @@ def test_a_planted_subspace_of_each_dimension_at_n_13(d):
     # a sparse g, whose support moved by x0 holds few candidates besides
     # K, so the search finds all of K, on either side of dim K = 4
     f = check_planted(13, d, max(1, min(32, (1 << 11) >> d)), d)
-    assert len(fourier._invariant_rows(f.table, 13)) == invariant_dim(f)
+    assert len(searched(f)) == invariant_dim(f)
 
 
 QUOTIENT_FAMILIES = [
@@ -659,17 +676,17 @@ def test_every_decompose_large_family_takes_the_quotient_route_with_all_of_k(n, 
     for seed in (n, n + 100):
         f = image(family(n), seed)
         s = assert_matches_the_full_transform(f)
-        assert len(fourier._invariant_rows(f.table, n)) == invariant_dim(f) >= 4
+        assert len(searched(f)) == invariant_dim(f) >= 4
         assert s.nonzero is not None
 
 
 @pytest.mark.parametrize("n", [13, 14, 15, 16])
 def test_the_zero_and_all_ones_tables(n):
     zero = assert_matches_the_full_transform(BooleanFunction(n, 0))
-    assert zero.nonzero == () and fourier._invariant_rows(0, n) == ()
+    assert zero.nonzero == () and fourier._invariant_rows(0, n) == ((), 0)
     ones = assert_matches_the_full_transform(all_ones(n))
     assert ones.nonzero == (0,) and ones._values == (1 << n,)
-    assert len(fourier._invariant_rows(all_ones(n).table, n)) == n
+    assert searched(all_ones(n)) == tuple(1 << i for i in reversed(range(n)))
 
 
 @pytest.mark.parametrize("n", [13, 14, 15, 16])
@@ -682,7 +699,7 @@ def test_random_tables_of_weight_0_mod_16_use_up_the_budget_and_fall_back(n, mon
             table &= table - 1
         f = BooleanFunction(n, table)
         calls.clear()
-        assert fourier._invariant_rows(table, n) == ()
+        assert fourier._invariant_rows(table, n) == ((), table)
         assert len(calls) == 1 + 2 * fourier._SEARCH_FAILURES
         assert assert_matches_the_full_transform(f).nonzero is None
 
@@ -693,7 +710,7 @@ def test_a_table_with_k_of_dim_4_that_uses_up_the_budget_is_transformed_whole(mo
     f = image(planted(BooleanFunction(12, random.Random(4).getrandbits(1 << 12)), 4), 4)
     assert invariant_dim(f) == 4
     calls = counted_translates(monkeypatch)
-    rows = fourier._invariant_rows(f.table, 16)
+    rows, _ = fourier._invariant_rows(f.table, 16)
     assert len(rows) < 4
     assert len(calls) == 1 + len(rows) + 2 * fourier._SEARCH_FAILURES
     s = assert_matches_the_full_transform(f)
@@ -717,3 +734,69 @@ def test_the_search_moves_the_table_a_bounded_number_of_times(n, monkeypatch):
         calls.clear()
         wht(f)
         assert len(calls) <= bound
+
+
+def test_the_fold_at_each_coordinate_is_the_gather_at_the_other_unit_vectors():
+    # every coordinate p of every table size from 2^1 to 2^17 entries: a
+    # random table, all ones, and the top point alone, whose bytes end in
+    # the one set bit
+    rng = random.Random(31)
+    for m in range(1, 18):
+        size = 1 << m
+        for bits in (rng.getrandbits(size), (1 << size) - 1, 1 << (size - 1)):
+            f = BooleanFunction(m, bits)
+            for p in range(m):
+                folded = gather(f, [1 << c for c in range(m) if c != p])
+                assert fourier._fold(bits, p, m) == folded.table, (m, p, bits)
+
+
+@pytest.mark.parametrize("n", [16, 18])
+@pytest.mark.parametrize("name,family", QUOTIENT_FAMILIES, ids=[q[0] for q in QUOTIENT_FAMILIES])
+def test_each_kept_direction_is_checked_on_half_the_table_of_the_one_before(
+    n, name, family, monkeypatch
+):
+    # a keep folds the quotient and the candidates once each, at the same
+    # coordinate, down from 2^m entries to 2^(m - 1): so after j - 1 keeps
+    # every move, the check of the j-th kept direction among them, is of
+    # an int of at most 2^(n - j + 1) bits, and none is of the whole table
+    # after the first keep
+    calls = counted_translates(monkeypatch)
+    fold = fourier._fold
+
+    def folding(bits, p, m):
+        calls.append(("fold", m))
+        return fold(bits, p, m)
+
+    monkeypatch.setattr(fourier, "_fold", folding)
+    for seed in (n, n + 100):
+        f = image(family(n), seed)
+        calls.clear()
+        rows = searched(f)
+        assert len(rows) == invariant_dim(f) >= 4
+        folds = [m for a, m in calls if a == "fold"]
+        assert folds == [m for m in range(n, n - len(rows), -1) for _ in range(2)]
+        done = 0  # folds so far, two per keep
+        for a, bits in calls:
+            if a == "fold":
+                done += 1
+            else:
+                assert bits <= 1 << (n - done // 2), (name, seed, calls)
+        assert max(bits for a, bits in calls if a != "fold") > 1 << (n - 1)
+
+
+def planted_tables():
+    """400 planted images with dim K >= 4: n = 13..16 and d = 4..8, where
+    each odd seed's g is a random table, whose quotient has dense support,
+    and each even seed's is 1 to 40 points."""
+    for seed in range(400):
+        points = None if seed % 2 else 1 + seed // 2 % 40
+        yield planted_image(13 + seed % 4, 4 + seed // 4 % 5, points, seed)
+
+
+def test_the_search_reaches_the_quotient_route_on_as_many_planted_tables_as_before():
+    # a search that tried the smallest candidate first and stopped after 4
+    # failed tries kept d >= 4 directions on 192 of these tables, 6 of
+    # them with a random g; this one keeps them on 212, 21 with a random
+    # g.  192 is the floor
+    reached = sum(len(fourier._invariant_rows(f.table, f.n)[0]) >= 4 for f in planted_tables())
+    assert reached >= 192
