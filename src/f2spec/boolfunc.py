@@ -2,23 +2,26 @@
 
 The table is one Python int: bit enc(x) is f(x), with the first input
 coordinate at the least-significant bit of enc(x) (see gf2).  Every
-operation here reads or builds the whole table in a constant number of
-linear passes (binary strings, masked shifts), never one bit at a time.
+operation here moves the whole table at once, never one bit at a time:
+a constant number of linear passes (binary strings, folds, masked
+shifts), or for apply_transform at most 2n delta-swaps blended by
+parity masks.  None lists the table's points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .gf2 import (
     GF2Matrix,
     bits_to_int,
     check_dimension,
     check_vector,
+    fold,
     int_to_bits,
-    span_points,
+    swap_masks,
     xor_translate,
 )
 
@@ -64,17 +67,17 @@ class BooleanFunction:
 def restrict_first_bit(f: BooleanFunction) -> tuple[BooleanFunction, BooleanFunction]:
     """Sub-functions fixing the first input bit: (f(0,y), f(1,y)).
 
-    With x_1 at the least-significant bit this is the even/odd interleave of
-    the table: in the most-significant-first binary string the odd positions
-    hold the even table bits, so each half is one slice of that string.  For
-    n = 1 the two halves are 0-dimensional constants.
+    With x_1 at the least-significant bit these are the even and the odd
+    bits of the table: one gf2.fold at coordinate 0 of the table, and one
+    of the table shifted down by a bit.  For n = 1 the two halves are
+    0-dimensional constants.
     """
-    if f.n < 1:
+    n = f.n
+    if n < 1:
         raise ValueError("cannot restrict a 0-dimensional function")
-    bits = format(f.table, f"0{1 << f.n}b")
     return (
-        BooleanFunction(f.n - 1, int(bits[1::2], 2)),
-        BooleanFunction(f.n - 1, int(bits[0::2], 2)),
+        BooleanFunction(n - 1, fold(f.table, 0, n)),
+        BooleanFunction(n - 1, fold(f.table >> 1, 0, n)),
     )
 
 
@@ -93,36 +96,60 @@ def tensor(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
 def apply_transform(f: BooleanFunction, m: GF2Matrix) -> BooleanFunction:
     """g(x) = f(Mx).  The spectrum is the permutation beta -> (M^T)^-1 beta.
 
-    The gather of f at the sums of M's columns.
+    Gauss-Jordan on M's columns, kept as its rows, reaches
+    M F_1 ... F_k = I by column operations F = I + e_a b^T with bit a of b
+    clear, each its own inverse, so f(Mx) = f(F_k ... F_1 x), and the
+    table takes F_k first.  Column c takes at most two: when row c lacks
+    bit c, column c adds the first column p after it that row c holds
+    (a = p, b = e_c); then each other column that row c holds adds
+    column c (a = c, b = row c less bit c), which leaves row c = e_c.
+    F x = x + <b, x> e_a, so each moves the points with <b, x> = 1 by e_a
+    (_move_where_odd): one delta-swap of the whole table, and b's parity
+    mask.  Nothing lists the 2^n points.
     """
     if f.n != m.n:
         raise ValueError("function and matrix dimensions differ")
-    return gather(f, m.columns())
+    n = f.n
+    rows = list(m.rows)
+    steps = []
+    for c in range(n):
+        bit = 1 << c
+        if not rows[c] & bit:
+            high = rows[c] >> c << c
+            pivot = high & -high
+            for r in range(n):
+                if rows[r] & pivot:
+                    rows[r] ^= bit
+            steps.append((pivot.bit_length() - 1, bit))
+        b = rows[c] ^ bit
+        if b:
+            for r in range(n):
+                if rows[r] & bit:
+                    rows[r] ^= b
+            steps.append((c, b))
+    swaps = swap_masks(n)
+    table = f.table
+    for a, b in reversed(steps):
+        table = _move_where_odd(table, a, b, swaps)
+    return BooleanFunction(n, table)
 
 
-def gather(f: BooleanFunction, vectors: Sequence[int]) -> BooleanFunction:
-    """h(y) = f(sum of vectors[j] over the set bits j of y), on as many
-    inputs as there are vectors: f read at span_points of the vectors, in
-    binary counting order.  apply_transform reads f at a matrix's
-    columns, and structure.reduce_to_core reads f's quotient at the pivot
-    bits of its spectrum's span; fourier._invariant_rows folds a table
-    without it, and the tests check those folds against it.
-
-    From one point in 16 of the table up, the points index the table's
-    binary string, built in one pass over all 2^n bits; below that, each
-    point's bit is read from the table's bytes, which costs up to 1.5
-    times more per point but builds no string of 2^n bits.  On random
-    tables at n = 14, 18 and 24 (best of 3 to 200), the string was the
-    faster way from one point in 16 up and the bytes below.
-    """
-    points = span_points(vectors)
-    if len(points) << 4 >= 1 << f.n:
-        bits = format(f.table, f"0{1 << f.n}b")[::-1]
-        gathered = "".join(map(bits.__getitem__, points))
-        return BooleanFunction(len(vectors), int(gathered[::-1], 2))
-    table = f.table.to_bytes(((1 << f.n) + 7) >> 3, "little")
-    gathered = bytes(table[x >> 3] >> (x & 7) & 1 for x in points)
-    return BooleanFunction(len(vectors), bits_to_int(gathered))
+def _move_where_odd(table: int, a: int, b: int, swaps: tuple[int, ...]) -> int:
+    """h(x) = t(x + e_a) where <b, x> = 1, and t(x) elsewhere, for t the
+    table and b clear at bit a, with swaps = gf2.swap_masks(n): one
+    delta-swap at stride 2^a, blended by the XOR of the swap masks at b's
+    bits, which holds the x with <b, x> = |b| + 1 (mod 2)."""
+    stride = 1 << a
+    m = swaps[a]
+    moved = ((table & m) << stride) | ((table >> stride) & m)
+    parity, odd = 0, b.bit_count() & 1
+    while b:
+        low = b & -b
+        parity ^= swaps[low.bit_length() - 1]
+        b ^= low
+    if odd:  # parity holds the points that keep their entry
+        return moved ^ ((moved ^ table) & parity)
+    return table ^ ((table ^ moved) & parity)
 
 
 def shift(f: BooleanFunction, a: int) -> BooleanFunction:

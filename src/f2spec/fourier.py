@@ -18,8 +18,10 @@ from typing import Iterable, Sequence
 
 from .boolfunc import BooleanFunction
 from .gf2 import (
+    _LANE_CODES,
     _low_half_mask,
     complement_generators,
+    fold,
     int_to_bits,
     rref,
     span_points,
@@ -331,9 +333,6 @@ _SPARSE_BITS = 4
 # first
 _SEARCH_FAILURES = 5
 
-# array and struct codes of the signed lanes of each standard width
-_LANE_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
-
 # translations of one byte: its top bit flipped (bias on or off), the bit
 # length of its magnitude read as a signed byte, for the biased top byte of
 # a lane the sign fill and biased top byte of a wider lane, and 0/1 for
@@ -473,10 +472,11 @@ def _invariant_rows(table: int, n: int) -> tuple[tuple[int, ...], int]:
     """The rref rows of K', a subspace of K, the directions c with
     f(x + c) = f(x) for every x, f the table on n inputs, and f's quotient
     by K': f at the points with every pivot bit of K' clear, as a table on
-    the n - d other coordinates in increasing order (boolfunc.gather at
-    their unit vectors).  f is constant on the cosets of K, so its weight
-    is a multiple of 2^dim K; the rows are (), and the quotient is f, when
-    f is zero or its weight is no multiple of 2^_SPARSE_BITS.
+    the n - d other coordinates in increasing order (f read at their unit
+    vectors, one gf2.fold per pivot).  f is constant on the cosets of K,
+    so its weight is a multiple of 2^dim K; the rows are (), and the
+    quotient is f, when f is zero or its weight is no multiple of
+    2^_SPARSE_BITS.
 
     The search holds g, the quotient by the directions kept so far, on m
     inputs.  The points with every kept pivot bit clear meet each coset of
@@ -487,7 +487,7 @@ def _invariant_rows(table: int, n: int) -> tuple[tuple[int, ...], int]:
     standing for K' itself.  Let p be the top bit of the largest
     candidate: the smallest candidate c with top bit p is tried.  When
     moving g by c leaves it as it is, c joins K', and g and the candidates
-    are folded at p (see _fold): the points with bit p clear meet each
+    are folded at p (see gf2.fold): the points with bit p clear meet each
     coset of K' + <c> once.  When p = m - 1, as it is while the candidates
     reach g's top coordinate, the fold is a truncation to the low half.
     Otherwise some support point x of g has x + c off the support, and the
@@ -513,56 +513,13 @@ def _invariant_rows(table: int, n: int) -> tuple[tuple[int, ...], int]:
             kept.append(sum(1 << coords[i] for i in range(p + 1) if c >> i & 1))
             m = len(coords)
             del coords[p]
-            table = _fold(table, p, m)
-            candidates = _fold(candidates, p, m)
+            table = fold(table, p, m)
+            candidates = fold(candidates, p, m)
         else:
             failures += 1
             off = table & ~moved  # the x with x + c off the support
             candidates &= xor_translate(table, (off & -off).bit_length() - 1, n)
     return rref(kept), table
-
-
-def _fold(bits: int, p: int, m: int) -> int:
-    """The points of the 2^m-bit mask bits with bit p clear, as a mask of
-    2^(m - 1) bits: each point with bit p dropped (boolfunc.gather at the
-    unit vectors other than e_p).  The mask is 2^(m - 1 - p) blocks of
-    2^(p + 1) bits, and the low half of each block is kept, at C speed: a
-    truncation when p = m - 1; below p = 3, the kept 4 bits of each byte
-    by one translation into a nibble, two bytes to one; else the kept runs
-    of whole bytes, by one strided copy per lane of up to 8 bytes in a
-    run, or one slice per run when a run has more lanes than there are
-    blocks."""
-    if p == m - 1:
-        return bits & ((1 << (1 << p)) - 1)
-    data = bits.to_bytes(max(1, (1 << m) >> 3), "little")
-    if p < 3:
-        low = int.from_bytes(data[0::2].translate(_LOW_NIBBLE[p]), "little")
-        return low | int.from_bytes(data[1::2].translate(_HIGH_NIBBLE[p]), "little")
-    run = 1 << (p - 3)  # bytes kept of each block of 2 run
-    lane = min(run, 8)
-    lanes = run // lane
-    if lanes > len(data) // (run << 1):  # more lanes in a run than blocks
-        kept = b"".join(data[lo : lo + run] for lo in range(0, len(data), run << 1))
-        return int.from_bytes(kept, "little")
-    code = _LANE_CODES[lane << 3]
-    source = memoryview(data).cast(code)
-    kept = bytearray(len(data) >> 1)
-    target = memoryview(kept).cast(code)
-    for k in range(lanes):
-        target[k::lanes] = source[k :: lanes << 1]
-    return int.from_bytes(kept, "little")
-
-
-# for bit p < 3 of a point, each byte's 4 points with bit p clear, in
-# increasing order, as the low and as the high nibble of a byte
-_LOW_NIBBLE = tuple(
-    bytes(
-        sum((b >> x & 1) << i for i, x in enumerate(x for x in range(8) if not x >> p & 1))
-        for b in range(256)
-    )
-    for p in range(3)
-)
-_HIGH_NIBBLE = tuple(bytes(v << 4 for v in t) for t in _LOW_NIBBLE)
 
 
 def _quotient_spectrum(n: int, rows: tuple[int, ...], table: int) -> Spectrum:

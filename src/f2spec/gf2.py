@@ -85,6 +85,56 @@ def xor_translate(bits: int, a: int, n: int) -> int:
     return bits
 
 
+def fold(bits: int, p: int, m: int) -> int:
+    """The points of the 2^m-bit mask bits with bit p clear, as a mask of
+    2^(m - 1) bits: each point with bit p dropped, the mask read at the
+    unit vectors other than e_p.  This is the table primitive that drops
+    a coordinate: wht's invariant search folds by each direction it keeps,
+    boolfunc.restrict_first_bit folds at coordinate 0, and
+    structure.reduce_to_core folds its quotient at each coordinate off the
+    pivots.  The mask is 2^(m - 1 - p) blocks of 2^(p + 1) bits, and the
+    low half of each block is kept, at C speed: a truncation when
+    p = m - 1; below p = 3, the kept 4 bits of each byte by one
+    translation into a nibble, two bytes to one; else the kept runs of
+    whole bytes, by one strided copy per lane of up to 8 bytes in a run,
+    or one slice per run when a run has more lanes than there are
+    blocks."""
+    if p == m - 1:
+        return bits & ((1 << (1 << p)) - 1)
+    data = bits.to_bytes(max(1, (1 << m) >> 3), "little")
+    if p < 3:
+        low = int.from_bytes(data[0::2].translate(_LOW_NIBBLE[p]), "little")
+        return low | int.from_bytes(data[1::2].translate(_HIGH_NIBBLE[p]), "little")
+    run = 1 << (p - 3)  # bytes kept of each block of 2 run
+    lane = min(run, 8)
+    lanes = run // lane
+    if lanes > len(data) // (run << 1):  # more lanes in a run than blocks
+        kept = b"".join(data[lo : lo + run] for lo in range(0, len(data), run << 1))
+        return int.from_bytes(kept, "little")
+    code = _LANE_CODES[lane << 3]
+    source = memoryview(data).cast(code)
+    kept = bytearray(len(data) >> 1)
+    target = memoryview(kept).cast(code)
+    for k in range(lanes):
+        target[k::lanes] = source[k :: lanes << 1]
+    return int.from_bytes(kept, "little")
+
+
+# array and struct codes of the signed lanes of each standard width
+_LANE_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+# for bit p < 3 of a point, each byte's 4 points with bit p clear, in
+# increasing order, as the low and as the high nibble of a byte
+_LOW_NIBBLE = tuple(
+    bytes(
+        sum((b >> x & 1) << i for i, x in enumerate(x for x in range(8) if not x >> p & 1))
+        for b in range(256)
+    )
+    for p in range(3)
+)
+_HIGH_NIBBLE = tuple(bytes(v << 4 for v in t) for t in _LOW_NIBBLE)
+
+
 def coset_mask(shift: int, rows: Iterable[int], n: int) -> int:
     """The x in F_2^n with <r, x> = <r, shift> for every r in rows (all of
     F_2^n), as a 2^n-bit mask: the AND of one parity mask per row.  swap_masks(n)[i]

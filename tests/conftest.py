@@ -531,6 +531,19 @@ def oracle_apply_transform(n: int, table: int, m) -> int:
     return out
 
 
+def gather(f: BooleanFunction, vectors) -> BooleanFunction:
+    """h(y) = f(sum of vectors[j] over the set bits j of y), on as many
+    inputs as there are vectors: f read at span_points of the vectors, in
+    binary counting order, through the table's binary string.  The oracle
+    of every map that reads a table at the sums of some vectors:
+    apply_transform at a matrix's columns, the quotient that
+    structure.reduce_to_core reads at the pivot bits of its spectrum's
+    span, gf2.fold and restrict_first_bit at unit vectors."""
+    bits = format(f.table, f"0{1 << f.n}b")[::-1]
+    gathered = "".join(map(bits.__getitem__, span_points(vectors)))
+    return BooleanFunction(len(vectors), int(gathered[::-1], 2))
+
+
 def oracle_restrict_first_bit(n: int, table: int) -> tuple[int, int]:
     """Tables of (f(0, y), f(1, y))."""
     t0 = 0

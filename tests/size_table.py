@@ -16,6 +16,15 @@ The columns, as in README:
 - `decompose` on a counterexample-padded image;
 - `decompose` on two-affine k = 3 in codimension 2 (two_affine(n - 2, 3)
   times the point indicator on 2 more inputs): all runs over three images;
+- `decompose` on an image of two_affine(n, n/2), whose spectrum spans
+  s = n - 1 dimensions and whose invariant directions are too few for
+  `wht`'s quotient: the full transform, then the reduction's quotient by
+  one fold;
+- `decompose` on an image of two_affine(n - n/2, n/4) times the point
+  indicator on n/2 more inputs (n/2 and n/4 rounded down): the full
+  transform too, then one fold when 4 divides n (s = n - 1; more
+  otherwise), `apply_transform` on the 2^s entries of the quotient and
+  n/2 `restrict_first_bit`;
 - `spectrum --nonzero-only` on the counterexample-padded image;
 - `spectrum`, all 2^n entries, on the same image, with the size of its
   JSON, which is read from a pipe and counted, not stored.
@@ -41,8 +50,9 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.env
 
 
 def write_inputs(directory: str, n: int) -> None:
-    """The row's input files: ce.json, the counterexample-padded image, and
-    codim2-0.json .. codim2-2.json, the three embedded two-affine images."""
+    """The row's input files: ce.json, the counterexample-padded image,
+    codim2-0.json .. codim2-2.json, the three embedded two-affine images,
+    and the worst-case images two-affine.json and tensor.json."""
     from f2spec.boolfunc import apply_transform, shift, tensor
     from f2spec.families import counterexample_padded, delta, two_affine
     from f2spec.harness import SplitMix64, random_invertible, random_vector
@@ -57,6 +67,8 @@ def write_inputs(directory: str, n: int) -> None:
     embedded = tensor(two_affine(n - 2, 3), delta(2))
     for i in range(3):
         write(embedded, f"codim2-{i}.json", n + i)
+    write(two_affine(n, n // 2), "two-affine.json", 5)
+    write(tensor(two_affine(n - n // 2, n // 4), delta(n // 2)), "tensor.json", 6)
 
 
 def run(argv: list[str]) -> tuple[float, float, int]:
@@ -91,8 +103,9 @@ def main() -> None:
     parser.add_argument("--runs", type=int, default=5, help="runs per input and column")
     args = parser.parse_args()
     print("| n | `decompose`, counterexample-padded | `decompose`, two-affine k = 3 in codim 2 "
+          "| `decompose`, two-affine k = n/2 | `decompose`, two-affine k = n/4 times a point "
           "| `spectrum --nonzero-only` | `spectrum` (all 2^n entries) |")
-    print("| --- | --- | --- | --- | --- |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
     writer = "import sys; sys.path.insert(0, sys.argv[1]); import size_table; size_table.write_inputs(sys.argv[2], int(sys.argv[3]))"
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.n:
@@ -103,6 +116,8 @@ def main() -> None:
             cells = [
                 cell(ce, ["decompose"], args.runs),
                 cell(codim2, ["decompose"], args.runs),
+                cell([str(Path(tmp, "two-affine.json"))], ["decompose"], args.runs),
+                cell([str(Path(tmp, "tensor.json"))], ["decompose"], args.runs),
                 cell(ce, ["spectrum", "--nonzero-only"], args.runs),
                 cell(ce, ["spectrum"], args.runs, json_size=True),
             ]

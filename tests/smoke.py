@@ -71,6 +71,14 @@ def _k4_14() -> str:
     return jsonio.dumps(jsonio.function_to_obj(_image(tensor(two_affine(11, 4), delta(3)), 14)))
 
 
+def _two_affine_14_7() -> str:
+    return jsonio.dumps(jsonio.function_to_obj(_image(two_affine(14, 7), 5)))
+
+
+def _tensor_8_4_6() -> str:
+    return jsonio.dumps(jsonio.function_to_obj(_image(tensor(two_affine(8, 4), delta(6)), 6)))
+
+
 def _random_8() -> str:
     table = random.Random(8).getrandbits(256).to_bytes(32, "little")
     return json.dumps({"n": 8, "truth_table_hex": table.hex()})
@@ -207,6 +215,15 @@ CASES = (
          "s = 17, the largest spectral quotient here (gf2.span_points lists its 2^17 "
          "points), must give two pieces of dimension 9",
          _pieces_9_9),
+    Case("decompose-two-affine-14-7-image", _two_affine_14_7, DECOMPOSE, 0,
+         "c1ec81745c17c9ac336d2f6e16ecb487486bc86101901c15b45c78654e7f13a2",
+         "an image of two_affine(14, 7): s = 13 and w = 0, so the reduction's quotient is one "
+         "fold of the shifted table"),
+    Case("decompose-tensor-14-image", _tensor_8_4_6, DECOMPOSE, 0,
+         "72946ce2fa4a5ea8daba557ac0178a4bb9abb5c0e0e7e0f4ba31938c03cb754f",
+         "an image of two_affine(8, 4) ⊗ δ₆: s = 13 and w = 6, so the quotient is one fold, "
+         "then apply_transform moves its 2^13 entries and six restrict_first_bit calls leave "
+         "the core"),
     Case("decompose-ce-20", CE_20, DECOMPOSE, 0,
          "ef15b0eb603586a0df20f83f3a2cc9e63c7e226d5eac184a6da0f4c39eef7629",
          "at n = 20 the butterfly widens each 2^14-lane block from 8 to 16 bits in its "

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2spec import jsonio, structure
-from f2spec.boolfunc import BooleanFunction, gather, shift, tensor
+from f2spec.boolfunc import BooleanFunction, shift, tensor
 from f2spec.errors import TheoremViolationError
 from f2spec.families import affine_indicator, counterexample_padded, delta, two_affine
 from f2spec.fourier import wht
@@ -46,6 +46,7 @@ from f2spec.structure import (
 
 from conftest import (
     dot,
+    gather,
     image,
     iter_subspaces,
     oracle_dense_decompose,

@@ -14,7 +14,6 @@ from f2spec import cli, fourier, jsonio, structure
 from f2spec.boolfunc import (
     BooleanFunction,
     apply_transform,
-    gather,
     restrict_first_bit,
     shift,
     tensor,
@@ -37,10 +36,11 @@ from f2spec.fourier import (
     sparsity,
     wht,
 )
-from f2spec.gf2 import GF2Matrix, int_to_bits, rref, transform_sending_to_first
+from f2spec.gf2 import GF2Matrix, fold, int_to_bits, rref, transform_sending_to_first
 
 from conftest import (
     boolean_convolution_check,
+    gather,
     identity_matrix,
     image,
     naive_wht,
@@ -747,7 +747,7 @@ def test_the_fold_at_each_coordinate_is_the_gather_at_the_other_unit_vectors():
             f = BooleanFunction(m, bits)
             for p in range(m):
                 folded = gather(f, [1 << c for c in range(m) if c != p])
-                assert fourier._fold(bits, p, m) == folded.table, (m, p, bits)
+                assert fold(bits, p, m) == folded.table, (m, p, bits)
 
 
 @pytest.mark.parametrize("n", [16, 18])
@@ -761,13 +761,11 @@ def test_each_kept_direction_is_checked_on_half_the_table_of_the_one_before(
     # an int of at most 2^(n - j + 1) bits, and none is of the whole table
     # after the first keep
     calls = counted_translates(monkeypatch)
-    fold = fourier._fold
-
     def folding(bits, p, m):
         calls.append(("fold", m))
         return fold(bits, p, m)
 
-    monkeypatch.setattr(fourier, "_fold", folding)
+    monkeypatch.setattr(fourier, "fold", folding)
     for seed in (n, n + 100):
         f = image(family(n), seed)
         calls.clear()
