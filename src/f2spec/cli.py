@@ -132,6 +132,9 @@ def _run(args: argparse.Namespace) -> int:
     if cmd == "verify":
         return _run_verify(args)
     if cmd == "generate":
+        # the file format starts at n = 1 (jsonio), so no command could read n = 0
+        if args.n is not None and args.n < 1:
+            raise InputFormatError("--n must be at least 1")
         try:
             f = generate(args.family, n=args.n, k=args.k)
         except ValueError as exc:

@@ -120,13 +120,17 @@ def intro_gk(n: int) -> BooleanFunction:
 
 
 def generate(family: str, n: int | None = None, k: int | None = None) -> BooleanFunction:
-    """Build a named instance; n and k are required per family as documented."""
+    """Build a named instance; n and k are required per family as documented.
+    Only affine and two-affine take k: ValueError when another family is
+    given one, rather than building it without k."""
     if family == FAMILY_AFFINE:
         _need(n, "n"), _need(k, "k")
         return affine_indicator(n, k)
     if family == FAMILY_TWO_AFFINE:
         _need(n, "n"), _need(k, "k")
         return two_affine(n, k)
+    if k is not None and family in FAMILIES:
+        raise ValueError(f"the {family} family takes no --k")
     if family == FAMILY_COUNTEREXAMPLE_CORE:
         if n is not None and n != 6:
             raise ValueError("counterexample-core is fixed at n = 6")

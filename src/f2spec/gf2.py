@@ -135,22 +135,51 @@ _LOW_NIBBLE = tuple(
 _HIGH_NIBBLE = tuple(bytes(v << 4 for v in t) for t in _LOW_NIBBLE)
 
 
-def coset_mask(shift: int, rows: Iterable[int], n: int) -> int:
-    """The x in F_2^n with <r, x> = <r, shift> for every r in rows (all of
-    F_2^n), as a 2^n-bit mask: the AND of one parity mask per row.  swap_masks(n)[i]
-    holds the x with bit i clear, so the XOR of those over the bits of r
-    holds the x with <r, x> = |r| + 1 (mod 2), and its complement the
-    other half; no 2^n-entry loop runs."""
+# flat_mask doubles up to this n and goes coordinate by coordinate above
+# it.  On 40 random rref flats per n (best of 7), doubling took 0.05
+# against 0.15 ms in all at n = 4, 0.12 against 0.29 at n = 8 and 0.41
+# against 0.54 at n = 12, and lost from n = 13 up: 0.75 against 0.70 ms
+# at n = 13, 1.6 against 0.7 at n = 14 and 5.9 against 1.1 at n = 16.
+_DOUBLING_MAX_N = 12
+
+
+def flat_mask(shift: int, basis: Sequence[int], n: int) -> int:
+    """The points of shift + span(basis) as a 2^n-bit mask, for rref rows
+    of F_2^n (is_rref) and a shift in F_2^n.
+
+    Up to n = _DOUBLING_MAX_N by doubling: one xor_translate of the mask
+    per basis vector, which an independent basis never folds onto itself.
+    Above it, coordinate by coordinate from x_1 up, on the echelon rows
+    of U^perp keyed by top bit: the flat is the x with <g, x> = <g, shift>
+    for every such row g.  The mask holds the flat's prefixes, its points'
+    first m coordinates; it doubles (mask | mask << 2^m) when no row has
+    top bit m, and else row g fixes x_m to <g + e_m, x> + <g, shift>, so
+    the prefixes where that is 1 move up by 2^m.  swap_masks(n)[i] holds
+    the x with bit i clear, so the XOR of mask & swap_masks(n)[i] over the
+    bits i of g + e_m is the prefixes with <g + e_m, x> = |g + e_m| + 1
+    (mod 2), and its complement in mask the other half.  An AND costs
+    only the length of the mask, so no step touches more than 2^(m + 1)
+    bits."""
+    if n <= _DOUBLING_MAX_N:
+        mask = 1 << shift
+        for v in basis:
+            mask |= xor_translate(mask, v, n)
+        return mask
     swaps = swap_masks(n)
-    full = (1 << (1 << n)) - 1
-    mask = full
-    for r in rows:
-        half = 0 if ((r & shift).bit_count() + r.bit_count()) & 1 else full
-        while r:
-            low = r & -r
-            half ^= swaps[low.bit_length() - 1]
-            r ^= low
-        mask &= half
+    rows = _echelon(complement_generators(n, basis))
+    mask = 1
+    for m in range(n):
+        g = rows.get(m)
+        if g is None:
+            mask |= mask << (1 << m)
+            continue
+        rest = g ^ 1 << m
+        moved = mask if (rest.bit_count() + (g & shift).bit_count()) & 1 else 0
+        while rest:
+            low = rest & -rest
+            moved ^= mask & swaps[low.bit_length() - 1]
+            rest ^= low
+        mask ^= moved ^ moved << (1 << m)
     return mask
 
 

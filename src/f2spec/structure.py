@@ -14,7 +14,7 @@ form.
 Two pieces come in closed form from the core spectrum (four pieces are
 peeled off the core's support), and the reduction's trace lifts each
 piece to f in one affine map.  Every decomposition emitted is verified on
-f itself with 2^n-bit masks.
+f itself with 2^n-bit masks, one per piece, built by gf2.flat_mask.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .gf2 import (
     affine_span,
     bits_to_int,
     complement_generators,
-    coset_mask,
+    flat_mask,
     fold,
     is_rref,
     iter_affine_masks,
@@ -52,7 +52,6 @@ from .gf2 import (
     rref,
     span_points,
     transform_sending_to_first,
-    xor_translate,
 )
 
 TAG_TRIVIAL = "Trivial"
@@ -441,14 +440,11 @@ def verify_decomposition(f: BooleanFunction, dec: Decomposition) -> bool:
     dimensions, whose union reproduces the support bit-exactly.
 
     Each piece's basis must be rref rows of F_2^n, as rref gives them,
-    which also makes it independent.  Its 2^n-bit point mask is then built
-    the cheaper of two ways for that basis (see _by_constraints): by
-    doubling from its shift, one xor_translate per basis vector, each
-    translate required to miss the mask so far; or as gf2.coset_mask of
-    the rows of U^perp (complement_generators of the basis), since the
-    flat c + U is the set of x with <r, x> = <r, c> for every such row r.
-    Each mask must miss the union of the earlier ones, and the union must
-    equal f's table.
+    which also makes it independent.  Its 2^n-bit point mask is then
+    gf2.flat_mask of its shift and basis, which doubles at small n and
+    goes coordinate by coordinate through U^perp's rows above.  Each mask
+    must miss the union of the earlier ones, and the union must equal f's
+    table.
     """
     n = f.n
     if any(p.n != n or not is_rref(p.direction.basis, n) for p in dec.pieces):
@@ -457,61 +453,11 @@ def verify_decomposition(f: BooleanFunction, dec: Decomposition) -> bool:
         return False
     union = 0
     for piece in dec.pieces:
-        basis = piece.direction.basis
-        if _by_constraints(piece.shift, basis, n):
-            mask = coset_mask(piece.shift, complement_generators(n, basis), n)
-        else:
-            mask = _mask_by_translates(piece.shift, basis, n)
-        if mask is None or mask & union:
+        mask = flat_mask(piece.shift, piece.direction.basis, n)
+        if mask & union:
             return False
         union |= mask
     return union == f.table
-
-
-def _by_constraints(shift: int, basis: tuple[int, ...], n: int) -> bool:
-    """Whether the constraint masks cost less than the doubling for the
-    flat shift + span(basis), an rref basis of F_2^n, by a cost model in
-    bit operations of the whole-int steps each way takes.
-
-    - Doubling: every point lies below 2^B, B the bit length of
-      shift | basis[0], and so does each mask it builds.  A set bit of a
-      vector is one masked delta-swap, counted as 8 operations (its shifts
-      cost more than an XOR), and each vector 2 more.
-    - Constraints: U^perp has n - d rows (d = len(basis)), one per
-      non-pivot position c: c and the pivot of each basis row with bit c
-      set, so S - d bits past those n - d, S the set bits of the basis.
-      Each bit is one XOR of 2^n bits, and each row about 2 more.  Listing
-      the rows and stepping through their bits in Python costs about as
-      much as 2^14 bit operations per coordinate.
-
-    On 690 random flats at n = 3..20 (min of 7 timings of each way), this
-    choice was within 4% of the faster way in total at every n, and it
-    doubled every one of them up to n = 10.  From n = 14 up it takes the
-    constraints for every piece decompose returns on the benchmark's
-    inputs.
-    """
-    d = len(basis)
-    # at most n bits per vector and B <= n bound the doubling's cost, and
-    # n << 14 the constraints' from below: most small pieces stop here
-    if not d or n << 14 >= (8 * n + 2) * d << n:
-        return False
-    bits = sum(map(int.bit_count, basis))
-    translates = (8 * bits + 2 * d) << (shift | basis[0]).bit_length()
-    constraints = ((3 * (n - d) + bits - d) << n) + (n << 14)
-    return constraints < translates
-
-
-def _mask_by_translates(shift: int, basis: tuple[int, ...], n: int) -> int | None:
-    """The points of shift + span(basis) as a 2^n-bit mask, by doubling
-    over the basis; None when some translate meets the mask so far, which
-    a dependent basis does."""
-    mask = 1 << shift
-    for v in basis:
-        moved = xor_translate(mask, v, n)
-        if moved & mask:
-            return None
-        mask |= moved
-    return mask
 
 
 def _subspace_rows(members: list[int], what: str) -> tuple[int, ...]:

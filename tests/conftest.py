@@ -15,12 +15,13 @@ from operator import mul, neg, xor
 
 import pytest
 
-from f2spec import structure
+from f2spec import gf2, structure
 from f2spec.boolfunc import BooleanFunction, apply_transform, restrict_first_bit, shift
 from f2spec.errors import SpectrumScopeError, TheoremViolationError
 from f2spec.fourier import Spectrum, wht
 from f2spec.harness import SplitMix64, random_invertible, random_vector
 from f2spec.gf2 import (
+    MAX_DIMENSION,
     AffineSubspace,
     GF2Matrix,
     Subspace,
@@ -28,6 +29,7 @@ from f2spec.gf2 import (
     affine_span,
     check_dimension,
     complement_generators,
+    flat_mask,
     linear_span,
     orthogonal_complement,
     rref,
@@ -40,6 +42,21 @@ from f2spec.gf2 import (
 def dot(x: int, y: int) -> int:
     """Standard inner product: parity of the coordinates shared by x and y."""
     return (x & y).bit_count() & 1
+
+
+# gf2._DOUBLING_MAX_N values that force flat_mask to double at every n, or
+# to go coordinate by coordinate at every n
+FLAT_MASK_WAYS = {"doubling": MAX_DIMENSION, "coordinates": -1}
+
+
+def flat_masks_both_ways(shift: int, basis, n: int) -> list[int]:
+    """flat_mask forced each way of FLAT_MASK_WAYS in turn."""
+    masks = []
+    with pytest.MonkeyPatch.context() as mp:
+        for way in FLAT_MASK_WAYS.values():
+            mp.setattr(gf2, "_DOUBLING_MAX_N", way)
+            masks.append(flat_mask(shift, basis, n))
+    return masks
 
 
 def image(base: BooleanFunction, seed: int) -> BooleanFunction:

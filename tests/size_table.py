@@ -25,6 +25,8 @@ The columns, as in README:
   transform too, then one fold when 4 divides n (s = n - 1; more
   otherwise), `apply_transform` on the 2^s entries of the quotient and
   n/2 `restrict_first_bit`;
+- `classify` on a uniform random table, `random.Random(1).getrandbits(2^n)`
+  (no image): the full transform, with a dense spectrum;
 - `spectrum --nonzero-only` on the counterexample-padded image;
 - `spectrum`, all 2^n entries, on the same image, with the size of its
   JSON, which is read from a pipe and counted, not stored.
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -52,16 +55,20 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.env
 def write_inputs(directory: str, n: int) -> None:
     """The row's input files: ce.json, the counterexample-padded image,
     codim2-0.json .. codim2-2.json, the three embedded two-affine images,
-    and the worst-case images two-affine.json and tensor.json."""
+    the worst-case images two-affine.json and tensor.json, and the uniform
+    random table random.json."""
     from f2spec.boolfunc import apply_transform, shift, tensor
     from f2spec.families import counterexample_padded, delta, two_affine
     from f2spec.harness import SplitMix64, random_invertible, random_vector
 
+    def write_table(table: int, name: str) -> None:
+        data = table.to_bytes(max(1, (1 << n) // 8), "little").hex()
+        Path(directory, name).write_text(json.dumps({"n": n, "truth_table_hex": data}))
+
     def write(f, name: str, seed: int) -> None:
         rng = SplitMix64(seed)
         g = shift(apply_transform(f, random_invertible(n, rng)), random_vector(n, rng))
-        table = g.table.to_bytes(max(1, (1 << n) // 8), "little").hex()
-        Path(directory, name).write_text(json.dumps({"n": n, "truth_table_hex": table}))
+        write_table(g.table, name)
 
     write(counterexample_padded(n), "ce.json", n)
     embedded = tensor(two_affine(n - 2, 3), delta(2))
@@ -69,6 +76,7 @@ def write_inputs(directory: str, n: int) -> None:
         write(embedded, f"codim2-{i}.json", n + i)
     write(two_affine(n, n // 2), "two-affine.json", 5)
     write(tensor(two_affine(n - n // 2, n // 4), delta(n // 2)), "tensor.json", 6)
+    write_table(random.Random(1).getrandbits(1 << n), "random.json")
 
 
 def run(argv: list[str]) -> tuple[float, float, int]:
@@ -104,8 +112,9 @@ def main() -> None:
     args = parser.parse_args()
     print("| n | `decompose`, counterexample-padded | `decompose`, two-affine k = 3 in codim 2 "
           "| `decompose`, two-affine k = n/2 | `decompose`, two-affine k = n/4 times a point "
+          "| `classify`, uniform random table "
           "| `spectrum --nonzero-only` | `spectrum` (all 2^n entries) |")
-    print("| --- | --- | --- | --- | --- | --- | --- |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     writer = "import sys; sys.path.insert(0, sys.argv[1]); import size_table; size_table.write_inputs(sys.argv[2], int(sys.argv[3]))"
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.n:
@@ -118,6 +127,7 @@ def main() -> None:
                 cell(codim2, ["decompose"], args.runs),
                 cell([str(Path(tmp, "two-affine.json"))], ["decompose"], args.runs),
                 cell([str(Path(tmp, "tensor.json"))], ["decompose"], args.runs),
+                cell([str(Path(tmp, "random.json"))], ["classify"], args.runs),
                 cell(ce, ["spectrum", "--nonzero-only"], args.runs),
                 cell(ce, ["spectrum"], args.runs, json_size=True),
             ]

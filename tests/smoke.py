@@ -292,6 +292,16 @@ CASES = (
     Case("decompose-not-json", _not_json, ("decompose", "--in", IN), 2,
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
          "a file that is not valid JSON is bad input: exit 2"),
+    Case("generate-delta-k", None, ("generate", "--family", "delta", "--n", "4", "--k", "3"), 2,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "a family that takes no k refuses one as bad input instead of ignoring it"),
+    Case("verify-random-ce-k", None,
+         ("verify", "--n", "8", "--random", "3", "--family", "counterexample-padded", "--k", "3"), 2,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "random mode refuses a k for a family that takes none before any draw"),
+    Case("generate-n-0", None, ("generate", "--family", "delta", "--n", "0"), 2,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "generate refuses n = 0, which the file format and so every other command refuses"),
     Case("verify-flags-need-random", None,
          ("verify", "--n", "4", "--family", "affine", "--k", "2", "--seed", "9"), 2,
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

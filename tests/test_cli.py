@@ -103,6 +103,22 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert code == 2
 
 
+def test_generate_refuses_k_on_a_family_that_takes_none(capsys):
+    code, out, err = run_cli(capsys, "generate", "--family", "delta", "--n", "4", "--k", "3")
+    assert code == 2 and out == "" and "takes no --k" in err
+
+
+def test_generate_refuses_n_below_1_which_no_command_reads(tmp_path, capsys):
+    for n in ("0", "-1"):
+        code, out, err = run_cli(capsys, "generate", "--family", "delta", "--n", n)
+        assert code == 2 and out == "" and "--n must be at least 1" in err
+    # n = 1, the least the file format takes, round-trips through a command
+    code, out, _ = run_cli(capsys, "generate", "--family", "delta", "--n", "1")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "sparsity", "--in", write_json(tmp_path, "d1.json", json.loads(out)))
+    assert code == 0 and json.loads(out) == {"sparsity": 2}
+
+
 def test_input_that_is_not_utf8_is_bad_input(tmp_path, capsys):
     bad = tmp_path / "latin1.json"
     bad.write_bytes(b'\xff\xfe{"n": 2, "support": []}')
@@ -237,6 +253,17 @@ def test_verify_bad_n(capsys):
         argv = ["verify", "--n", "8", "--random", "5", "--family", *family_args]
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+
+def test_verify_random_refuses_k_on_a_family_that_takes_none(capsys, monkeypatch):
+    # refused by check_random_args, before any draw
+    def never(*_args):
+        raise AssertionError("random_invertible ran")
+
+    monkeypatch.setattr(harness, "random_invertible", never)
+    argv = ["verify", "--n", "8", "--random", "3", "--family", "counterexample-padded", "--k", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "takes no --k" in err
 
 
 def test_verify_random_flags_need_random(capsys, monkeypatch):

@@ -111,3 +111,11 @@ def test_generate_dispatch_and_errors():
         generate("delta")
     with pytest.raises(ValueError):
         generate("no-such-family", n=3)
+
+
+def test_generate_refuses_k_on_a_family_that_takes_none():
+    # only affine and two-affine take k; the others built without it
+    for family in ("counterexample-core", "counterexample-padded", "intro-fk", "intro-gk", "delta"):
+        assert generate(family, n=6).n == 6
+        with pytest.raises(ValueError, match="takes no --k"):
+            generate(family, n=6, k=3)

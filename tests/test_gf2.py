@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2spec.gf2 import (
@@ -11,7 +11,6 @@ from f2spec.gf2 import (
     Subspace,
     affine_span,
     complement_generators,
-    coset_mask,
     is_rref,
     iter_affine_masks,
     linear_span,
@@ -26,6 +25,7 @@ from f2spec.gf2 import (
 
 from conftest import (
     dot,
+    flat_masks_both_ways,
     identity_matrix,
     is_full_affine_subspace,
     iter_subspaces,
@@ -351,14 +351,42 @@ def test_swap_masks_hold_the_points_with_the_stride_bit_clear():
             assert m == sum(1 << x for x in range(1 << n) if not (x >> q) & 1)
 
 
-@given(st.integers(min_value=1, max_value=7), st.data())
-def test_coset_mask_holds_the_points_that_meet_every_parity(n, data):
-    shift = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    rows = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=n + 1))
+def test_flat_mask_is_every_flat_up_to_f2_3_both_ways():
+    for n in range(4):
+        for d in range(n + 1):
+            for sub in iter_subspaces(n, d):
+                for shift in range(1 << n):
+                    points = AffineSubspace(shift, sub).points()
+                    expected = sum(1 << x for x in points)
+                    assert flat_masks_both_ways(shift, sub.basis, n) == [expected] * 2
+
+
+@st.composite
+def rref_flats(draw, max_n):
+    """(shift, rref basis, n): the rref rows of a few random vectors."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    vectors = st.integers(min_value=0, max_value=(1 << n) - 1)
+    return draw(vectors), rref(draw(st.lists(vectors, max_size=n))), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(rref_flats(16))
+def test_flat_mask_is_the_points_of_rref_flats_up_to_n16_both_ways(flat):
+    shift, basis, n = flat
+    points = AffineSubspace(shift, Subspace(n, basis)).points()
+    assert flat_masks_both_ways(shift, basis, n) == [sum(1 << x for x in points)] * 2
+
+
+@given(rref_flats(7))
+def test_flat_mask_holds_the_points_that_meet_every_parity(flat):
+    # the flat is the x with <r, x> = <r, shift> for every r orthogonal to
+    # the basis; the parities are read off all 2^n vectors r
+    shift, basis, n = flat
+    rows = [r for r in range(1 << n) if not any(dot(r, v) for v in basis)]
     expected = sum(
         1 << x for x in range(1 << n) if all(dot(r, x) == dot(r, shift) for r in rows)
     )
-    assert coset_mask(shift, rows, n) == expected
+    assert flat_masks_both_ways(shift, basis, n) == [expected] * 2
 
 
 def test_is_rref_accepts_exactly_what_rref_gives():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f2spec import jsonio, structure
+from f2spec import gf2, jsonio, structure
 from f2spec.boolfunc import BooleanFunction, shift, tensor
 from f2spec.errors import TheoremViolationError
 from f2spec.families import affine_indicator, counterexample_padded, delta, two_affine
@@ -28,7 +28,7 @@ from f2spec.gf2 import (
     Subspace,
     affine_span,
     complement_generators,
-    coset_mask,
+    flat_mask,
     linear_span,
     rref,
 )
@@ -45,7 +45,9 @@ from f2spec.structure import (
 )
 
 from conftest import (
+    FLAT_MASK_WAYS,
     dot,
+    flat_masks_both_ways,
     gather,
     image,
     iter_subspaces,
@@ -542,52 +544,45 @@ def point_mask(piece):
     return sum(1 << x for x in piece.points())
 
 
-def verdicts_both_ways(mp, f, dec):
-    """verify_decomposition with every mask built by doubling, then with
-    every mask built from the constraints."""
+def verdicts_both_ways(f, dec):
+    """verify_decomposition with flat_mask forced each way of
+    FLAT_MASK_WAYS in turn."""
     verdicts = []
-    for way in (False, True):
-        mp.setattr(structure, "_by_constraints", lambda shift, basis, n: way)
-        verdicts.append(verify_decomposition(f, dec))
-    mp.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        for way in FLAT_MASK_WAYS.values():
+            mp.setattr(gf2, "_DOUBLING_MAX_N", way)
+            verdicts.append(verify_decomposition(f, dec))
     return verdicts
 
 
-def assert_both_ways_agree(mp, f, dec, forgeries):
+def assert_both_ways_agree(f, dec, forgeries):
     for p in dec.pieces:
-        basis = p.direction.basis
-        by_translates = structure._mask_by_translates(p.shift, basis, f.n)
-        by_constraints = coset_mask(p.shift, complement_generators(f.n, basis), f.n)
-        assert by_translates == by_constraints == point_mask(p)
-    assert verdicts_both_ways(mp, f, dec) == [True, True]
+        assert flat_masks_both_ways(p.shift, p.direction.basis, f.n) == [point_mask(p)] * 2
+    assert verdicts_both_ways(f, dec) == [True, True]
     for bad in forgeries:
         verdict = oracle_verify(f, bad)
-        assert verdicts_both_ways(mp, f, bad) == [verdict, verdict], (f, bad)
+        assert verdicts_both_ways(f, bad) == [verdict, verdict], (f, bad)
 
 
 def test_both_ways_agree_on_every_piece_up_to_n4():
     # every piece of every in-scope table at n <= 4, where the doubling is
-    # always the cheaper way; forgeries of every fifth table
-    with pytest.MonkeyPatch.context() as mp:
-        for i, (f, s, cls) in enumerate(_in_scope_tables_up_to_n4()):
-            dec = decompose(f, s, cls)
-            for p in dec.pieces:
-                assert not structure._by_constraints(p.shift, p.direction.basis, f.n)
-            assert_both_ways_agree(mp, f, dec, _corrupted(dec) if i % 5 == 0 else ())
+    # the way taken; forgeries of every fifth table
+    for i, (f, s, cls) in enumerate(_in_scope_tables_up_to_n4()):
+        dec = decompose(f, s, cls)
+        assert_both_ways_agree(f, dec, _corrupted(dec) if i % 5 == 0 else ())
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(in_scope_images(), two_flat_images()))
 def test_both_ways_agree_on_images_up_to_n10(f):
     dec = decompose(f)
-    with pytest.MonkeyPatch.context() as mp:
-        assert_both_ways_agree(mp, f, dec, _corrupted(dec))
+    assert_both_ways_agree(f, dec, _corrupted(dec))
 
 
-@pytest.mark.parametrize("way", [False, True], ids=["translates", "constraints"])
+@pytest.mark.parametrize("way", FLAT_MASK_WAYS.values(), ids=FLAT_MASK_WAYS.keys())
 @pytest.mark.parametrize("n", [6, 14])
 def test_forged_pieces_fail_both_ways(monkeypatch, way, n):
-    monkeypatch.setattr(structure, "_by_constraints", lambda shift, basis, n: way)
+    monkeypatch.setattr(gf2, "_DOUBLING_MAX_N", way)
     f = image(two_affine(n, 3), n)
     dec = decompose(f)
     assert verify_decomposition(f, dec)
@@ -600,7 +595,6 @@ def test_forged_pieces_fail_both_ways(monkeypatch, way, n):
 
     # a dependent basis: a repeated row, and one dimension too few
     assert rejected(AffineSubspace(a.shift, Subspace(n, (top, top, *rest))), b)
-    assert structure._mask_by_translates(a.shift, (top, top), n) is None
     # the same flat, on a basis not in rref form: the top row holds the
     # second one's pivot, or the rows come by increasing pivot
     skewed = AffineSubspace(a.shift, Subspace(n, (top ^ second, second, *rest)))
@@ -612,6 +606,10 @@ def test_forged_pieces_fail_both_ways(monkeypatch, way, n):
     # overlapping pieces: one twice, or a translate of one meeting the other
     assert rejected(a, a)
     assert rejected(a, AffineSubspace(a.shift ^ top, b.direction))
+    # overlapping pieces of the mandated profile, on a table that is their
+    # union: only the disjointness of the masks refuses them
+    met = AffineSubspace(a.shift, b.direction)
+    assert rejected(a, met, g=BooleanFunction(n, point_mask(a) | point_mask(met)))
     # a missing point: the support has one point the pieces leave out
     zeros = ~f.table & ((1 << (1 << n)) - 1)
     assert rejected(a, b, g=BooleanFunction(n, f.table | (zeros & -zeros)))
@@ -624,12 +622,45 @@ def test_forged_pieces_fail_both_ways(monkeypatch, way, n):
     assert rejected(*halves)
 
 
-def test_the_cheaper_way_is_chosen_from_the_basis():
-    # the benchmark's kinds of pieces at n = 14 and 16 take the constraints;
-    # a point, or a line whose points lie low, takes the doubling
-    for n in (14, 16):
-        for base in (two_affine(n, 3), counterexample_padded(n), tensor(two_affine(n - 2, 3), delta(2))):
-            for p in decompose(image(base, n)).pieces:
-                assert structure._by_constraints(p.shift, p.direction.basis, n)
-    assert not structure._by_constraints(12345, (), 16)
-    assert not structure._by_constraints(3, (1 << 15 | 1,), 16)
+def ways_taken(monkeypatch, pieces, n):
+    """For each piece, the xor_translate and complement_generators calls
+    that flat_mask makes for it: (len(basis), 0) when it doubles, (0, 1)
+    when it goes coordinate by coordinate."""
+    calls = []
+
+    def counted(name):
+        inner = getattr(gf2, name)
+
+        def call(*args):
+            calls.append(name)
+            return inner(*args)
+
+        return call
+
+    for name in ("xor_translate", "complement_generators"):
+        monkeypatch.setattr(gf2, name, counted(name))
+    taken = []
+    for p in pieces:
+        calls.clear()
+        assert flat_mask(p.shift, p.direction.basis, n) == point_mask(p)
+        taken.append((calls.count("xor_translate"), calls.count("complement_generators")))
+    monkeypatch.undo()
+    return taken
+
+
+def test_the_way_is_chosen_by_n_alone(monkeypatch):
+    # the benchmark's kinds of pieces at n = 14 and 16, and a point and a
+    # line at n = 16, which the doubling builds in a few short steps, go
+    # coordinate by coordinate; the same kinds at n = 8 and 12 double, one
+    # translate per basis row
+    assert gf2._DOUBLING_MAX_N == 12
+    for n in (8, 12, 14, 16):
+        bases = (two_affine(n, 3), counterexample_padded(n), tensor(two_affine(n - 2, 3), delta(2)))
+        pieces = [p for base in bases for p in decompose(image(base, n)).pieces]
+        if n == 16:
+            pieces += [
+                AffineSubspace(12345, Subspace(n, ())),
+                AffineSubspace(3, Subspace(n, (1 << 15 | 1,))),
+            ]
+        expected = [(0, 1) if n > 12 else (p.dim, 0) for p in pieces]
+        assert ways_taken(monkeypatch, pieces, n) == expected
