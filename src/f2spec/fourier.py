@@ -587,16 +587,15 @@ def _with_zeros(positions: Iterable[int], values: Iterable[int], size: int) -> I
     yield from repeat(0, size - done)
 
 
-def coefficient_values(s: Spectrum) -> set[int]:
-    """The distinct coefficient values: the set of all 2^n dense
-    coefficients, else the values of the sparse form, with 0 when some
-    coefficient vanishes."""
+def coefficient_values(s: Spectrum) -> frozenset[int]:
+    """The distinct coefficient values, built as one frozenset: of all 2^n
+    dense coefficients, else of the values of the sparse form, with 0 when
+    some coefficient vanishes."""
     if s.nonzero is None:
-        return set(s._coeffs)
-    values = set(s._values)
+        return frozenset(s._coeffs)
     if len(s.nonzero) < 1 << s.n:
-        values.add(0)
-    return values
+        return frozenset((0, *s._values))
+    return frozenset(s._values)
 
 
 def granularity(s: Spectrum) -> int:

@@ -8,9 +8,12 @@ tables go through the lane-packed butterfly a chunk at a time: each chunk
 is transformed in one call and round-tripped in a second, whose result
 must be 2^n * f(x) entry for entry.  Each check then runs as one pass over
 the chunk's tables, and each table is classified once, in one map of
-classify over the chunk's spectra; classify hands out one shared frozen
+classify over the chunk's spectra.  classify caches its verdict per
+shape (n, F(0), value set) and hands out one shared frozen
 Classification per (tag, k, m, t), so a pass over all 65,536 tables at
-n = 4 builds 21 of them rather than one per table.  decompose takes a
+n = 4 classifies 79 shapes and builds 21 Classifications.  The
+granularity/sparsity relation depends on (k, sparsity) alone and is
+checked once per distinct pair in a chunk.  decompose takes a
 table's spectrum and classification, and returns only decompositions
 that passed structure.verify_decomposition (mandated piece profile,
 exact cover), so that check runs once per table, inside decompose.  The
@@ -29,6 +32,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import repeat
 from operator import attrgetter, mul
 
@@ -40,7 +44,7 @@ from .families import (
     FAMILY_TWO_AFFINE,
     generate,
 )
-from .fourier import Spectrum, butterfly, sparsity, wht
+from .fourier import Spectrum, butterfly, wht
 from .gf2 import _ASCII_TO_BIT, GF2Matrix, iter_affine_masks
 from .structure import (
     IN_SCOPE_TAGS,
@@ -179,9 +183,11 @@ def enumerate_verify_range(
 
     Past the two butterfly calls, each check is one pass over the chunk:
     Parseval on the flat coefficient tuple; the spectra, one map of
-    classify and one Counter of tags; granularity/sparsity; the kill
-    bound; decompose on the in-scope tables.  Each phase is timed once per
-    chunk.  A failure is kept as (table, rank of its check, name) and the
+    classify and one Counter of tags; granularity/sparsity, with the
+    sparsity read as 2^n minus the zeros of each table's coefficients and
+    the relation looked up once per distinct (k, sparsity) in the chunk;
+    the kill bound; decompose on the in-scope tables.  Each phase is timed
+    once per chunk.  A failure is kept as (table, rank of its check, name) and the
     chunk's failures are sorted before they are reported, so violations
     come table by table, and within a table in the order the checks are
     listed above, whatever the chunk boundaries.
@@ -233,10 +239,12 @@ def enumerate_verify_range(
         spectra = list(map(Spectrum, repeat(n, hi - lo), table_coeffs))
         classes = list(map(classify, spectra))
         counts.update(map(attrgetter("tag"), classes))
+        # one call per distinct (k, sparsity) in the chunk
+        holds = cache(granularity_sparsity_holds)
         failed += [
             (table, 2, "granularity_sparsity")
-            for table, cls, spectrum in zip(tables, classes, spectra)
-            if table and not granularity_sparsity_holds(cls.k, sparsity(spectrum))
+            for table, cls, coeffs in zip(tables, classes, table_coeffs)
+            if table and not holds(cls.k, size - coeffs.count(0))
         ]
         t2 = time.perf_counter()
         timing["classify"] += t2 - t1

@@ -78,15 +78,47 @@ class Classification:
     t: int | None = None
 
 
+_SHAPES = 128
+_SHAPE_VALUES = 256
+
+
 def classify(s: Spectrum) -> Classification:
-    n = s.n
+    """The shape of s: its tag, k and m, read off n, F(0) and the set of
+    coefficient values alone.
+
+    k is the granularity of the value set, u = 2^(n-k) and m = F(0)/u.  s
+    is in scope when m = 1 and its values lie in {0, +-u}, or m = 2 and
+    they lie in {0, +-u, +-2u}.  So the verdict is a function of the key
+    (n, F(0), values), which _shape_classification caches: values is one
+    frozenset (coefficient_values), of the dense coefficients or of the
+    sparse values and 0, and a repeated shape costs that build and one
+    lookup.  The pass over all 65,536 tables at n = 4 meets 79 shapes.
+
+    The cache holds at most _SHAPES = 128 keys, and only value sets of at
+    most _SHAPE_VALUES = 256 values enter it, which takes in every
+    spectrum on n <= 8 inputs.  A key costs about 85 bytes per value
+    (the frozenset and its ints), so the cache holds at most about 3 MiB:
+    128 * 257 values.  A larger value set, such as a uniform random
+    table's (2,068 values at n = 20 and 8,858 at n = 24), is
+    classified uncached; its fold is cheap next to building the set.
+    """
     values = coefficient_values(s)
+    f0 = coefficient(s, 0)
+    if len(values) > _SHAPE_VALUES:
+        return _shape_classification.__wrapped__(s.n, f0, values)
+    return _shape_classification(s.n, f0, values)
+
+
+@lru_cache(maxsize=_SHAPES)
+def _shape_classification(n: int, f0: int, values: frozenset[int]) -> Classification:
+    """classify of a spectrum on n inputs with F(0) = f0 and these
+    coefficient values."""
     if values == {0}:
         return _classification(TAG_TRIVIAL, 0, 0)
     k = _granularity(n, values)
     unit = 1 << (n - k)
     # k is the granularity of a value set holding F(0), so unit divides it
-    m = coefficient(s, 0) // unit
+    m = f0 // unit
     allowed = {0, unit, -unit}
     if m == 2:
         allowed |= {2 * unit, -2 * unit}
@@ -106,10 +138,11 @@ def _in_scope(k: int, m: int) -> Classification:
 @lru_cache(maxsize=1024)
 def _classification(tag: str, k: int, m: int, t: int | None = None) -> Classification:
     """The one Classification of each (tag, k, m, t).  It is frozen, so
-    every caller can share it; a pass over all 65,536 tables at n = 4 then
-    builds 21 of them instead of one per table, and the bound
-    keeps a long run over larger spectra, whose k and m vary more, from
-    growing the cache without limit."""
+    every caller can share it: classify's shapes and reduce_to_core's core
+    classifications alike.  A pass over all 65,536 tables at n = 4 builds
+    21 of them for its 79 shapes, and the bound keeps a long run over
+    larger spectra, whose k and m vary more, from growing the cache
+    without limit."""
     return Classification(tag, k, m, t)
 
 
@@ -322,16 +355,25 @@ def reduce_to_core(
     return core, trace
 
 
+# the largest n - s at which _read_at_pivots folds the quotient
+_FOLD_MAX_GAP = 8
+
+
 def _read_at_pivots(g: BooleanFunction, pivots: list[int]) -> BooleanFunction:
     """h(y) = g(the sum of pivots[j] over the set bits j of y), for the
     one-bit pivots in increasing order: g with every other coordinate
-    held at 0.  From one point in 16 of g's table up (n - s <= 4), g is
-    folded at each other coordinate (gf2.fold), from the top down, so the
-    lower ones keep their places; below that, h reads its 2^s points from
-    the table's bytes.  On random tables at n = 12 to 24 the folds were
-    the faster way up to n - s = 7 or 8, and the byte read from 9 up."""
+    held at 0.  When n - s <= _FOLD_MAX_GAP, g is folded at each other
+    coordinate (gf2.fold), from the top down, so the lower ones keep their
+    places; past that, h reads its 2^s points from the table's bytes.
+    Medians of five random pivot sets on a random table, folds against
+    the byte read at n - s = 5 and 8: 51 against 282 and 35 against 49 us
+    at n = 16, 354 against 4,170 and 418 against 661 us at n = 20, 6.2
+    against 80 and 6.3 against 11 ms at n = 24; at 9 the two were even
+    from n = 16 up.  The bound costs up to 4 us a call at n = 8, where the
+    folds took 4-7 us and the byte read 2-3 us for n - s = 5 to 8, and up
+    to 8 us at n = 12."""
     n, s = g.n, len(pivots)
-    if n - s <= 4:
+    if n - s <= _FOLD_MAX_GAP:
         pivot_bits = sum(pivots)
         table, m = g.table, n
         for c in reversed(range(n)):

@@ -286,6 +286,34 @@ def test_violations_come_table_by_table_in_check_order(monkeypatch):
     assert set(checks) == set(CHECK_ORDER) - {"parseval"}
     assert checks != sorted(checks, key=CHECK_ORDER.index)
     assert min(tables) < 2024 <= max(tables)
+    # the relation, checked once per (k, sparsity) in a chunk, still flags
+    # every table of the forced shape, and no other
+    shaped = set()
+    for table in range(1000, 3048):
+        s = wht(BooleanFunction(4, table))
+        if (classify(s).k, sparsity(s)) == FORCED_SHAPE:
+            shaped.add(table)
+    flagged = {table for table, check in whole.violations if check == "granularity_sparsity"}
+    assert len(shaped) > 2 and flagged == shaped
+
+
+def test_the_relation_is_checked_once_per_k_and_sparsity_in_a_chunk(monkeypatch):
+    calls = []
+
+    def recording(gran, s):
+        calls.append((gran, s))
+        return granularity_sparsity_holds(gran, s)
+
+    monkeypatch.setattr(harness, "granularity_sparsity_holds", recording)
+    r = enumerate_verify_range(4, 0, 2048)
+    assert r.violations == []
+    # the chunks are 0..1023 and 1024..2047; the zero table has no shape
+    expected = Counter()
+    for lo in (0, 1024):
+        spectra = [wht(BooleanFunction(4, table)) for table in range(max(lo, 1), lo + 1024)]
+        expected.update({(classify(s).k, sparsity(s)) for s in spectra})
+    assert Counter(calls) == expected
+    assert max(expected.values()) == 2  # shapes that both chunks meet are checked in each
 
 
 def test_enumerate_verify_transforms_a_bounded_chunk_per_call(monkeypatch):

@@ -106,24 +106,39 @@ def test_granularity_matches_fraction_denominators_arbitrary_spectra(n, data):
     assert granularity(s) == oracle_granularity(s)
 
 
-def test_classify_folds_the_granularity_from_its_own_value_set(monkeypatch):
-    # classify reads k from the set of values it builds anyway, through the
-    # fold that granularity uses, and never builds a second set
-    sets = []
+def test_classify_builds_one_value_set_per_call_and_folds_once_per_shape(monkeypatch):
+    # classify reads k from the one frozenset it builds as its cache key,
+    # through the fold that granularity uses, and folds only on a shape it
+    # has not met: a dense spectrum and its sparse copy are one shape
+    builds, folds = [], []
+    fold = structure._granularity
 
-    class CountingSet(set):
-        def __init__(self, *args):
-            super().__init__(*args)
-            sets.append(self)
+    class CountingFrozenset(frozenset):
+        def __new__(cls, *args):
+            builds.append(args)
+            return super().__new__(cls, *args)
 
-    monkeypatch.setattr(structure, "set", CountingSet, raising=False)
-    monkeypatch.setattr(fourier, "set", CountingSet, raising=False)
+    def counting_fold(n, values):
+        folds.append(values)
+        return fold(n, values)
+
+    monkeypatch.setattr(fourier, "frozenset", CountingFrozenset, raising=False)
+    monkeypatch.setattr(structure, "_granularity", counting_fold)
+    structure._shape_classification.cache_clear()
+    shapes = set()
     for table in range(1, 1 << 16, 97):
         s = wht(BooleanFunction(4, table))
-        sets.clear()
-        k = structure.classify(s).k
-        assert len(sets) == 1
-        assert k == oracle_granularity(s) == granularity(s)
+        sparse = Spectrum.sparse(4, *map(tuple, nonzero_items(s)))
+        shape = (s.coeffs[0], frozenset(s.coeffs))
+        for spectrum in (s, sparse):
+            builds.clear()
+            before = len(folds)
+            k = structure.classify(spectrum).k
+            assert len(builds) == 1
+            assert len(folds) - before == (shape not in shapes)
+            shapes.add(shape)
+            assert k == oracle_granularity(s) == granularity(s)
+    assert len(folds) == len(shapes) == structure._shape_classification.cache_info().misses
 
 
 def test_sparsity_examples():

@@ -18,7 +18,7 @@ from f2spec.families import (
     delta,
     two_affine,
 )
-from f2spec.fourier import Spectrum, wht
+from f2spec.fourier import Spectrum, nonzero_items, wht
 from f2spec.gf2 import (
     AffineSubspace,
     Subspace,
@@ -136,6 +136,76 @@ def test_classify_shares_one_frozen_classification_per_shape():
     assert a is b
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.tag = TAG_OUT_OF_SCOPE
+
+
+def sparse_copy(s: Spectrum) -> Spectrum:
+    return Spectrum.sparse(s.n, *map(tuple, nonzero_items(s)))
+
+
+def test_a_dense_and_a_sparse_copy_and_two_tables_of_one_shape_share_one_cache_entry():
+    # the lines {1, 6} and {2, 5} of F_2^3 have one F(0) and one value set
+    s = wht(BooleanFunction.from_support(3, [1, 6]))
+    t = wht(BooleanFunction.from_support(3, [2, 5]))
+    assert s != t and s.coeffs[0] == t.coeffs[0] and set(s.coeffs) == set(t.coeffs)
+    structure._shape_classification.cache_clear()
+    a = classify(s)
+    assert classify(sparse_copy(s)) is a and classify(t) is a and classify(sparse_copy(t)) is a
+    info = structure._shape_classification.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+# forged spectra, no 0/1 function's: n = 3 and u = 2, so k = 2
+FORGED = [
+    (4, 6, 2, 0, 0, 0, 0, 0),  # F(0) = 2u with a 3u value
+    (2, 4, -2, 0, 0, 0, 0, 0),  # F(0) = u with a 2u value
+    (2, 2, -6, 0, 0, 0, 0, 0),  # F(0) = u with a -3u value
+    (6, 2, -2, 2, 0, 0, 0, 0),  # F(0) = 3u, values in {0, +-u}
+    (6, 4, -4, 2, 0, 0, 0, 0),  # F(0) = 3u, values in {0, +-u, +-2u}
+    (4, 10, 2, 0, 0, 0, 0, 0),  # F(0) = 2u with a 5u value
+]
+
+
+@pytest.mark.parametrize("coeffs", FORGED)
+def test_forged_spectra_classify_as_the_uncached_oracle(coeffs):
+    s = Spectrum(3, coeffs)
+    cls = oracle_classify(s)
+    assert cls.tag == TAG_OUT_OF_SCOPE and cls.k == 2
+    assert classify(s) == cls
+    # again from the cache, and from the sparse form
+    assert classify(s) is classify(sparse_copy(s)) == cls
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_spectra_over_a_palette_of_multiples_of_u_classify_as_the_oracle(n, data):
+    # F(0) = m u and every coefficient a multiple of u, drawn from a
+    # palette that is in scope, or holds 3u or 5u; the draws repeat shapes
+    k = data.draw(st.integers(1, n))
+    palette = data.draw(
+        st.sampled_from([(0, 1, -1), (0, 1, -1, 2, -2), (0, 1, -1, 2, -2, 3, -3), (0, 2, 5, -1)])
+    )
+    m = data.draw(st.sampled_from([1, 2, 3]))
+    rest = data.draw(st.lists(st.sampled_from(palette), min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+    u = 1 << (n - k)
+    s = Spectrum(n, tuple(c * u for c in (m, *rest)))
+    assert classify(s) == oracle_classify(s) == classify(sparse_copy(s))
+
+
+def test_the_shape_cache_holds_at_most_its_bound():
+    # more distinct shapes than the bound: odd F(0) on n = 2, so k = 2,
+    # each classified as the oracle says, and the cache never holds more
+    bound = structure._SHAPES
+    structure._shape_classification.cache_clear()
+    for i in range(bound + 40):
+        s = Spectrum(2, (2 * i + 1, 0, 0, 0))
+        assert classify(s) == oracle_classify(s)
+        assert structure._shape_classification.cache_info().currsize == min(i + 1, bound)
+    # a value set past _SHAPE_VALUES is classified without entering it
+    structure._shape_classification.cache_clear()
+    wide = Spectrum(9, tuple(range(512, 1024)))
+    assert len(set(wide.coeffs)) > structure._SHAPE_VALUES
+    assert classify(wide) == oracle_classify(wide)
+    assert structure._shape_classification.cache_info().currsize == 0
 
 
 def test_classify_two_point_support_is_single_subspace():

@@ -110,9 +110,10 @@ def test_restrict_first_bit_is_the_gather_at_the_other_unit_vectors():
 
 def quotient_instances():
     """Seeded images of two_affine(5, 3) times the constant 1 on j more
-    inputs, j = 0..6: the span of the nonzero positions has s = 5
-    dimensions, so n - s = j crosses the one-point-in-16 threshold."""
-    for j in range(7):
+    inputs, j = 0..10: the span of the nonzero positions has s = 5
+    dimensions, so n - s = j crosses the reduction's fold threshold,
+    structure._FOLD_MAX_GAP = 8."""
+    for j in range(11):
         base = tensor(two_affine(5, 3), all_ones(j))
         for seed in (j, j + 10):
             yield image(base, seed)
@@ -120,7 +121,7 @@ def quotient_instances():
 
 def test_the_reduction_reads_the_quotient_the_gather_reads(monkeypatch):
     # the quotient h that reduce_to_core reads at sigma's pivots is the
-    # gather of the shifted f there: by folds while n - s <= 4, and from
+    # gather of the shifted f there: by folds while n - s <= 8, and from
     # the table's bytes, with no fold, past that
     reads, folds = [], []
     read, fold = structure._read_at_pivots, structure.fold
@@ -149,9 +150,9 @@ def test_the_reduction_reads_the_quotient_the_gather_reads(monkeypatch):
         assert g == shift(f, origin) and used == pivots
         assert h == gather(shift(f, origin), pivots), f
         gap = f.n - len(sigma)
-        assert len(folds) == (gap if gap <= 4 else 0), (gap, folds)
+        assert len(folds) == (gap if gap <= structure._FOLD_MAX_GAP else 0), (gap, folds)
         seen.add(gap)
-    assert seen == set(range(7))
+    assert seen == set(range(11))
 
 
 def traced_peak(call) -> int:
