@@ -51,7 +51,6 @@ from .structure import (
     Classification,
     Decomposition,
     ReductionTrace,
-    SpectralSets,
     classify,
     decompose,
     kill_number,
@@ -73,7 +72,6 @@ __all__ = [
     "LABA_VIOLATION",
     "PointSet",
     "ReductionTrace",
-    "SpectralSets",
     "Spectrum",
     "SpectrumScopeError",
     "SplitMix64",

@@ -11,21 +11,22 @@ the quotient on s = dim(span) inputs, f read at the span's pivot bits,
 and a restriction to the affine span of the quotient's support.  The
 core spectrum is read off f's nonzero coefficients alone, in the sparse
 form.
-Two pieces come in closed form from the core spectrum (four pieces are
-peeled off the core's support), and the reduction's trace lifts each
-piece to f in one affine map.  Every decomposition emitted is verified on
-f itself with 2^n-bit masks, one per piece, built by gf2.flat_mask.
+The core is read through two sets of masks, P = {F = +u} and
+B = {F = -u} (spectral_sets): two pieces come in closed form from them,
+and when k = 4 and |B + B| = 22 four pieces are peeled off the core's
+support instead.  The reduction's trace lifts each piece to f in one
+affine map.  Every decomposition emitted is verified on f itself with
+2^n-bit masks, one per piece, built by gf2.flat_mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import islice
 from operator import xor
 from typing import Iterable
 
-from .addcomb import PointSet
 from .boolfunc import BooleanFunction, apply_transform, restrict_first_bit, shift
 from .errors import InputFormatError, SpectrumScopeError, TheoremViolationError
 from .fourier import (
@@ -88,11 +89,12 @@ def classify(s: Spectrum) -> Classification:
 
     k is the granularity of the value set, u = 2^(n-k) and m = F(0)/u.  s
     is in scope when m = 1 and its values lie in {0, +-u}, or m = 2 and
-    they lie in {0, +-u, +-2u}.  So the verdict is a function of the key
-    (n, F(0), values), which _shape_classification caches: values is one
-    frozenset (coefficient_values), of the dense coefficients or of the
-    sparse values and 0, and a repeated shape costs that build and one
-    lookup.  The pass over all 65,536 tables at n = 4 meets 79 shapes.
+    they lie in {0, +-u, +-2u}, and F(0) <= 2^n as for every 0/1 function
+    (so a forged spectrum with k = 0 and m = 2 is not).  So the verdict
+    is a function of the key (n, F(0), values), which _shape_classification
+    caches: values is one frozenset (coefficient_values), of the dense
+    coefficients or of the sparse values and 0, and a repeated shape costs
+    that build and one lookup.  All 65,536 tables at n = 4 have 79 shapes.
 
     The cache holds at most _SHAPES = 128 keys, and only value sets of at
     most _SHAPE_VALUES = 256 values enter it, which takes in every
@@ -122,7 +124,8 @@ def _shape_classification(n: int, f0: int, values: frozenset[int]) -> Classifica
     allowed = {0, unit, -unit}
     if m == 2:
         allowed |= {2 * unit, -2 * unit}
-    if m in (1, 2) and values <= allowed:
+    # F(0) is the support's size, at most 2^n, so m = 2 needs k >= 1
+    if m in (1, 2) and values <= allowed and f0 <= 1 << n:
         return _in_scope(k, m)
     return _classification(TAG_OUT_OF_SCOPE, k, m)
 
@@ -146,51 +149,24 @@ def _classification(tag: str, k: int, m: int, t: int | None = None) -> Classific
     return Classification(tag, k, m, t)
 
 
-@dataclass(frozen=True)
-class SpectralSets:
-    """The coefficient-level sets of an irreducible two-subspace core.
+def spectral_sets(
+    s: Spectrum, cls: Classification | None = None
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The classes P and B of a core spectrum: the masks with coefficient
+    +2^(n-k) and -2^(n-k), as the pair (plus, minus).
 
-    plus / minus collect the masks with coefficient +1/2^k and -1/2^k.
-    double_sums are the nonzero pairwise sums of minus-masks (they all land
-    in plus), plus_rest is the remainder of plus, and triple_gaps are the
-    triple sums outside minus, where the spectrum provably vanishes.  The
-    last three come from the t^2 pair sums and are built on first read.
+    Requires an m = 2 classification (a caller that has already
+    classified s passes it as cls), no remaining reducible direction (no
+    nonzero mask but 0 has the magnitude of F(0)) and the origin in the
+    support (the coefficients sum to 2^n), and then |P| = 3t and |B| = t;
+    else ValueError.  The checks and the split read only the few nonzero
+    masks and their values: the sparse form's, or one scan each.
     """
-
-    n: int
-    k: int
-    t: int
-    plus: PointSet
-    minus: PointSet
-
-    @cached_property
-    def _pair_sums(self) -> frozenset[int]:
-        """B + B, with 0, for B the negative class."""
-        minus = self.minus.members
-        return frozenset(b1 ^ b2 for b1 in minus for b2 in minus)
-
-    @cached_property
-    def double_sums(self) -> PointSet:
-        return PointSet(self.n, (self._pair_sums - {0}) & self.plus.members)
-
-    @cached_property
-    def plus_rest(self) -> PointSet:
-        return PointSet(self.n, self.plus.members - self.double_sums.members)
-
-    @cached_property
-    def triple_gaps(self) -> PointSet:
-        minus = self.minus.members
-        triples = frozenset(x ^ b for x in self._pair_sums for b in minus)
-        return PointSet(self.n, triples - minus)
-
-
-def _signed_masks(s: Spectrum, k: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The masks with coefficient +2^(n-k) and -2^(n-k), once the nonzero
-    coefficients show s to be a core spectrum with 0 in its support: no
-    nonzero mask but 0 has the magnitude of F(0), and they sum to 2^n."""
-    unit = 1 << (s.n - k)
-    # the few nonzero masks and their values (the sparse form's, or one
-    # scan each), then the checks and the split run on those alone
+    if cls is None:
+        cls = classify(s)
+    if cls.tag not in (TAG_TWO_SUBSPACE, TAG_EXCEPTIONAL_K4):
+        raise ValueError("spectral sets exist only for m = 2 spectra")
+    unit = 1 << (s.n - cls.k)
     nonzero, values = map(list, nonzero_items(s))
     f0 = coefficient(s, 0)
     if values.count(f0) + values.count(-f0) > 1:
@@ -201,23 +177,6 @@ def _signed_masks(s: Spectrum, k: int) -> tuple[frozenset[int], frozenset[int]]:
         raise ValueError("origin not in the support; shift the function first")
     plus = frozenset([a for a, v in zip(nonzero, values) if v == unit])
     minus = frozenset([a for a, v in zip(nonzero, values) if v == -unit])
-    return plus, minus
-
-
-def spectral_sets(s: Spectrum, cls: Classification | None = None) -> SpectralSets:
-    """Extract the coefficient sets of a core spectrum and check their sizes.
-
-    Requires an m = 2 classification with no remaining reducible direction
-    (no nonzero mask whose coefficient has the magnitude of F(0)) and the
-    origin in the support; _signed_masks checks both on the nonzero masks
-    it lists.  A caller that has already classified s passes the result
-    as cls.
-    """
-    if cls is None:
-        cls = classify(s)
-    if cls.tag not in (TAG_TWO_SUBSPACE, TAG_EXCEPTIONAL_K4):
-        raise ValueError("spectral sets exist only for m = 2 spectra")
-    plus, minus = _signed_masks(s, cls.k)
     t = cls.t
     assert t is not None
     if len(plus) != 3 * t or len(minus) != t:
@@ -225,20 +184,19 @@ def spectral_sets(s: Spectrum, cls: Classification | None = None) -> SpectralSet
             f"coefficient class sizes {len(plus)}/{len(minus)} do not match "
             f"the forced 3t/t with t={t}; the spectrum is not a 0/1 function"
         )
-    return SpectralSets(s.n, cls.k, t, PointSet(s.n, plus), PointSet(s.n, minus))
+    return plus, minus
 
 
-def triangle_neighbors(rho: int, minus: PointSet) -> PointSet:
-    """Elements of the negative class that pair up to rho.
+def triangle_neighbors(rho: int, minus: frozenset[int]) -> frozenset[int]:
+    """The members b of the negative class B with rho + b in B too.
 
-    rho must itself be a nonzero pairwise sum of the class; the result always
-    has even size because its members come in pairs (b, rho + b).
+    rho must itself be a nonzero pairwise sum of B; the result always has
+    even size because its members come in pairs (b, rho + b).
     """
-    members = minus.members
-    neighbors = frozenset(b for b in members if rho ^ b in members)
+    neighbors = frozenset(b for b in minus if rho ^ b in minus)
     if rho == 0 or not neighbors:
         raise ValueError("rho is not a nonzero pairwise sum of the class")
-    return PointSet(minus.n, neighbors)
+    return neighbors
 
 
 @dataclass(frozen=True)
@@ -394,7 +352,9 @@ class Decomposition:
     classification: Classification
 
 
-def _two_flat_pieces(sets: SpectralSets) -> tuple[AffineSubspace, AffineSubspace]:
+def _two_flat_pieces(
+    n: int, k: int, plus: frozenset[int], minus: frozenset[int]
+) -> tuple[AffineSubspace, AffineSubspace]:
     """Both pieces of a two-subspace core, read off its coefficient classes.
 
     The core is 1_U + 1_(b+V) with 0 in U, and 1_(c+U) has the coefficient
@@ -409,8 +369,7 @@ def _two_flat_pieces(sets: SpectralSets) -> tuple[AffineSubspace, AffineSubspace
     V^perp share no pivot, so the pivot bits of the rows in B + {gamma} add
     up to a point of b + V.
     """
-    n, plus, minus = sets.n, sets.plus.members, sets.minus.members
-    gamma = min(minus) ^ min(plus) if sets.k == 2 else reduce(xor, minus)
+    gamma = min(minus) ^ min(plus) if k == 2 else reduce(xor, minus)
     odd = minus | {gamma}
     paired = {gamma ^ x for x in minus}
     v_rows = _subspace_rows(sorted(odd | paired | {0}), "the masks of V^perp")
@@ -447,10 +406,11 @@ def _decompose_core(
     """Pieces of an irreducible m = 2 core with spectrum s and classification
     cls, in core coordinates.  A route that fails its own checks raises
     TheoremViolationError, or ValueError for the class sizes."""
-    sets = spectral_sets(s, cls)
-    if cls.k == 4 and len(sets.double_sums) == 21:  # |B + B| = 22 with 0
+    plus, minus = spectral_sets(s, cls)
+    # |B + B| = 22 with 0, from t^2 = 49 pair sums, only when k = 4
+    if cls.k == 4 and len({b1 ^ b2 for b1 in minus for b2 in minus}) == 22:
         return _greedy_four_pieces(core, core.n - cls.k - 1)
-    return _two_flat_pieces(sets)
+    return _two_flat_pieces(core.n, cls.k, plus, minus)
 
 
 def _pieces_match_mandate(

@@ -7,6 +7,7 @@ paths, so the two can check each other.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, compress, product
@@ -83,15 +84,15 @@ def oracle_is_irreducible(f: BooleanFunction) -> bool:
 
 @pytest.fixture
 def short_negative_class(monkeypatch):
-    """Make the core route read one mask too few in each negative class, so
-    that spectral_sets finds the class sizes wrong and raises ValueError."""
-    signed = structure._signed_masks
+    """Make the core route expect one mask more in each negative class than
+    the core has, so that spectral_sets finds the class sizes wrong and
+    raises ValueError."""
+    split = structure.spectral_sets
 
-    def patched(s, k):
-        plus, minus = signed(s, k)
-        return plus, minus - set(sorted(minus)[:1])
+    def patched(s, cls):
+        return split(s, dataclasses.replace(cls, t=cls.t + 1))
 
-    monkeypatch.setattr(structure, "_signed_masks", patched)
+    monkeypatch.setattr(structure, "spectral_sets", patched)
 
 
 @pytest.fixture
@@ -99,14 +100,14 @@ def swapped_classes(monkeypatch):
     """Make the core route read the smallest mask of each signed class in
     the other class, so that the class sizes stay right but the classes no
     longer name two flats of the core."""
-    signed = structure._signed_masks
+    split = structure.spectral_sets
 
-    def patched(s, k):
-        plus, minus = signed(s, k)
+    def patched(s, cls):
+        plus, minus = split(s, cls)
         p, b = min(plus), min(minus)
         return plus - {p} | {b}, minus - {b} | {p}
 
-    monkeypatch.setattr(structure, "_signed_masks", patched)
+    monkeypatch.setattr(structure, "spectral_sets", patched)
 
 
 def forged_w_spectrum(n: int, w_f) -> Spectrum:
@@ -310,8 +311,8 @@ def oracle_granularity(s: Spectrum) -> int:
 def oracle_classify(s: Spectrum) -> structure.Classification:
     """classify from the definitions.  k is the granularity, u = 2^(n-k)
     and m = F(0)/u, so that f^(0) = m/2^k.  The spectrum is in scope when
-    m = 1 and its values lie in {0, +-u}, or m = 2 and they lie in
-    {0, +-u, +-2u}; an m = 2 spectrum is the exceptional candidate when
+    m = 1 and its values lie in {0, +-u}, or m = 2, k >= 1 and they lie
+    in {0, +-u, +-2u}; an m = 2 spectrum is the exceptional candidate when
     k = 4, and its negative class must hold t = 2^(k-1) - 1 masks."""
     values = set(s.coeffs)
     if values == {0}:
@@ -323,7 +324,8 @@ def oracle_classify(s: Spectrum) -> structure.Classification:
     m = int(m)
     if m == 1 and values <= {0, u, -u}:
         return structure.Classification(structure.TAG_RVL, k, 1)
-    if m == 2 and values <= {0, u, -u, 2 * u, -2 * u}:
+    # F(0) = |support| <= 2^n: no 0/1 function has m = 2 with k = 0
+    if m == 2 and k >= 1 and values <= {0, u, -u, 2 * u, -2 * u}:
         tag = structure.TAG_EXCEPTIONAL_K4 if k == 4 else structure.TAG_TWO_SUBSPACE
         return structure.Classification(tag, k, 2, 2 ** (k - 1) - 1)
     return structure.Classification(structure.TAG_OUT_OF_SCOPE, k, m)
@@ -342,6 +344,27 @@ def oracle_even_zohar_s(k: Fraction) -> int:
     while not (starts_at_or_below(s) and not starts_at_or_below(s + 1)):
         s += 1
     return s
+
+
+# ---- the proof sets of an m = 2 core ------------------------------------
+# structure.spectral_sets returns the classes P = {F = +u} and B = {F = -u};
+# the paper's lemmas build these sets from them, and the decomposition
+# reads none of them (it forms B + B itself, and only when k = 4).
+
+
+def pair_sums(minus) -> frozenset[int]:
+    """B + B, with 0: for a 0/1 core its nonzero members all lie in P."""
+    return frozenset(b1 ^ b2 for b1 in minus for b2 in minus)
+
+
+def plus_rest(plus, minus) -> frozenset[int]:
+    """The masks of P that are no pair sum of B."""
+    return plus - pair_sums(minus)
+
+
+def triple_gaps(minus) -> frozenset[int]:
+    """The triple sums of B outside B, where the spectrum provably vanishes."""
+    return frozenset(x ^ b for x in pair_sums(minus) for b in minus) - minus
 
 
 # ---- the coset split of a two-subspace core ---------------------------
@@ -380,8 +403,9 @@ def _split_by_cosets(n, k, supp, v1_perp, v2_perp):
     return piece1, piece2
 
 
-def oracle_two_flat_pieces(core: BooleanFunction, sets):
-    """Both pieces of a non-exceptional two-subspace core, split off its support.
+def oracle_two_flat_pieces(core: BooleanFunction, k: int, plus, minus):
+    """Both pieces of a non-exceptional two-subspace core with granularity
+    k and classes P = plus and B = minus, split off its support.
 
     k >= 3: the negative class spans the first constraint space, and the
     unique triple gap joined with the leftover positive masks spans the
@@ -390,13 +414,13 @@ def oracle_two_flat_pieces(core: BooleanFunction, sets):
     of the other two positive masks span the first; those two span the
     second.  None when the split fails.
     """
-    n, k = sets.n, sets.k
+    n = core.n
     supp = core.support()
     if k == 2:
-        (beta,) = sets.minus.members
-        for a_r in sorted(sets.plus.members):
+        (beta,) = minus
+        for a_r in sorted(plus):
             gamma = beta ^ a_r
-            others = sorted(sets.plus.members - {a_r})
+            others = sorted(plus - {a_r})
             if len(others) != 2 or others[0] ^ others[1] != gamma:
                 continue
             if sum(1 - 2 * dot(gamma, x) for x in supp) != 0:
@@ -409,11 +433,12 @@ def oracle_two_flat_pieces(core: BooleanFunction, sets):
             if split is not None:
                 return split
         return None
-    v1_perp = linear_span(n, sets.minus.members)
-    if v1_perp.dim != k or len(sets.triple_gaps) != 1:
+    v1_perp = linear_span(n, minus)
+    gaps = triple_gaps(minus)
+    if v1_perp.dim != k or len(gaps) != 1:
         return None
-    (gamma,) = sets.triple_gaps.members
-    v2_perp = linear_span(n, sets.plus_rest.members | {gamma})
+    (gamma,) = gaps
+    v2_perp = linear_span(n, plus_rest(plus, minus) | {gamma})
     if v2_perp.dim != k:
         return None
     return _split_by_cosets(n, k, supp, v1_perp, v2_perp)

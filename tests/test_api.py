@@ -6,7 +6,8 @@ from pathlib import Path
 
 import f2spec
 
-BENCH_LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCH_LAYERS = BENCH / "layers.py"
 
 # The public names of the package.  A name joins or leaves this list on
 # purpose: tests-only helpers and oracles live in tests/conftest.py.
@@ -22,7 +23,6 @@ PUBLIC_API = [
     "LABA_VIOLATION",
     "PointSet",
     "ReductionTrace",
-    "SpectralSets",
     "Spectrum",
     "SpectrumScopeError",
     "SplitMix64",
@@ -87,3 +87,30 @@ def test_every_call_the_traced_bench_requires_is_a_public_function(monkeypatch):
                 assert not attr.startswith("_") and hasattr(obj, attr), name
                 obj = getattr(obj, attr)
             assert inspect.isfunction(obj), name
+
+
+def test_every_call_the_traced_bench_requires_records_a_call(monkeypatch, tmp_path):
+    # the same check as the traced bench's, on fewer ops: a route that
+    # stops making a required call fails here as well.  The first op of
+    # exhaustive-n4, random-n8 and kill-search makes every call each one
+    # requires; decompose-large's route-specific calls come from different
+    # input kinds, so all 16 of its ops run.
+    monkeypatch.syspath_prepend(str(BENCH))
+    names = ("layers", "tracer", "workloads")
+    try:
+        layers, tracer, workloads = map(importlib.import_module, names)
+        for workload in (layers.EXHAUSTIVE, layers.RANDOM, layers.LARGE, layers.KILL):
+            bench = workloads.WORKLOADS[workload]()
+            bench.build(1, tmp_path)
+            ops = bench.cycle(0)
+            if workload != layers.LARGE:
+                ops = ops[:1]
+            with tracer.Tracer(layers.WATCHES) as spans:
+                results = [op.run() for op in ops]
+            assert [op.check(result) for op, result in zip(ops, results)] == [0] * len(ops)
+            stats = spans.stats
+            missing = [n for n in layers.required_calls(workload) if n not in stats or not stats[n].calls]
+            assert missing == [], workload
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)

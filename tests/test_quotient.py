@@ -15,13 +15,19 @@ from itertools import compress
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from f2spec import gf2, jsonio, structure
 from f2spec.boolfunc import BooleanFunction, shift, tensor
 from f2spec.errors import TheoremViolationError
-from f2spec.families import affine_indicator, counterexample_padded, delta, two_affine
+from f2spec.families import (
+    affine_indicator,
+    counterexample_core,
+    counterexample_padded,
+    delta,
+    two_affine,
+)
 from f2spec.fourier import wht
 from f2spec.gf2 import (
     AffineSubspace,
@@ -41,6 +47,7 @@ from f2spec.structure import (
     Decomposition,
     classify,
     decompose,
+    reduce_to_core,
     verify_decomposition,
 )
 
@@ -51,8 +58,10 @@ from conftest import (
     gather,
     image,
     iter_subspaces,
+    naive_wht,
     oracle_dense_decompose,
     oracle_dense_reduce,
+    oracle_classify,
     oracle_lift_point,
     oracle_pieces_cover_exactly,
     oracle_shift,
@@ -154,6 +163,29 @@ def test_parity_with_the_dense_route_on_family_images(f):
 def test_parity_with_the_dense_route_on_two_disjoint_flats(f):
     assert_matches_dense(f)
     assert verify_decomposition(f, decompose(f))
+
+
+# the m = 2 cores of k = 2, 3 and 4, the counterexample core among them
+SMALL_CORES = (two_affine(3, 2), two_affine(5, 3), two_affine(7, 4), counterexample_core())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        two_flat_images(),
+        st.builds(image, st.sampled_from(SMALL_CORES), st.integers(0, 1 << 32)),
+    )
+)
+def test_spectral_sets_are_the_signed_classes_of_the_dense_core_spectrum(f):
+    s = wht(f)
+    cls = classify(s)
+    assume(cls.m == 2)  # parallel flats are one flat
+    core, trace = reduce_to_core(f, s, cls)
+    dense = naive_wht(core)
+    u = 1 << (core.n - oracle_classify(dense).k)
+    classes = tuple(frozenset(a for a, c in enumerate(dense.coeffs) if c == v) for v in (u, -u))
+    assert structure.spectral_sets(trace.core_spectrum, trace.core_classification) == classes
+    assert structure.spectral_sets(dense) == classes
 
 
 def test_two_disjoint_flats_decompose_by_their_shape_for_every_j():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2spec import structure
-from f2spec.addcomb import sumset
+from f2spec.addcomb import PointSet, sumset
 from f2spec.boolfunc import BooleanFunction, apply_transform, shift, tensor
 from f2spec.errors import SpectrumScopeError, TheoremViolationError
 from f2spec.families import (
@@ -59,8 +59,11 @@ from conftest import (
     oracle_dense_reduce,
     oracle_classify,
     oracle_two_flat_pieces,
+    pair_sums,
+    plus_rest,
     shift_spectrum,
     oracle_span_points,
+    triple_gaps,
 )
 
 OR2 = BooleanFunction(2, 0b1110)
@@ -175,12 +178,25 @@ def test_forged_spectra_classify_as_the_uncached_oracle(coeffs):
     assert classify(s) is classify(sparse_copy(s)) == cls
 
 
+# forged spectra of granularity 0, so u = 2^n, with F(0) = 2u: m = 2, but
+# no 0/1 function has F(0) > 2^n
+FORGED_K0 = [(1, (4, 0)), (2, (8, 0, 0, 0)), (1, (4, 4))]
+
+
+@pytest.mark.parametrize("n, coeffs", FORGED_K0)
+def test_forged_spectra_of_granularity_0_with_m2_are_out_of_scope(n, coeffs):
+    s = Spectrum(n, coeffs)
+    cls = Classification(TAG_OUT_OF_SCOPE, 0, 2)
+    assert classify(s) == oracle_classify(s) == cls
+    assert classify(s) is classify(sparse_copy(s)) == cls
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_spectra_over_a_palette_of_multiples_of_u_classify_as_the_oracle(n, data):
     # F(0) = m u and every coefficient a multiple of u, drawn from a
     # palette that is in scope, or holds 3u or 5u; the draws repeat shapes
-    k = data.draw(st.integers(1, n))
+    k = data.draw(st.integers(0, n))
     palette = data.draw(
         st.sampled_from([(0, 1, -1), (0, 1, -1, 2, -2), (0, 1, -1, 2, -2, 3, -3), (0, 2, 5, -1)])
     )
@@ -220,41 +236,41 @@ def test_classify_two_point_support_is_single_subspace():
 
 def test_spectral_sets_two_affine_k3():
     s = wht(two_affine(5, 3))
-    sets = spectral_sets(s)
-    assert len(sets.plus) == 9 and len(sets.minus) == 3
-    b = sorted(sets.minus.members)
-    assert sets.triple_gaps.members == {b[0] ^ b[1] ^ b[2]}
+    plus, minus = spectral_sets(s)
+    assert len(plus) == 9 and len(minus) == 3
+    b = sorted(minus)
+    assert triple_gaps(minus) == {b[0] ^ b[1] ^ b[2]}
     # canonical coordinates put the lone spectral gap at e_k
-    assert sets.triple_gaps.members == {1 << 2}
-    assert sets.double_sums.members == {
-        b[0] ^ b[1], b[0] ^ b[2], b[1] ^ b[2]
-    }
+    assert triple_gaps(minus) == {1 << 2}
+    assert pair_sums(minus) - {0} == {b[0] ^ b[1], b[0] ^ b[2], b[1] ^ b[2]}
+    assert pair_sums(minus) - {0} <= plus
 
 
 def test_spectral_sets_counterexample_sizes():
-    sets = spectral_sets(wht(counterexample_core()))
-    assert len(sets.plus) == 21
-    assert len(sets.minus) == 7
-    assert len(sets.triple_gaps) == 35
+    plus, minus = spectral_sets(wht(counterexample_core()))
+    assert len(plus) == 21
+    assert len(minus) == 7
+    assert len(triple_gaps(minus)) == 35
     # gaps are exactly the spectrum zeros: 64 - 29 entries
     coeffs = wht(counterexample_core()).coeffs
     zeros = {a for a, c in enumerate(coeffs) if c == 0}
-    assert sets.triple_gaps.members == zeros
+    assert triple_gaps(minus) == zeros
 
 
 def test_spectral_sets_gap_is_ek_for_generated_cores():
     for k in (3, 4, 5):
-        sets = spectral_sets(wht(two_affine(2 * k - 1, k)))
-        assert sets.triple_gaps.members == {1 << (k - 1)}
+        _, minus = spectral_sets(wht(two_affine(2 * k - 1, k)))
+        assert triple_gaps(minus) == {1 << (k - 1)}
 
 
 def test_spectral_sets_k2_has_no_triple_gap():
     # a singleton negative class sums to {0}; the gap set degenerates and
     # the recovery has to find the spectrum-zero point another way
-    sets = spectral_sets(wht(two_affine(3, 2)))
-    assert len(sets.minus) == 1
-    assert sets.double_sums.members == frozenset()
-    assert sets.triple_gaps.members == frozenset()
+    plus, minus = spectral_sets(wht(two_affine(3, 2)))
+    assert len(minus) == 1
+    assert pair_sums(minus) == {0}
+    assert plus_rest(plus, minus) == plus
+    assert triple_gaps(minus) == frozenset()
     assert sorted(p.dim for p in decompose(two_affine(3, 2)).pieces) == [1, 1]
 
 
@@ -276,55 +292,74 @@ def test_spectral_sets_requires_origin_in_support():
 def test_spectral_sets_claim_sizes_for_all_generated_instances():
     for k in (2, 3, 4, 5):
         n = 2 * k - 1
-        sets = spectral_sets(wht(two_affine(n, k)))
+        plus, minus = spectral_sets(wht(two_affine(n, k)))
         t = (1 << (k - 1)) - 1
-        assert len(sets.plus) == 3 * t
-        assert len(sets.minus) == t
+        assert len(plus) == 3 * t
+        assert len(minus) == t
 
 
-def test_decompose_builds_no_pair_sums_below_k4(monkeypatch):
+class PairCounted(int):
+    """A mask of the negative class that counts the XORs it takes with
+    another such mask: the pair sums B + B are t^2 of them."""
+
+    pairs = 0
+
+    def __xor__(self, other):
+        PairCounted.pairs += isinstance(other, PairCounted)
+        return int(self) ^ other
+
+    __rxor__ = __xor__
+
+
+def test_decompose_forms_no_pair_sums_below_k4(monkeypatch):
+    split = structure.spectral_sets
     captured = []
 
-    def recording(*args):
-        captured.append(spectral_sets(*args))
-        return captured[-1]
+    def counted(s, cls):
+        plus, minus = split(s, cls)
+        captured.append((cls, minus))
+        return plus, frozenset(map(PairCounted, minus))
 
-    monkeypatch.setattr(structure, "spectral_sets", recording)
+    monkeypatch.setattr(structure, "spectral_sets", counted)
+    monkeypatch.setattr(PairCounted, "pairs", 0)
     rng = SplitMix64(53)
     base = two_affine(12, 6)
     f = shift(apply_transform(base, random_invertible(12, rng)), random_vector(12, rng))
     decompose(f)
-    (sets,) = captured
-    assert sets.k == 6
-    assert not {"double_sums", "plus_rest", "triple_gaps"} & set(vars(sets))
+    ((cls, minus),) = captured
+    assert cls.k == 6 and len(minus) == 31
+    # the sum of B takes one XOR of two members; B + B would take 961
+    assert PairCounted.pairs < len(minus)
+    # at k = 4 the same count sees the pair sums formed
+    decompose(image(counterexample_padded(8), 3))
+    assert PairCounted.pairs >= 7 * 7
 
 
 # ------------------------------------------------------ triangle neighbors
 
 def test_triangle_neighbors_two_affine_core():
     for k in (3, 4):
-        sets = spectral_sets(wht(two_affine(2 * k - 1, k)))
+        _, minus = spectral_sets(wht(two_affine(2 * k - 1, k)))
         ek = 1 << (k - 1)
         t = (1 << (k - 1)) - 1
-        for rho in sorted(sets.double_sums.members)[:5]:
-            nb = triangle_neighbors(rho, sets.minus)
-            assert nb.members == sets.minus.members - {rho ^ ek}
+        for rho in sorted(pair_sums(minus) - {0})[:5]:
+            nb = triangle_neighbors(rho, minus)
+            assert nb == minus - {rho ^ ek}
             assert len(nb) == t - 1
             assert len(nb) % 2 == 0
 
 
 def test_triangle_neighbors_counterexample():
-    sets = spectral_sets(wht(counterexample_core()))
-    nb = triangle_neighbors(0b11, sets.minus)
-    assert nb.members == {1, 2}
+    _, minus = spectral_sets(wht(counterexample_core()))
+    assert triangle_neighbors(0b11, minus) == {1, 2}
 
 
 def test_triangle_neighbors_rejects_non_sum():
-    sets = spectral_sets(wht(counterexample_core()))
+    _, minus = spectral_sets(wht(counterexample_core()))
     with pytest.raises(ValueError):
-        triangle_neighbors(0b111, sets.minus)  # weight-3 point is not in 2B
+        triangle_neighbors(0b111, minus)  # weight-3 point is not in 2B
     with pytest.raises(ValueError):
-        triangle_neighbors(0, sets.minus)
+        triangle_neighbors(0, minus)
 
 
 def test_triangle_neighbor_count_is_even_on_random_conforming_cores():
@@ -332,14 +367,11 @@ def test_triangle_neighbor_count_is_even_on_random_conforming_cores():
     for _ in range(20):
         base = two_affine(7, 3)
         f = shift(apply_transform(base, random_invertible(7, rng)), 0)
-        core_sets = spectral_sets(wht(f)) if f.value(0) else None
-        if core_sets is None:
+        if not f.value(0):
             continue
-        pair_sums = {
-            x ^ y for x in core_sets.minus.members for y in core_sets.minus.members
-        } - {0}
-        for rho in pair_sums:
-            assert len(triangle_neighbors(rho, core_sets.minus)) % 2 == 0
+        _, minus = spectral_sets(wht(f))
+        for rho in pair_sums(minus) - {0}:
+            assert len(triangle_neighbors(rho, minus)) % 2 == 0
 
 
 # ----------------------------------------------------------- irreducibility
@@ -743,7 +775,7 @@ def test_structural_recovery_needs_no_partition_search(monkeypatch):
 
 
 def _two_flat_cores():
-    """(core, core spectrum, spectral sets) of the m = 2 core of every
+    """(core, core spectrum, k, P, B) of the m = 2 core of every
     in-scope table at n <= 4, of two seeded images of two_affine(n, k)
     for each n = 5..12 and k >= 2, and of one for each n = 13..19 and
     k = 7..10, where the triple gap is the sum of a negative class of
@@ -759,15 +791,16 @@ def _two_flat_cores():
             cases.append((f, None, None))
     for f, s, cls in cases:
         core, trace = reduce_to_core(f, s, cls)
-        yield core, trace.core_spectrum, spectral_sets(trace.core_spectrum)
+        k = trace.core_classification.k
+        yield core, trace.core_spectrum, k, *spectral_sets(trace.core_spectrum)
 
 
 def test_two_flat_pieces_match_the_coset_split_oracle():
     checked = 0
-    for core, s, sets in _two_flat_cores():
-        pieces = structure._two_flat_pieces(sets)
+    for core, s, k, plus, minus in _two_flat_cores():
+        pieces = structure._two_flat_pieces(core.n, k, plus, minus)
         assert pieces is not None
-        assert pieces == oracle_two_flat_pieces(core, sets), core
+        assert pieces == oracle_two_flat_pieces(core, k, plus, minus), core
         # the closed-form spectra of the two pieces add up to the core's
         total = [0] * (1 << core.n)
         for piece in pieces:
@@ -785,10 +818,10 @@ def test_two_flat_pieces_match_the_coset_split_oracle():
 def test_decompose_raises_when_the_two_flat_route_fails(monkeypatch):
     route = structure._two_flat_pieces
 
-    def swapped(sets):
+    def swapped(*args):
         # the mandated dimensions, but with the shifts swapped they miss
         # the support of these inputs
-        first, second = route(sets)
+        first, second = route(*args)
         return (
             AffineSubspace(first.shift, second.direction),
             AffineSubspace(second.shift, first.direction),
@@ -800,9 +833,9 @@ def test_decompose_raises_when_the_two_flat_route_fails(monkeypatch):
         for _ in range(2):
             m = random_invertible(base.n, rng)
             images.append(shift(apply_transform(base, m), random_vector(base.n, rng)))
-    def one_piece(sets):
+    def one_piece(*args):
         # a single flat: the pieces miss the mandated profile
-        return route(sets)[:1]
+        return route(*args)[:1]
 
     for patched in (one_piece, swapped):
         monkeypatch.setattr(structure, "_two_flat_pieces", patched)
@@ -812,7 +845,7 @@ def test_decompose_raises_when_the_two_flat_route_fails(monkeypatch):
 
 
 def test_decompose_raises_when_the_core_route_raises(short_negative_class):
-    # spectral_sets rejects the short class with ValueError, on the
+    # spectral_sets rejects the class sizes with ValueError, on the
     # two-flat route (k = 2, 3) and on the four-flat route (k = 4)
     for f in (two_affine(3, 2), two_affine(7, 3), counterexample_padded(8)):
         with pytest.raises(TheoremViolationError) as info:
@@ -836,7 +869,7 @@ def test_decompose_raises_when_the_four_flat_route_peels_a_wrong_flat(monkeypatc
 
 @pytest.mark.parametrize("base", [two_affine(3, 2), two_affine(7, 3), two_affine(11, 5)])
 def test_decompose_raises_when_the_classes_name_no_two_flats(swapped_classes, base):
-    # the class sizes are right, so spectral_sets passes them; the subspace
+    # the class sizes are right, so spectral_sets passed them; the subspace
     # reader or the verification refuses the pieces, never with a
     # ValueError or an IndexError
     for f in (base, image(base, 5), image(base, 6)):
@@ -935,20 +968,20 @@ def conforming_cores():
 def test_core_set_addition_properties():
     for core in conforming_cores():
         n = core.n
-        sets = spectral_sets(wht(core))
-        minus = sets.minus
-        plus = sets.plus
-        pair_sums = sumset(minus, minus)
+        plus, minus = spectral_sets(wht(core))
+        b = PointSet(n, minus)
+        doubles = sumset(b, b)
+        assert doubles.members == pair_sums(minus)
         # pairwise sums stay inside the positive class (plus the origin)
-        assert pair_sums.members <= plus.members | {0}
+        assert doubles.members <= plus | {0}
         # the negative class is sum-free
-        assert not (pair_sums.members & minus.members)
+        assert not (doubles.members & minus)
         # double and triple sums never meet
-        triple_sums = sumset(pair_sums, minus)
-        assert not (pair_sums.members & triple_sums.members)
+        triple_sums = sumset(doubles, b)
+        assert not (doubles.members & triple_sums.members)
         # the spectrum vanishes on every triple gap
         coeffs = wht(core).coeffs
-        assert all(coeffs[g] == 0 for g in sets.triple_gaps.members)
+        assert all(coeffs[g] == 0 for g in triple_gaps(minus))
 
 
 def test_regular_cores_have_subspace_double_sums():
@@ -957,12 +990,13 @@ def test_regular_cores_have_subspace_double_sums():
     # singleton class only sums to {0})
     for k in (3, 4, 5):
         core = two_affine(2 * k - 1, k)
-        sets = spectral_sets(wht(core))
-        pair_sums = sumset(sets.minus, sets.minus)
-        span = linear_span(core.n, pair_sums.members)
+        _, minus = spectral_sets(wht(core))
+        b = PointSet(core.n, minus)
+        doubles = sumset(b, b)
+        span = linear_span(core.n, doubles.members)
         assert span.dim == k - 1
-        assert len(pair_sums) == 1 << (k - 1)
-        assert linear_span(core.n, sets.minus.members).dim == k
+        assert len(doubles) == 1 << (k - 1)
+        assert linear_span(core.n, minus).dim == k
 
 
 @pytest.mark.parametrize("weight", range(2, 7))
@@ -979,7 +1013,7 @@ def test_exceptional_cores_at_dimension_6_are_one_class(weight):
     assert cls == Classification(TAG_EXCEPTIONAL_K4, 4, 2, 7)
     assert shift(f, 0b111111) == counterexample_core()
     # k = 4 and |B + B| = 22 choose the four-flat route
-    assert len(spectral_sets(wht(f)).double_sums) == 21
+    assert len(pair_sums(spectral_sets(wht(f))[1])) == 22
     rng = SplitMix64(weight)
     images = [f]
     for _ in range(3):
@@ -992,9 +1026,9 @@ def test_exceptional_cores_at_dimension_6_are_one_class(weight):
 
 
 def test_exceptional_core_double_sums_not_a_subspace():
-    sets = spectral_sets(wht(counterexample_core()))
-    pair_sums = sumset(sets.minus, sets.minus)
-    assert len(pair_sums) == 22  # not a power of two
+    _, minus = spectral_sets(wht(counterexample_core()))
+    b = PointSet(6, minus)
+    assert len(sumset(b, b)) == 22  # not a power of two
 
 
 # ------------------------------------------------------------ kill number
